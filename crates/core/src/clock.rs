@@ -65,7 +65,15 @@ impl PipelineClock {
     /// Issues an asynchronous I/O of `service_ns`; returns its completion
     /// time. The operation queues behind any in-flight I/O.
     pub fn issue_io(&mut self, service_ns: u64) -> u64 {
-        let start = self.io_free_ns.max(self.now_ns);
+        self.issue_io_at(self.now_ns, service_ns)
+    }
+
+    /// Like [`PipelineClock::issue_io`], for an I/O that was handed to the
+    /// device at `issued_ns` rather than now (the parallel runner learns a
+    /// load's service time only when the loader thread delivers it, after
+    /// `now` has moved on). Operations must be reported in issue order.
+    pub fn issue_io_at(&mut self, issued_ns: u64, service_ns: u64) -> u64 {
+        let start = self.io_free_ns.max(issued_ns);
         self.io_free_ns = start + service_ns;
         self.io_busy_ns += service_ns;
         self.io_free_ns
@@ -274,6 +282,29 @@ mod tests {
         assert_eq!(first, 300);
         assert_eq!(second, 500);
         assert_eq!(c.io_busy_ns(), 500);
+    }
+
+    #[test]
+    fn issue_io_at_queues_from_the_issue_time() {
+        let mut c = PipelineClock::new();
+        c.advance_compute(1_000);
+        // Device idle, issued in the past: service starts at the issue
+        // time, not at `now`.
+        assert_eq!(c.issue_io_at(200, 300), 500);
+        // Issued before the device frees up: queues behind the first.
+        assert_eq!(c.issue_io_at(400, 100), 600);
+        // Issued exactly when the device frees up: starts immediately.
+        assert_eq!(c.issue_io_at(600, 50), 650);
+        // Issued after the device went idle: the gap is not service time.
+        assert_eq!(c.issue_io_at(900, 10), 910);
+        assert_eq!(c.io_busy_ns(), 460);
+        // Issuing never moves `now`; waiting for a finished I/O is free.
+        c.stall_until(910);
+        assert_eq!((c.now(), c.stall_ns()), (1_000, 0));
+        // `issue_io` is `issue_io_at(now)`.
+        let mut d = c;
+        assert_eq!(c.issue_io(70), d.issue_io_at(1_000, 70));
+        assert_eq!(c, d);
     }
 
     #[test]

@@ -93,6 +93,13 @@ impl OnDiskGraph {
         self.partition.num_blocks()
     }
 
+    /// Byte length of the largest coarse block (0 for an empty graph) —
+    /// what both engines size their block working set by.
+    pub(crate) fn max_block_bytes(&self) -> u64 {
+        let blocks = self.partition.blocks().iter();
+        blocks.map(|b| b.byte_len()).max().unwrap_or(0)
+    }
+
     /// The block holding vertex `v`'s edges.
     pub fn block_of(&self, v: VertexId) -> BlockId {
         self.partition.block_of_vertex(v)

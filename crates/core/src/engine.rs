@@ -25,10 +25,11 @@ use crate::options::EngineOptions;
 use crate::presample::{plan_quotas, Peek, PreSampleBuffer};
 use crate::walk::{SecondOrderWalk, Walk, WalkRng};
 use noswalker_graph::layout::VertexEdges;
-use noswalker_graph::partition::BlockId;
+use noswalker_graph::partition::{BlockId, BlockInfo};
 use noswalker_graph::VertexId;
 use noswalker_storage::{BudgetExceeded, MemoryBudget, Reservation};
 use rand::SeedableRng;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Errors an engine run can produce.
@@ -70,7 +71,7 @@ impl From<LoadError> for EngineError {
 }
 
 /// A source of decoded vertex edges (a coarse block or a fine load).
-trait EdgeSource {
+pub(crate) trait EdgeSource {
     fn edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>>;
 }
 
@@ -83,6 +84,145 @@ impl EdgeSource for LoadedBlock {
 impl EdgeSource for FineLoad {
     fn edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
         self.vertex_edges(graph, v)
+    }
+}
+
+// ----------------------------------------------------------------------
+// Shared with the real-thread runner (`crate::parallel`)
+// ----------------------------------------------------------------------
+
+/// Finalizes a walker whose walk is over, attributing a cancellation to
+/// the cancelled counter so the walker-completion law stays balanced.
+pub(crate) fn retire_walker<A: Walk>(app: &A, metrics: &mut RunMetrics, w: &A::Walker) {
+    let cancelled = app.is_cancelled(w);
+    app.on_terminate(w);
+    if cancelled {
+        metrics.record_walker_cancelled();
+    } else {
+        metrics.record_walker_finished();
+    }
+}
+
+/// Generates walker `id`. One that is born inactive is retired on the spot
+/// and never occupies a pool slot.
+pub(crate) fn spawn_walker<A: Walk>(
+    app: &A,
+    metrics: &mut RunMetrics,
+    id: u64,
+    rng: &mut WalkRng,
+) -> Option<A::Walker> {
+    let w = app.generate(id, rng);
+    if app.is_active(&w) {
+        return Some(w);
+    }
+    retire_walker(app, metrics, &w);
+    None
+}
+
+/// Stalls `clock` until `t`, attributing the wait to `block` in the trace
+/// (no event when `t` is already past).
+pub(crate) fn stall_on(
+    clock: &mut PipelineClock,
+    trace: &mut Trace<'_>,
+    block: Option<BlockId>,
+    t: u64,
+) {
+    let from = clock.now();
+    clock.stall_until(t);
+    if t > from {
+        trace.emit(|| TraceEvent::Stall {
+            waiting_for: block,
+            from_ns: from,
+            until_ns: t,
+        });
+    }
+}
+
+/// What one pre-sample generation is built against: the application's
+/// sampler and the loaded edges it draws from.
+pub(crate) struct Generation<'a, A: Walk, S: EdgeSource + ?Sized> {
+    pub(crate) app: &'a A,
+    pub(crate) graph: &'a OnDiskGraph,
+    pub(crate) opts: &'a EngineOptions,
+    pub(crate) src: &'a S,
+}
+
+impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
+    /// Builds block `info`'s next generation (§3.3.2): slots are planned
+    /// over the vertices `src` covers (`only` restricts them further, to
+    /// what a fine load actually served) proportionally to the carried
+    /// visit `weights`, within `capacity_slots`; the planned bytes are
+    /// reserved; then the slots are filled by sampling. Weighted graphs
+    /// keep their edge weights on raw-retained slots.
+    ///
+    /// How much to plan for and what to do when the budget says no are the
+    /// caller's policy: `reserve(bytes, &mut capacity_slots)` returns the
+    /// reservation, gives up with `Break(None)`, or adjusts the capacity
+    /// and asks for a re-plan with `Continue`.
+    ///
+    /// Returns the buffer (reservation attached), its planned slot count
+    /// and the sample draws performed — or `None` when nothing was built.
+    pub(crate) fn build(
+        &self,
+        info: &BlockInfo,
+        only: Option<&[VertexId]>,
+        weights: &[u32],
+        mut capacity_slots: u64,
+        rng: &mut WalkRng,
+        mut reserve: impl FnMut(u64, &mut u64) -> ControlFlow<Option<Reservation>>,
+    ) -> Option<(PreSampleBuffer, u64, u64)> {
+        let (graph, src) = (self.graph, self.src);
+        let degrees: Vec<u64> = (info.vertex_start..info.vertex_end)
+            .map(|v| {
+                let covered = only.is_none_or(|list| list.binary_search(&v).is_ok());
+                if covered && src.edges(graph, v).is_some() {
+                    graph.degree(v)
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let weighted = graph.format() != noswalker_graph::EdgeFormat::Unweighted;
+        let (plan, reservation) = loop {
+            let plan = plan_quotas(
+                &degrees,
+                weights,
+                capacity_slots,
+                self.opts.low_degree_threshold,
+                self.opts.alias_degree_threshold,
+                self.opts.presample_cap_per_vertex,
+            );
+            if plan.total_slots == 0 {
+                return None;
+            }
+            let bytes = PreSampleBuffer::planned_bytes(&plan, weighted);
+            match reserve(bytes, &mut capacity_slots) {
+                ControlFlow::Break(r) => break (plan, r?),
+                ControlFlow::Continue(()) => {}
+            }
+        };
+        let (mut buf, draws) = PreSampleBuffer::build(
+            info.vertex_start,
+            &plan,
+            weighted,
+            |v| {
+                // LINT-ALLOW(L5): the quota planner zeroes uncovered vertices.
+                let view = src.edges(graph, v).expect("planned vertices are covered");
+                self.app.sample(&view, rng)
+            },
+            |v, edges, mut wts| {
+                // LINT-ALLOW(L5): the quota planner zeroes uncovered vertices.
+                let view = src.edges(graph, v).expect("planned vertices are covered");
+                for i in 0..view.degree() {
+                    edges.push(view.target(i));
+                    if let Some(w) = wts.as_deref_mut() {
+                        w.push(view.weight(i).unwrap_or(1.0));
+                    }
+                }
+            },
+        );
+        buf.set_reservation(reservation);
+        Some((buf, plan.total_slots, draws))
     }
 }
 
@@ -314,14 +454,6 @@ impl<'e, A: Walk> Run<'e, A> {
                 .walker_pool_quota(&engine.budget, engine.app.state_bytes(), total);
         let pool_bytes = charged * engine.app.state_bytes() as u64;
         let pool_reservation = engine.budget.try_reserve(pool_bytes)?;
-        let max_block_bytes = engine
-            .graph
-            .partition()
-            .blocks()
-            .iter()
-            .map(|b| b.byte_len())
-            .max()
-            .unwrap_or(0);
         Ok(Run {
             app: &engine.app,
             graph: &engine.graph,
@@ -341,7 +473,7 @@ impl<'e, A: Walk> Run<'e, A> {
             fine_mode: false,
             cache: BlockCache::new(num_blocks),
             swap_base: engine.graph.edge_region_bytes(),
-            max_block_bytes,
+            max_block_bytes: engine.graph.max_block_bytes(),
             trace,
             wall: WallTimer::start(),
         })
@@ -399,15 +531,9 @@ impl<'e, A: Walk> Run<'e, A> {
 
     fn retire(&mut self, i: usize) {
         let w = take_live(&mut self.slab, i);
-        let cancelled = self.app.is_cancelled(&w);
-        self.app.on_terminate(&w);
+        retire_walker(self.app, &mut self.metrics, &w);
         self.free.push(i);
         self.live -= 1;
-        if cancelled {
-            self.metrics.record_walker_cancelled();
-        } else {
-            self.metrics.record_walker_finished();
-        }
     }
 
     /// Re-buckets walker `i` by `needed`; no-op if it terminated.
@@ -424,20 +550,12 @@ impl<'e, A: Walk> Run<'e, A> {
     /// computes the bucket vertex for a fresh walker.
     fn generate(&mut self, cap: u64, needed: impl Fn(&Self, &A::Walker) -> VertexId) {
         while self.live < cap && self.next_id < self.total {
-            let w = self.app.generate(self.next_id, &mut self.rng);
+            let spawned = spawn_walker(self.app, &mut self.metrics, self.next_id, &mut self.rng);
             self.next_id += 1;
-            if !self.app.is_active(&w) {
-                let cancelled = self.app.is_cancelled(&w);
-                self.app.on_terminate(&w);
-                if cancelled {
-                    self.metrics.record_walker_cancelled();
-                } else {
-                    self.metrics.record_walker_finished();
-                }
-                continue;
+            if let Some(w) = spawned {
+                let v = needed(self, &w);
+                self.insert_walker(w, v);
             }
-            let v = needed(self, &w);
-            self.insert_walker(w, v);
         }
         if self.next_id >= self.total {
             let cap = self.pool_cap();
@@ -752,26 +870,12 @@ impl<'e, A: Walk> Run<'e, A> {
             vec![0; nv] // zero weights → the planner falls back to uniform
         } else {
             match &old {
-                Some(buf) => buf.visit_weights().to_vec(),
+                Some(buf) => buf.visit_weights_snapshot(),
                 None => vec![0; nv],
             }
         };
         drop(old); // release the old generation's memory first
-        let degrees: Vec<u64> = (0..nv)
-            .map(|i| {
-                let v = info.vertex_start + i as VertexId;
-                let covered = match only {
-                    Some(list) => list.binary_search(&v).is_ok(),
-                    None => true,
-                };
-                if covered && src.edges(self.graph, v).is_some() {
-                    self.graph.degree(v)
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let weighted = self.graph.format() != noswalker_graph::EdgeFormat::Unweighted;
+
         // Sampled slots are 4 B regardless of edge format — the succinct
         // representation that makes pre-sampling shine on weighted data.
         let slot_bytes: u64 = 4;
@@ -792,56 +896,36 @@ impl<'e, A: Walk> Run<'e, A> {
         if cap_bytes <= meta_bytes {
             return;
         }
-        let mut capacity_slots = (cap_bytes - meta_bytes) / slot_bytes;
-        let (plan, reservation) = loop {
-            let plan = plan_quotas(
-                &degrees,
-                &weights,
-                capacity_slots,
-                self.opts.low_degree_threshold,
-                self.opts.alias_degree_threshold,
-                self.opts.presample_cap_per_vertex,
-            );
-            if plan.total_slots == 0 {
-                return;
-            }
-            match self
-                .budget
-                .try_reserve(PreSampleBuffer::planned_bytes(&plan, weighted))
-            {
-                Ok(r) => break (plan, r),
-                Err(_) if capacity_slots > 64 => capacity_slots /= 2,
-                Err(_) => return, // budget too tight right now; retry later
-            }
+        let generation = Generation {
+            app: self.app,
+            graph: self.graph,
+            opts: self.opts,
+            src,
         };
-        let app = self.app;
-        let graph = self.graph;
-        let rng = &mut self.rng;
-        let (mut buf, draws) = PreSampleBuffer::build(
-            info.vertex_start,
-            &plan,
-            weighted,
-            |v| {
-                // LINT-ALLOW(L5): the quota planner zeroes uncovered vertices.
-                let view = src.edges(graph, v).expect("planned vertices are covered");
-                app.sample(&view, rng)
-            },
-            |v, edges, mut wts| {
-                // LINT-ALLOW(L5): the quota planner zeroes uncovered vertices.
-                let view = src.edges(graph, v).expect("planned vertices are covered");
-                for i in 0..view.degree() {
-                    edges.push(view.target(i));
-                    if let Some(w) = wts.as_deref_mut() {
-                        w.push(view.weight(i).unwrap_or(1.0));
-                    }
-                }
-            },
-        );
-        buf.set_reservation(reservation);
+        // Budget too tight for the plan: halve it, down to a floor below
+        // which the rebuild just waits for the next load of this block.
+        let reserve = |bytes, slots: &mut u64| match self.budget.try_reserve(bytes) {
+            Ok(r) => ControlFlow::Break(Some(r)),
+            Err(_) if *slots > 64 => {
+                *slots /= 2;
+                ControlFlow::Continue(())
+            }
+            Err(_) => ControlFlow::Break(None),
+        };
+        let capacity_slots = (cap_bytes - meta_bytes) / slot_bytes;
+        let Some((buf, slots, draws)) = generation.build(
+            &info,
+            only,
+            &weights,
+            capacity_slots,
+            &mut self.rng,
+            reserve,
+        ) else {
+            return;
+        };
         self.clock.advance_compute(draws * self.opts.sample_cost());
         self.metrics.record_presamples_filled(draws);
         let at = self.clock.now();
-        let slots = plan.total_slots;
         self.trace.emit(|| TraceEvent::PresampleRefill {
             block: b,
             slots,
@@ -855,10 +939,18 @@ impl<'e, A: Walk> Run<'e, A> {
     // First-order pooled workflow (Algorithm 1)
     // ------------------------------------------------------------------
 
-    fn run_pooled(&mut self) -> Result<(), EngineError> {
+    /// The pooled scheduling loop both orders share. `needed` names the
+    /// vertex a walker waits on, `integrate` consumes a completed load,
+    /// and `pass` moves walkers on reserved pre-samples between loads
+    /// (returning how much progress it made).
+    fn run_pool(
+        &mut self,
+        needed: impl Fn(&Self, &A::Walker) -> VertexId + Copy,
+        integrate: impl Fn(&mut Self, Pending),
+        pass: impl Fn(&mut Self) -> u64,
+    ) -> Result<(), EngineError> {
         let cap = self.pool_cap();
-        let by_loc = |run: &Self, w: &A::Walker| run.app.location(w);
-        self.generate(cap, by_loc);
+        self.generate(cap, needed);
         let mut pending: Option<Pending> = None;
         loop {
             if self.done() {
@@ -869,12 +961,12 @@ impl<'e, A: Walk> Run<'e, A> {
             let now = self.clock.now();
             if let Some(p) = pending.take_if(|p| p.ready_at() <= now) {
                 pending = self.try_prefetch(Some(p.block_id()))?;
-                self.integrate_first_order(p);
-                self.generate(cap, by_loc);
+                integrate(self, p);
+                self.generate(cap, needed);
             }
             // Keep walkers moving on reserved pre-samples meanwhile.
-            let moved = self.presample_pass();
-            self.generate(cap, by_loc);
+            let moved = pass(self);
+            self.generate(cap, needed);
             if self.done() {
                 break;
             }
@@ -884,8 +976,8 @@ impl<'e, A: Walk> Run<'e, A> {
             if moved == 0 {
                 match &pending {
                     Some(p) => {
-                        let t = p.ready_at();
-                        self.stall_on(Some(p.block_id()), t);
+                        let (b, t) = (p.block_id(), p.ready_at());
+                        stall_on(&mut self.clock, &mut self.trace, Some(b), t);
                     }
                     None => {
                         debug_assert!(self.done(), "walkers remain but nothing to load");
@@ -895,6 +987,14 @@ impl<'e, A: Walk> Run<'e, A> {
             }
         }
         Ok(())
+    }
+
+    fn run_pooled(&mut self) -> Result<(), EngineError> {
+        self.run_pool(
+            |run, w| run.app.location(w),
+            Self::integrate_first_order,
+            Self::presample_pass,
+        )
     }
 
     /// One pass over all waiting walkers, chasing pre-samples. Returns
@@ -982,7 +1082,7 @@ impl<'e, A: Walk> Run<'e, A> {
                 },
             };
             let b = block.info().id;
-            self.stall_on(Some(b), ready_at);
+            stall_on(&mut self.clock, &mut self.trace, Some(b), ready_at);
             // Walker-state swap (GraphWalker's fixed walker buffer,
             // §2.4.2): the block's walker states are read from and written
             // back to a swap region on the same device.
@@ -1004,20 +1104,6 @@ impl<'e, A: Walk> Run<'e, A> {
             }
         }
         Ok(())
-    }
-
-    /// Stalls the clock until `t`, attributing the wait to `block` in the
-    /// trace (no event when `t` is already past).
-    fn stall_on(&mut self, block: Option<BlockId>, t: u64) {
-        let from = self.clock.now();
-        self.clock.stall_until(t);
-        if t > from {
-            self.trace.emit(|| TraceEvent::Stall {
-                waiting_for: block,
-                from_ns: from,
-                until_ns: t,
-            });
-        }
     }
 
     /// Performs the swap-region I/O for `n` walker states: write back, then
@@ -1067,39 +1153,11 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
     }
 
     fn run_pooled_2nd(&mut self) -> Result<(), EngineError> {
-        let cap = self.pool_cap();
-        let by_need = |run: &Self, w: &A::Walker| run.needed_vertex(w);
-        self.generate(cap, by_need);
-        let mut pending: Option<Pending> = None;
-        loop {
-            if self.done() {
-                break;
-            }
-            let now = self.clock.now();
-            if let Some(p) = pending.take_if(|p| p.ready_at() <= now) {
-                pending = self.try_prefetch(Some(p.block_id()))?;
-                self.integrate_2nd(p);
-                self.generate(cap, by_need);
-            }
-            let moved = self.candidate_pass();
-            self.generate(cap, by_need);
-            if self.done() {
-                break;
-            }
-            if pending.is_none() {
-                pending = self.issue_load(None)?;
-            }
-            if moved == 0 {
-                match &pending {
-                    Some(p) => {
-                        let t = p.ready_at();
-                        self.stall_on(Some(p.block_id()), t);
-                    }
-                    None => break,
-                }
-            }
-        }
-        Ok(())
+        self.run_pool(
+            |run, w| run.needed_vertex(w),
+            Self::integrate_2nd,
+            Self::candidate_pass,
+        )
     }
 
     /// Hands candidates to candidate-less walkers from pre-samples

@@ -2,8 +2,9 @@
 //! over this graph under these options and return [`RunMetrics`]",
 //! implemented by both execution strategies the crate ships —
 //! [`NosWalkerEngine`] (sequential, fully modeled I/O pipeline) and
-//! [`ParallelRunner`] (real threads over the lock-free published-buffer
-//! pool).
+//! [`ParallelRunner`] (real threads claiming lock-free from a shared pool
+//! of the same pre-sample buffers). Both count into [`RunMetrics`] through
+//! the same helpers and time themselves on a [`crate::PipelineClock`].
 //!
 //! Callers that schedule *units* of walk work — the serving layer's
 //! rounds today, sharding later — program against [`StepKernel`] and pick
@@ -12,8 +13,9 @@
 //! kernel also reports a **deterministic** modeled duration
 //! (`advance_ns`) for the unit, because the two engines time work
 //! differently. The sequential engine's `sim_ns` is already a pure
-//! function of the seed; the parallel runner's `sim_ns` depends on host
-//! thread interleaving (refill arrival order, stall patterns), so its
+//! function of the seed; the parallel runner feeds the same clock type
+//! from events whose order depends on host thread interleaving (refill
+//! arrival order, stall patterns), so its `sim_ns` does too, and its
 //! kernel charges a compute-only model — `steps × (step + sample cost)`
 //! — which is identical across hosts and runs whenever the step count is
 //! (see DESIGN.md §13). Both engines and both kernels now price compute

@@ -1,15 +1,16 @@
 //! Run metrics shared by every engine.
 //!
-//! All mutation goes through the tracked helpers on [`RunMetrics`] (and,
-//! for the real-thread runner, [`SharedMetrics`] / [`LocalCounters`]): the
+//! All mutation goes through the tracked helpers on [`RunMetrics`]: the
 //! `nosw-lint` L1 rule forbids direct field writes outside this module, so
 //! the audit conservation laws cannot be bypassed by an engine quietly
 //! bumping a counter. In particular [`RunMetrics::record_step`] couples
 //! `steps` to exactly one of the three attribution counters, making the
-//! step-attribution law structurally true at every call site.
+//! step-attribution law structurally true at every call site. The
+//! real-thread runner's workers each accumulate into a private
+//! `RunMetrics` per job and the coordinator [`RunMetrics::merge`]s them,
+//! so there is one counter set and no shared cache line on the step path.
 
 use crate::clock::{PipelineClock, WallTimer};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where a walker step got its edge data from — the paper's three serving
 /// tiers (§3.3): the resident block buffer, a reserved pre-sample, or a
@@ -219,6 +220,41 @@ impl RunMetrics {
         self.presamples_consumed += 1;
     }
 
+    /// Records one buffer generation published to the shared pool, built
+    /// with `draws` sample draws.
+    pub fn record_pool_publish(&mut self, draws: u64) {
+        self.pool_publishes += 1;
+        self.presamples_filled += draws;
+    }
+
+    /// Records a walker visit that claimed against a live published
+    /// buffer and found its slots depleted: the walker falls back to the
+    /// coordinator. A stall is also one pool attempt, keeping the
+    /// claim-conservation law structurally balanced.
+    pub fn record_pool_stall(&mut self) {
+        self.pool_stalls += 1;
+        self.pool_attempts += 1;
+    }
+
+    /// Records `n` walker visits that found no published generation at
+    /// all for their block: not pool attempts (there was nothing to
+    /// claim from) — the walkers defer to the block's next residency.
+    pub fn record_pool_deferrals(&mut self, n: u64) {
+        self.pool_deferrals += n;
+    }
+
+    /// Records `n` sampled slots claimed from a published buffer (batched
+    /// claims pass the batch length).
+    pub fn record_pool_attempts(&mut self, n: u64) {
+        self.pool_attempts += n;
+    }
+
+    /// Records `n` claimed slots retired unserved when a walker bucket
+    /// ends (batch leftovers).
+    pub fn record_claims_burned(&mut self, n: u64) {
+        self.claims_burned += n;
+    }
+
     /// Records a prefetched block that a waiting walker bucket consumed.
     pub fn record_prefetch_hit(&mut self) {
         self.prefetch_hits += 1;
@@ -290,16 +326,10 @@ impl RunMetrics {
         self.wall_ns = timer.elapsed_ns();
     }
 
-    /// Sets `wall_ns` directly (real-thread runners also report it as
-    /// `sim_ns`).
+    /// Sets `wall_ns` directly (the bench/CLI boundary re-stamping a
+    /// replay's measured time).
     pub fn set_wall_ns(&mut self, ns: u64) {
         self.wall_ns = ns;
-    }
-
-    /// Reports wall-clock time as the simulated time too (real-thread
-    /// runners have no simulated clock).
-    pub fn set_sim_from_wall(&mut self) {
-        self.sim_ns = self.wall_ns;
     }
 
     /// Folds another run's metrics into this one (multi-query experiments
@@ -610,183 +640,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Shared per-run counters for the real-thread runner: the cross-thread
-/// mirror of the tracked [`RunMetrics`] step/pre-sample counters.
-#[derive(Debug, Default)]
-pub(crate) struct SharedMetrics {
-    steps: AtomicU64,
-    steps_on_block: AtomicU64,
-    steps_on_presample: AtomicU64,
-    steps_on_raw: AtomicU64,
-    presamples_filled: AtomicU64,
-    presamples_consumed: AtomicU64,
-    pool_publishes: AtomicU64,
-    pool_stalls: AtomicU64,
-    pool_deferrals: AtomicU64,
-    pool_attempts: AtomicU64,
-    claims_burned: AtomicU64,
-    finished: AtomicU64,
-    cancelled: AtomicU64,
-}
-
-impl SharedMetrics {
-    /// Adds `n` finished walkers (coordinator-side terminations).
-    pub(crate) fn add_finished(&self, n: u64) {
-        self.finished.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` cancelled walkers (coordinator-side cancellations).
-    pub(crate) fn add_cancelled(&self, n: u64) {
-        self.cancelled.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `draws` pre-sample slots drawn by a background refill.
-    pub(crate) fn add_presamples_filled(&self, draws: u64) {
-        self.presamples_filled.fetch_add(draws, Ordering::Relaxed);
-    }
-
-    /// Records one buffer generation published to the shared pool.
-    pub(crate) fn add_pool_publish(&self) {
-        self.pool_publishes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copies the accumulated totals into `m`.
-    pub(crate) fn drain_into(&self, m: &mut RunMetrics) {
-        m.steps = self.steps.load(Ordering::Relaxed);
-        m.steps_on_block = self.steps_on_block.load(Ordering::Relaxed);
-        m.steps_on_presample = self.steps_on_presample.load(Ordering::Relaxed);
-        m.steps_on_raw = self.steps_on_raw.load(Ordering::Relaxed);
-        m.presamples_filled = self.presamples_filled.load(Ordering::Relaxed);
-        m.presamples_consumed = self.presamples_consumed.load(Ordering::Relaxed);
-        m.pool_publishes = self.pool_publishes.load(Ordering::Relaxed);
-        m.pool_stalls = self.pool_stalls.load(Ordering::Relaxed);
-        m.pool_deferrals = self.pool_deferrals.load(Ordering::Relaxed);
-        m.pool_attempts = self.pool_attempts.load(Ordering::Relaxed);
-        m.claims_burned = self.claims_burned.load(Ordering::Relaxed);
-        m.walkers_finished = self.finished.load(Ordering::Relaxed);
-        m.walkers_cancelled = self.cancelled.load(Ordering::Relaxed);
-    }
-}
-
-/// Per-worker counter accumulation: flushed into [`SharedMetrics`] once
-/// per job so the hot loop never touches shared cache lines.
-#[derive(Debug, Default)]
-pub(crate) struct LocalCounters {
-    steps: u64,
-    steps_on_block: u64,
-    steps_on_presample: u64,
-    steps_on_raw: u64,
-    presamples_consumed: u64,
-    pool_stalls: u64,
-    pool_deferrals: u64,
-    pool_attempts: u64,
-    claims_burned: u64,
-    finished: u64,
-    cancelled: u64,
-}
-
-impl LocalCounters {
-    /// Records one walker step served from `src` (see
-    /// [`RunMetrics::record_step`]).
-    pub(crate) fn record_step(&mut self, src: StepSource) {
-        self.steps += 1;
-        match src {
-            StepSource::Block => self.steps_on_block += 1,
-            StepSource::PreSample => self.steps_on_presample += 1,
-            StepSource::Raw => self.steps_on_raw += 1,
-        }
-    }
-
-    /// Records one reserved pre-sampled slot consumed by a move.
-    pub(crate) fn record_presample_consumed(&mut self) {
-        self.presamples_consumed += 1;
-    }
-
-    /// Records a walker visit that claimed against a live published
-    /// buffer and found its slots depleted: the walker falls back to the
-    /// coordinator. A stall is also one pool attempt, keeping the
-    /// claim-conservation law structurally balanced.
-    pub(crate) fn record_pool_stall(&mut self) {
-        self.pool_stalls += 1;
-        self.pool_attempts += 1;
-    }
-
-    /// Records `n` walker visits that found no published generation at
-    /// all for their block: not pool attempts (there was nothing to
-    /// claim from) — the walkers defer to the block's next residency.
-    pub(crate) fn record_pool_deferrals(&mut self, n: u64) {
-        self.pool_deferrals += n;
-    }
-
-    /// Records `n` sampled slots claimed from a published buffer (batched
-    /// claims pass the batch length).
-    pub(crate) fn record_pool_attempts(&mut self, n: u64) {
-        self.pool_attempts += n;
-    }
-
-    /// Records `n` claimed slots retired unserved when a walker bucket
-    /// ends (batch leftovers).
-    pub(crate) fn record_claims_burned(&mut self, n: u64) {
-        self.claims_burned += n;
-    }
-
-    /// Records one walker reaching its end state.
-    pub(crate) fn record_finished(&mut self) {
-        self.finished += 1;
-    }
-
-    /// Records one walker retired by cancellation (see
-    /// [`RunMetrics::record_walker_cancelled`]).
-    pub(crate) fn record_cancelled(&mut self) {
-        self.cancelled += 1;
-    }
-
-    /// Total steps recorded so far (the runner's deterministic compute
-    /// model charges a round by its jobs' step counts).
-    pub(crate) fn steps_total(&self) -> u64 {
-        self.steps
-    }
-
-    /// Steps that performed an on-line sample draw (block + raw; reserved
-    /// slots were drawn at refill time and are charged there).
-    pub(crate) fn samples_total(&self) -> u64 {
-        self.steps_on_block + self.steps_on_raw
-    }
-
-    /// Flushes the accumulated counts into the shared totals.
-    pub(crate) fn flush(&self, shared: &SharedMetrics) {
-        shared.steps.fetch_add(self.steps, Ordering::Relaxed);
-        shared
-            .steps_on_block
-            .fetch_add(self.steps_on_block, Ordering::Relaxed);
-        shared
-            .steps_on_presample
-            .fetch_add(self.steps_on_presample, Ordering::Relaxed);
-        shared
-            .steps_on_raw
-            .fetch_add(self.steps_on_raw, Ordering::Relaxed);
-        shared
-            .presamples_consumed
-            .fetch_add(self.presamples_consumed, Ordering::Relaxed);
-        shared
-            .pool_stalls
-            .fetch_add(self.pool_stalls, Ordering::Relaxed);
-        shared
-            .pool_deferrals
-            .fetch_add(self.pool_deferrals, Ordering::Relaxed);
-        shared
-            .pool_attempts
-            .fetch_add(self.pool_attempts, Ordering::Relaxed);
-        shared
-            .claims_burned
-            .fetch_add(self.claims_burned, Ordering::Relaxed);
-        shared.finished.fetch_add(self.finished, Ordering::Relaxed);
-        shared
-            .cancelled
-            .fetch_add(self.cancelled, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -833,38 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn local_counters_flush_into_shared() {
-        let shared = SharedMetrics::default();
-        let mut local = LocalCounters::default();
-        local.record_step(StepSource::Block);
-        local.record_step(StepSource::PreSample);
-        local.record_presample_consumed();
-        local.record_pool_stall();
-        local.record_pool_attempts(3);
-        local.record_claims_burned(2);
-        local.record_finished();
-        assert_eq!(local.steps_total(), 2);
-        assert_eq!(local.samples_total(), 1); // pre-sample steps draw nothing
-        local.flush(&shared);
-        shared.add_finished(2);
-        shared.add_presamples_filled(7);
-        shared.add_pool_publish();
-        let mut m = RunMetrics::default();
-        shared.drain_into(&mut m);
-        assert_eq!(m.steps, 2);
-        assert_eq!(m.steps_on_block, 1);
-        assert_eq!(m.steps_on_presample, 1);
-        assert_eq!(m.presamples_consumed, 1);
-        assert_eq!(m.presamples_filled, 7);
-        assert_eq!(m.pool_publishes, 1);
-        assert_eq!(m.pool_stalls, 1);
-        // The stall ticked one attempt on top of the three explicit ones.
-        assert_eq!(m.pool_attempts, 4);
-        assert_eq!(m.claims_burned, 2);
-        assert_eq!(m.walkers_finished, 3);
-    }
-
-    #[test]
     fn prefetch_helpers_and_merge_cover_pool_counters() {
         let mut m = RunMetrics::default();
         m.record_prefetch_hit();
@@ -884,6 +705,23 @@ mod tests {
         assert_eq!(m.pool_stalls, 5);
         assert_eq!(m.pool_attempts, 11);
         assert_eq!(m.claims_burned, 4);
+        // The pool helpers a worker's per-job metrics accumulate through.
+        let mut job = RunMetrics::default();
+        job.record_pool_publish(7);
+        job.record_pool_stall();
+        job.record_pool_attempts(3);
+        job.record_pool_deferrals(6);
+        job.record_claims_burned(2);
+        assert_eq!((job.pool_publishes, job.presamples_filled), (1, 7));
+        // The stall ticked one attempt on top of the three explicit ones.
+        assert_eq!((job.pool_stalls, job.pool_attempts), (1, 4));
+        m.merge(&job);
+        assert_eq!(m.pool_publishes, 4);
+        assert_eq!(m.presamples_filled, 7);
+        assert_eq!(m.pool_stalls, 6);
+        assert_eq!(m.pool_attempts, 15);
+        assert_eq!(m.pool_deferrals, 6);
+        assert_eq!(m.claims_burned, 6);
     }
 
     #[test]
@@ -926,20 +764,6 @@ mod tests {
         assert_eq!(m.walkers_finished, 1);
         assert_eq!(m.walkers_cancelled, 3);
         assert_eq!(m.presample_stalls, 2);
-    }
-
-    #[test]
-    fn shared_metrics_carry_cancellations() {
-        let shared = SharedMetrics::default();
-        let mut local = LocalCounters::default();
-        local.record_cancelled();
-        local.record_finished();
-        local.flush(&shared);
-        shared.add_cancelled(2);
-        let mut m = RunMetrics::default();
-        shared.drain_into(&mut m);
-        assert_eq!(m.walkers_cancelled, 3);
-        assert_eq!(m.walkers_finished, 1);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! the *actual* concurrent implementation: a background loader thread
 //! services hottest-block requests (with a small prefetch window) while a
 //! pool of worker threads moves walkers over loaded blocks and the shared
-//! pre-sample pool.
+//! pre-sample pool. It shares its nouns with the sequential engine — the
+//! same [`PreSampleBuffer`], [`RunMetrics`], [`PipelineClock`], walker
+//! lifecycle and generation builder — and differs only in who drives them.
 //!
 //! The division of labour mirrors the paper's Fig. 6:
 //!
@@ -20,12 +22,13 @@
 //! # The published pre-sample pool
 //!
 //! Pre-sample buffers are *built privately* on a worker (a refill job,
-//! serialized per block by a try-lock gate) and then *published* as an
-//! immutable [`PublishedBuffer`] behind an `Arc`. Consumption is lock-free:
-//! a worker acquires the `Arc` once per walker bucket and then claims
-//! sampled slots in small batches — one `fetch_add` covers up to
+//! serialized per block by a try-lock gate) and then *published*: the
+//! finished [`PreSampleBuffer`] goes behind an `Arc` and is never written
+//! again except through its per-vertex atomic counters. Consumption is
+//! lock-free: a worker acquires the `Arc` once per walker bucket and then
+//! claims sampled slots in small batches — one `fetch_add` covers up to
 //! [`EngineOptions::claim_batch`] hops once a vertex shows reuse inside
-//! the bucket ([`PublishedBuffer::claim_batch`]). Slots the application
+//! the bucket ([`PreSampleBuffer::claim_batch`]). Slots the application
 //! declines (e.g. restarts) return to the bucket's claim cache for the
 //! next walker; slots still cached when the bucket retires are surfaced
 //! as `claims_burned`, so `pool_attempts` stays conserved against
@@ -37,51 +40,61 @@
 //! refill as soon as the remaining slots dip under a demand-derived low
 //! watermark — proactively, while workers still chew on the round, not
 //! only after the pool runs dry. The refill's slot budget is split across
-//! blocks proportionally to that same demand signal. The per-slot mutex
-//! of the sequential engine's pool never appears on the step path — the
-//! only locks are the brief pointer swap at publish time and the pointer
-//! clone at bucket-acquire time. See `DESIGN.md` §11 for the full
-//! protocol and its ordering argument.
+//! blocks proportionally to that same demand signal. No lock ever appears
+//! on the step path — the only locks are the brief pointer swap at
+//! publish time and the pointer clone at bucket-acquire time. See
+//! `DESIGN.md` §11 for the full protocol and its ordering argument.
+//!
+//! # Counters
+//!
+//! Every walk job accumulates into its own plain [`RunMetrics`] through
+//! the same `record_*` helpers the sequential engine uses and hands it
+//! back with its survivors; the coordinator [`RunMetrics::merge`]s it.
+//! Nothing on the step path touches a shared counter.
 //!
 //! # The simulated clock
 //!
 //! Wall-clock timing on a shared host measures the host, not the
 //! architecture — so, like the sequential engine, this runner reports
-//! `sim_ns` from a deterministic model: each round of walk jobs charges
-//! `max(longest job, total work / workers)` of compute — priced with the
-//! same per-thread [`EngineOptions::step_cost`] /
+//! `sim_ns` from a deterministic [`PipelineClock`]: each round of walk
+//! jobs charges `max(longest job, total work / workers)` of compute —
+//! priced with the same per-thread [`EngineOptions::step_cost`] /
 //! [`EngineOptions::sample_cost`] the sequential engine charges, so the
 //! two `sim_ns` figures are directly comparable — and block loads flow
-//! through a single-channel FIFO device timeline fed by the storage
-//! device's own service times. `wall_ns` still reports honest wall time.
-//! Walk *semantics* are identical to the sequential engine (same `Walk`
-//! contract), which the tests check.
+//! through the clock's single-channel FIFO device timeline, fed by the
+//! storage device's own service times and stamped with the modeled time
+//! each request was issued ([`PipelineClock::issue_io_at`]). `wall_ns`
+//! still reports honest wall time. Walk *semantics* are identical to the
+//! sequential engine (same `Walk` contract), which the tests check.
 
 use crate::audit::{RunAudit, Trace, TraceEvent, TraceSink};
 use crate::block::LoadedBlock;
-use crate::clock::WallTimer;
+use crate::clock::{PipelineClock, WallTimer};
 use crate::disk_graph::{LoadError, OnDiskGraph};
-use crate::engine::EngineError;
-use crate::metrics::{LocalCounters, RunMetrics, SharedMetrics, StepSource};
+use crate::engine::{retire_walker, spawn_walker, stall_on, EngineError, Generation};
+use crate::metrics::{RunMetrics, StepSource};
 use crate::options::EngineOptions;
-use crate::presample::{plan_quotas, BatchClaim, BlockDemand, PreSampleBuffer, PublishedBuffer};
-use crate::threaded::{BackgroundLoader, LoaderError};
+use crate::presample::{BatchClaim, BlockDemand, PreSampleBuffer};
+use crate::threaded::{BackgroundLoader, Loaded, LoaderError};
 use crate::walk::{Walk, WalkRng};
+use crossbeam::channel::{Receiver, Sender};
 use noswalker_graph::partition::BlockId;
 use noswalker_graph::VertexId;
-use noswalker_storage::MemoryBudget;
+use noswalker_storage::{MemoryBudget, Reservation};
 use parking_lot::Mutex;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// One block's slot in the published pool.
 #[derive(Debug)]
 struct PoolSlot {
     /// The current published generation, if any. Locked only to swap or
     /// clone the `Arc` — never while stepping walkers.
-    published: Mutex<Option<Arc<PublishedBuffer>>>,
+    published: Mutex<Option<Arc<PreSampleBuffer>>>,
     /// Serializes refills per block: a contended gate means another worker
     /// is already rebuilding this buffer, so the loser just skips.
     refill_gate: Mutex<()>,
@@ -137,12 +150,12 @@ impl SharedPool {
 
     /// Clones the current generation's handle (one brief lock per walker
     /// bucket; all subsequent claims on the handle are lock-free).
-    fn acquire(&self, b: BlockId) -> Option<Arc<PublishedBuffer>> {
+    fn acquire(&self, b: BlockId) -> Option<Arc<PreSampleBuffer>> {
         self.slots[b as usize].published.lock().clone()
     }
 
     /// Swaps in a freshly built generation, returning the old one.
-    fn publish(&self, b: BlockId, buf: Arc<PublishedBuffer>) -> Option<Arc<PublishedBuffer>> {
+    fn publish(&self, b: BlockId, buf: Arc<PreSampleBuffer>) -> Option<Arc<PreSampleBuffer>> {
         // The byte tally is an advisory planning input (refills size
         // their next share from it), never a synchronization edge; the
         // generation swap itself is ordered by the slot mutex.
@@ -162,7 +175,7 @@ impl SharedPool {
     /// once the last outstanding `Arc` drops), snapshotting its visit
     /// cursors into the slot so the next refill still plans with the
     /// demand the eviction would otherwise erase.
-    fn unpublish(&self, b: BlockId) -> Option<Arc<PublishedBuffer>> {
+    fn unpublish(&self, b: BlockId) -> Option<Arc<PreSampleBuffer>> {
         let slot = &self.slots[b as usize];
         let buf = slot.published.lock().take();
         if let Some(buf) = &buf {
@@ -202,24 +215,24 @@ impl SharedPool {
         self.slots.iter().map(|s| s.demand.pressure()).sum()
     }
 
-    /// The low-watermark refill policy (§3.3.2): a block wants a refill
-    /// when it has no published generation at all, or when its remaining
-    /// sampled slots dip under a watermark derived from the demand seen
-    /// against the current generation. The watermark is clamped to
-    /// `[cap/8, cap/2]`, so an idle block still refills when seven
-    /// eighths drained and a hammered one refills no earlier than half —
-    /// the refill always lands *before* walkers hit a dry pool.
-    fn needs_refill(&self, b: BlockId) -> bool {
-        let slot = &self.slots[b as usize];
-        let Some(buf) = slot.published.lock().clone() else {
-            return true;
-        };
+    /// The low-watermark refill policy (§3.3.2): whether `buf`, block `b`'s
+    /// generation, has dipped under a watermark derived from the demand
+    /// seen against it. The watermark is clamped to `[cap/8, cap/2]`, so an
+    /// idle block still refills when seven eighths drained and a hammered
+    /// one refills no earlier than half — the refill always lands *before*
+    /// walkers hit a dry pool. `None` when `buf` has no sampled slots to
+    /// run out of.
+    fn under_watermark(&self, b: BlockId, buf: &PreSampleBuffer) -> Option<bool> {
         let cap = buf.sampled_capacity();
-        if cap == 0 {
-            return false;
-        }
-        let watermark = slot.demand.pressure().clamp(cap / 8, cap / 2).max(1);
-        buf.remaining_sampled() < watermark
+        let watermark = self.demand(b).pressure().clamp(cap / 8, cap / 2).max(1);
+        (cap > 0).then(|| buf.remaining_sampled() < watermark)
+    }
+
+    /// A block wants a refill when it has no published generation at all,
+    /// or when the one it has is [under its watermark](Self::under_watermark).
+    fn needs_refill(&self, b: BlockId) -> bool {
+        self.acquire(b)
+            .is_none_or(|buf| self.under_watermark(b, &buf) == Some(true))
     }
 
     /// Claims the right to schedule one refill job for `b`. Returns false
@@ -247,8 +260,25 @@ impl SharedPool {
     }
 }
 
-/// Completed refill, reported back to the coordinator for tracing and for
-/// charging the refill's compute into the simulated clock.
+/// Work handed to the persistent worker threads.
+enum Job<W> {
+    /// Step an owned chunk of walkers against the resident block.
+    Walk(Arc<LoadedBlock>, Vec<W>),
+    /// Regenerate the block's published pre-sample buffer asynchronously
+    /// (the paper's background pre-sampling ④).
+    Refill(Arc<LoadedBlock>),
+}
+
+/// What a finished walk job hands back to the coordinator.
+struct WalkOutcome<W> {
+    /// Walkers that stalled on the pool and need re-bucketing.
+    survivors: Vec<W>,
+    /// Everything the job counted; also what the compute model prices.
+    metrics: RunMetrics,
+}
+
+/// Completed refill, reported back to the coordinator for counting,
+/// tracing, and charging the refill's compute into the simulated clock.
 #[derive(Debug, Clone, Copy)]
 struct RefillReport {
     block: BlockId,
@@ -258,50 +288,79 @@ struct RefillReport {
     draws: u64,
 }
 
-/// What a finished walk job hands back to the coordinator.
-struct WalkOutcome<W> {
-    /// Walkers that stalled on the pool and need re-bucketing.
-    survivors: Vec<W>,
-    /// Steps taken by this job (for the compute model).
-    steps: u64,
-    /// Direct sample draws by this job (on-block + raw; pre-drawn samples
-    /// were already billed at refill time).
-    samples: u64,
+/// The run state the coordinator and every worker read: the runner's
+/// inputs plus the published pool.
+#[derive(Debug)]
+struct Shared<A: Walk> {
+    app: Arc<A>,
+    graph: Arc<OnDiskGraph>,
+    opts: EngineOptions,
+    budget: Arc<MemoryBudget>,
+    pool: SharedPool,
 }
 
-/// The deterministic performance model: a compute timeline (`now`) fed by
-/// per-round job costs, and a single-channel FIFO device timeline
-/// (`io_free_at`) fed by the storage device's service times.
-#[derive(Debug, Default)]
-struct ModelClock {
-    now: u64,
-    io_free_at: u64,
-    stalled: u64,
-    io_busy: u64,
+/// What the run reports — modeled clock, counters, trace — and the one
+/// place each kind of coordinator event is accounted.
+struct Ledger<'t> {
+    clock: PipelineClock,
+    metrics: RunMetrics,
+    trace: Trace<'t>,
 }
 
-impl ModelClock {
-    /// Pushes a load issued at `issued_ns` through the device FIFO and
-    /// returns its completion time.
-    fn load_done(&mut self, issued_ns: u64, service_ns: u64) -> u64 {
-        let start = self.io_free_at.max(issued_ns);
-        let done = start + service_ns;
-        self.io_free_at = done;
-        self.io_busy += service_ns;
-        done
+impl Ledger<'_> {
+    /// Accounts a delivered (or failed, `bytes == 0`) load at `at_ns`:
+    /// the coarse read, and for a prefetch whether a bucket still wanted
+    /// it (`Some(true)`) or it was wasted.
+    fn load(&mut self, block: BlockId, bytes: u64, prefetch: Option<bool>, at_ns: u64) {
+        if bytes > 0 {
+            self.metrics.record_coarse_load(bytes);
+            self.trace.emit(|| TraceEvent::CoarseLoad {
+                block,
+                bytes,
+                cache_hit: false,
+                at_ns,
+            });
+        }
+        if let Some(hit) = prefetch {
+            if hit {
+                self.metrics.record_prefetch_hit();
+            } else {
+                self.metrics.record_prefetch_wasted();
+            }
+            self.trace
+                .emit(|| TraceEvent::Prefetch { block, hit, at_ns });
+        }
     }
 
-    /// Advances `now` to `t`, charging the wait as an I/O stall. Returns
-    /// the stall interval when one actually occurred.
-    fn wait_until(&mut self, t: u64) -> Option<(u64, u64)> {
-        if t > self.now {
-            let from = self.now;
-            self.stalled += t - self.now;
-            self.now = t;
-            Some((from, t))
-        } else {
-            None
+    /// Accounts one published generation; returns its draw count for the
+    /// round's compute bill.
+    fn publish(&mut self, rep: RefillReport) -> u64 {
+        self.metrics.record_pool_publish(rep.draws);
+        let at = self.clock.now();
+        self.trace.emit(|| TraceEvent::PoolPublish {
+            block: rep.block,
+            slots: rep.slots,
+            draws: rep.draws,
+            at_ns: at,
+        });
+        rep.draws
+    }
+
+    /// Emits the run-end event and folds the clock into the counters.
+    fn close(mut self) -> RunMetrics {
+        let (steps, walkers_finished) = (self.metrics.steps, self.metrics.walkers_finished);
+        let at = self.clock.now();
+        self.trace.emit(|| TraceEvent::RunEnd {
+            steps,
+            walkers_finished,
+            at_ns: at,
+        });
+        // Even an empty run reports a nonzero duration.
+        if at == 0 {
+            self.clock.advance_compute(1);
         }
+        self.metrics.finalize_clock(&self.clock);
+        self.metrics
     }
 
     /// Charges one round of concurrent jobs: bounded below by the longest
@@ -309,7 +368,8 @@ impl ModelClock {
     fn charge_round(&mut self, job_costs: &[u64], workers: usize) {
         let longest = job_costs.iter().copied().max().unwrap_or(0);
         let total: u64 = job_costs.iter().sum();
-        self.now += longest.max(total.div_ceil(workers.max(1) as u64));
+        let spread = total.div_ceil(workers.max(1) as u64);
+        self.clock.advance_compute(longest.max(spread));
     }
 }
 
@@ -339,7 +399,7 @@ impl<A: Walk + 'static> ParallelRunner<A> {
     }
 
     /// Runs to completion with `workers` walker-processing threads (plus
-    /// the background loader thread).
+    /// the background loader thread); zero is clamped to one.
     ///
     /// The returned metrics report modeled time in `sim_ns` (see the
     /// module docs) and honest wall-clock time in `wall_ns`.
@@ -348,10 +408,6 @@ impl<A: Walk + 'static> ParallelRunner<A> {
     ///
     /// [`EngineError::Budget`] / [`EngineError::Load`] as for the
     /// sequential engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
     pub fn run(&self, seed: u64, workers: usize) -> Result<RunMetrics, EngineError> {
         self.run_with_sink(seed, workers, None)
     }
@@ -368,10 +424,6 @@ impl<A: Walk + 'static> ParallelRunner<A> {
     /// # Errors
     ///
     /// As for [`ParallelRunner::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
     pub fn run_with_sink(
         &self,
         seed: u64,
@@ -379,34 +431,62 @@ impl<A: Walk + 'static> ParallelRunner<A> {
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<RunMetrics, EngineError> {
         let audit = RunAudit::begin(self.app.total_walkers(), &self.budget);
-        let metrics = self.run_inner(seed, workers, Trace::from_option(sink))?;
+        let wall = WallTimer::start();
+        let mut run = Coordinator::start(self, seed, workers.max(1), Trace::from_option(sink))?;
+        run.run()?;
+        let metrics = run.finish(&wall);
         if cfg!(debug_assertions) {
             audit.verify(&metrics, &self.budget).assert_clean();
         }
         Ok(metrics)
     }
+}
 
-    fn run_inner(
-        &self,
+/// The caller-thread half of a run (Fig. 6 ② and ④): walker generation and
+/// bucketing, hottest-block scheduling with prefetch, dispatch to the
+/// workers, refill scheduling, and all accounting.
+struct Coordinator<'t, A: Walk> {
+    shared: Arc<Shared<A>>,
+    workers: usize,
+    loader: BackgroundLoader,
+    job_tx: Sender<Job<A::Walker>>,
+    res_rx: Receiver<WalkOutcome<A::Walker>>,
+    refill_rx: Receiver<RefillReport>,
+    worker_handles: Vec<JoinHandle<()>>,
+    ledger: Ledger<'t>,
+    /// The walker-generation stream.
+    rng: WalkRng,
+    /// Private stream for warm-up pre-sampling: `rng` must not be
+    /// perturbed by how many blocks happened to need a first generation.
+    warm_rng: WalkRng,
+    /// Waiting walkers by the block of their location.
+    buckets: Vec<Vec<A::Walker>>,
+    live: u64,
+    next_id: u64,
+    total: u64,
+    /// Walker pool capacity (see [`EngineOptions::walker_pool_quota`]).
+    cap: u64,
+    /// Requests handed to the loader, oldest first: (block, is_prefetch,
+    /// modeled issue time). Results come back in the same order.
+    inflight: VecDeque<(BlockId, bool, u64)>,
+    /// The walker pool's budget share, held for the whole run.
+    _pool_hold: Reservation,
+}
+
+impl<'t, A: Walk + 'static> Coordinator<'t, A> {
+    /// Reserves the walker pool, sizes the pre-sample pool, and starts
+    /// the loader and worker threads.
+    fn start(
+        runner: &ParallelRunner<A>,
         seed: u64,
         workers: usize,
-        mut trace: Trace<'_>,
-    ) -> Result<RunMetrics, EngineError> {
-        assert!(workers > 0, "need at least one worker");
-        let wall = WallTimer::start();
-        let num_blocks = self.graph.num_blocks();
-        let total = self.app.total_walkers();
-        let shared = Arc::new(SharedMetrics::default());
-        let mut metrics = RunMetrics::default();
-        let mut model = ModelClock::default();
-
-        // Budget: the walker pool's share (see
-        // `EngineOptions::walker_pool_quota`).
-        let state = self.app.state_bytes().max(1) as u64;
-        let cap = self
-            .opts
-            .walker_pool_quota(&self.budget, self.app.state_bytes(), total);
-        let _pool_hold = self.budget.try_reserve(cap * state)?;
+        trace: Trace<'t>,
+    ) -> Result<Self, EngineError> {
+        let (graph, opts, budget) = (&runner.graph, &runner.opts, &runner.budget);
+        let total = runner.app.total_walkers();
+        let state = runner.app.state_bytes().max(1) as u64;
+        let cap = opts.walker_pool_quota(budget, runner.app.state_bytes(), total);
+        let pool_hold = budget.try_reserve(cap * state)?;
 
         // The pre-sample pool's fixed byte budget: whatever the walker
         // hold and the loader's block working set (the resident target
@@ -417,490 +497,386 @@ impl<A: Walk + 'static> ParallelRunner<A> {
         // subsystem's hold is known — so refills never squeeze the
         // loader into a budget failure, whose eviction fallback darkens
         // whole blocks.
-        let max_block_bytes = self
-            .graph
-            .partition()
-            .blocks()
-            .iter()
-            .map(|b| b.byte_len())
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let working_set = (self.opts.prefetch_depth as u64 + 1).saturating_mul(max_block_bytes);
-        let headroom = self
-            .budget
+        let max_block_bytes = graph.max_block_bytes().max(1);
+        let working_set = (opts.prefetch_depth as u64 + 1).saturating_mul(max_block_bytes);
+        let headroom = budget
             .limit()
             .saturating_sub(cap * state)
             .saturating_sub(working_set);
-        let pool_bytes = (headroom as f64 * self.opts.presample_budget_fraction) as u64;
-        let pool = Arc::new(SharedPool::new(num_blocks, pool_bytes));
+        let pool_bytes = (headroom as f64 * opts.presample_budget_fraction) as u64;
+        let shared = Arc::new(Shared {
+            app: Arc::clone(&runner.app),
+            graph: Arc::clone(graph),
+            opts: opts.clone(),
+            budget: Arc::clone(budget),
+            pool: SharedPool::new(graph.num_blocks(), pool_bytes),
+        });
 
         // The loader queue holds the demand load plus the prefetch window.
-        let prefetch_depth = self.opts.prefetch_depth as usize;
         let loader = BackgroundLoader::spawn(
-            Arc::clone(&self.graph),
-            Arc::clone(&self.budget),
-            prefetch_depth + 1,
+            Arc::clone(graph),
+            Arc::clone(budget),
+            opts.prefetch_depth as usize + 1,
         );
-
-        // Persistent worker threads. Walk jobs carry an Arc of the
-        // resident block plus an owned chunk of walkers and report an
-        // outcome back; refill jobs regenerate a block's published
-        // pre-sample buffer asynchronously (the paper's background
-        // pre-sampling ④).
-        enum Job<W> {
-            Walk(Arc<LoadedBlock>, Vec<W>),
-            Refill(Arc<LoadedBlock>),
-        }
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job<A::Walker>>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<WalkOutcome<A::Walker>>();
-        let (refill_tx, refill_rx) = crossbeam::channel::unbounded::<RefillReport>();
-        let mut worker_handles = Vec::with_capacity(workers);
-        for wi in 0..workers {
-            let app = Arc::clone(&self.app);
-            let graph = Arc::clone(&self.graph);
-            let pool = Arc::clone(&pool);
-            let shared = Arc::clone(&shared);
-            let budget = Arc::clone(&self.budget);
-            let opts = self.opts.clone();
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let refill_tx = refill_tx.clone();
-            worker_handles.push(
+        let (job_tx, job_rx) = crossbeam::channel::unbounded();
+        let (res_tx, res_rx) = crossbeam::channel::unbounded();
+        let (refill_tx, refill_rx) = crossbeam::channel::unbounded();
+        let worker_handles = (0..workers)
+            .map(|wi| {
+                let wrng = WalkRng::seed_from_u64(seed ^ (wi as u64 + 1).wrapping_mul(0x9E37_79B9));
+                let shared = Arc::clone(&shared);
+                let (job_rx, res_tx, refill_tx) =
+                    (job_rx.clone(), res_tx.clone(), refill_tx.clone());
                 std::thread::Builder::new()
                     .name(format!("noswalker-worker-{wi}"))
-                    .spawn(move || {
-                        let mut wrng = WalkRng::seed_from_u64(
-                            seed ^ (wi as u64 + 1).wrapping_mul(0x9E37_79B9),
-                        );
-                        while let Ok(job) = job_rx.recv() {
-                            match job {
-                                Job::Walk(block, walkers) => {
-                                    let mut local = LocalCounters::default();
-                                    let ctx = StepCtx {
-                                        app: &*app,
-                                        graph: &graph,
-                                        block: block.as_ref(),
-                                        pool: &pool,
-                                        batch: opts.claim_batch,
-                                    };
-                                    let survivors =
-                                        drive_batch(&ctx, &mut local, &mut wrng, walkers);
-                                    let outcome = WalkOutcome {
-                                        steps: local.steps_total(),
-                                        samples: local.samples_total(),
-                                        survivors,
-                                    };
-                                    local.flush(&shared);
-                                    if res_tx.send(outcome).is_err() {
-                                        break;
-                                    }
-                                }
-                                Job::Refill(block) => {
-                                    let b = block.info().id;
-                                    if let Some(rep) = refill_block(
-                                        &*app, &graph, &pool, &budget, &opts, &block, &mut wrng,
-                                    ) {
-                                        shared.add_presamples_filled(rep.draws);
-                                        shared.add_pool_publish();
-                                        let _ = refill_tx.send(rep);
-                                    }
-                                    // Re-arm scheduling even when nothing
-                                    // was published (gate lost, above the
-                                    // watermark, or out of budget).
-                                    pool.end_refill(b);
-                                }
-                            }
-                        }
-                    })
+                    .spawn(move || worker_loop(&shared, wrng, &job_rx, &res_tx, &refill_tx))
                     // LINT-ALLOW(L5): thread spawning fails only on OS
                     // resource exhaustion, which has no recovery path here.
-                    .expect("spawning a worker thread"),
+                    .expect("spawning a worker thread")
+            })
+            .collect();
+
+        Ok(Coordinator {
+            workers,
+            loader,
+            job_tx,
+            res_rx,
+            refill_rx,
+            worker_handles,
+            ledger: Ledger {
+                clock: PipelineClock::new(),
+                metrics: RunMetrics::default(),
+                trace,
+            },
+            rng: WalkRng::seed_from_u64(seed),
+            warm_rng: WalkRng::seed_from_u64(seed ^ 0xD6E8_FEB8_6659_FD93),
+            buckets: vec![Vec::new(); graph.num_blocks()],
+            live: 0,
+            next_id: 0,
+            total,
+            cap,
+            inflight: VecDeque::new(),
+            _pool_hold: pool_hold,
+            shared,
+        })
+    }
+
+    fn bucket(&mut self, w: A::Walker) {
+        let b = self.shared.graph.block_of(self.shared.app.location(&w));
+        self.buckets[b as usize].push(w);
+    }
+
+    /// Generates walkers up to the pool capacity.
+    fn generate(&mut self) {
+        while self.live < self.cap && self.next_id < self.total {
+            let spawned = spawn_walker(
+                &*self.shared.app,
+                &mut self.ledger.metrics,
+                self.next_id,
+                &mut self.rng,
             );
+            self.next_id += 1;
+            if let Some(w) = spawned {
+                self.bucket(w);
+                self.live += 1;
+            }
         }
-        drop(job_rx);
-        drop(res_tx);
-        drop(refill_tx);
+    }
 
-        // Coordinator-owned state.
-        let mut rng = WalkRng::seed_from_u64(seed);
-        let mut buckets: Vec<Vec<A::Walker>> = vec![Vec::new(); num_blocks];
-        let mut live = 0u64;
-        let mut next_id = 0u64;
-        // Requests handed to the loader, oldest first: (block, is_prefetch,
-        // modeled issue time). Results come back in the same order.
-        let mut inflight: VecDeque<(BlockId, bool, u64)> = VecDeque::new();
+    /// The block with the most waiting walkers that is not already on its
+    /// way from the loader.
+    fn hottest_block(&self) -> Option<BlockId> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|&(i, v)| {
+                !v.is_empty() && !self.inflight.iter().any(|&(b, _, _)| b as usize == i)
+            })
+            .max_by_key(|(_, v)| v.len())
+            .map(|(i, _)| i as BlockId)
+    }
 
-        let bucket_of = |app: &A, w: &A::Walker, graph: &OnDiskGraph| -> usize {
-            graph.block_of(app.location(w)) as usize
-        };
-        // The hottest block with walkers waiting that is not already on
-        // its way from the loader.
-        let hottest = |buckets: &[Vec<A::Walker>],
-                       inflight: &VecDeque<(BlockId, bool, u64)>|
-         -> Option<BlockId> {
-            buckets
-                .iter()
-                .enumerate()
-                .filter(|&(i, v)| {
-                    !v.is_empty() && !inflight.iter().any(|&(b, _, _)| b as usize == i)
-                })
-                .max_by_key(|(_, v)| v.len())
-                .map(|(i, _)| i as BlockId)
-        };
-
-        // Inline generation into the coordinator loop.
-        macro_rules! generate {
-            () => {
-                while live < cap && next_id < total {
-                    let w = self.app.generate(next_id, &mut rng);
-                    next_id += 1;
-                    if !self.app.is_active(&w) {
-                        let cancelled = self.app.is_cancelled(&w);
-                        self.app.on_terminate(&w);
-                        if cancelled {
-                            shared.add_cancelled(1);
-                        } else {
-                            shared.add_finished(1);
-                        }
-                        continue;
-                    }
-                    let b = bucket_of(&self.app, &w, &self.graph);
-                    buckets[b].push(w);
-                    live += 1;
-                }
-            };
-        }
-
-        generate!();
-        // Private stream for warm-up pre-sampling below: the coordinator's
-        // `rng` is the walker-generation stream and must not be perturbed
-        // by how many blocks happened to need a first generation.
-        let mut warm_rng = WalkRng::seed_from_u64(seed ^ 0xD6E8_FEB8_6659_FD93);
+    /// The scheduling loop: demand-load the hottest block whenever nothing
+    /// is in flight, take loads in FIFO order, dispatch each to the
+    /// workers; then drain what is still in flight.
+    fn run(&mut self) -> Result<(), EngineError> {
+        self.generate();
         // Consecutive budget-failed loads tolerated before giving up: one
         // full in-flight window can fail from a single scarcity episode
         // (the loader computed those results before any eviction), plus
         // slack for a refill racing the retry. Reset on every delivery.
-        let evict_retries = prefetch_depth + 3;
+        let evict_retries = self.shared.opts.prefetch_depth as usize + 3;
         let mut retries_left = evict_retries;
-        while live > 0 || next_id < total {
-            // Demand-schedule the hottest block when nothing is in flight.
-            if inflight.is_empty() {
-                let Some(b) = hottest(&buckets, &inflight) else {
+        while self.live > 0 || self.next_id < self.total {
+            if self.inflight.is_empty() {
+                let Some(b) = self.hottest_block() else {
                     break;
                 };
-                loader.request(b).map_err(loader_err)?;
-                inflight.push_back((b, false, model.now));
+                self.loader.request(b).map_err(loader_err)?;
+                self.inflight.push_back((b, false, self.ledger.clock.now()));
             }
-            let Some((target, was_prefetch, issued_ns)) = inflight.pop_front() else {
+            let Some((target, was_prefetch, issued_ns)) = self.inflight.pop_front() else {
                 break;
             };
-            let loaded = match loader.recv() {
-                Ok(l) => {
+            match self.loader.recv() {
+                Ok(loaded) => {
                     retries_left = evict_retries;
-                    l
+                    self.deliver(target, was_prefetch, issued_ns, loaded)?;
                 }
-                // Budget pressure: the published pre-sample pool is the
-                // only memory the coordinator can reclaim (the sequential
-                // engine's block cache evicts in the same spot). Retire
-                // the *coldest half* of the published generations first —
-                // readers holding an Arc finish their bucket first; the
-                // rest of the reservations free immediately — so the hot
-                // blocks keep their buffers and, crucially, the visit
-                // cursors the next quota plan feeds on. Only a repeat
-                // failure escalates to retiring everything. Then re-queue
-                // the failed load behind the in-flight window so result
-                // order stays FIFO.
+                // Budget pressure: make room, then re-queue the failed
+                // load behind the in-flight window so result order stays
+                // FIFO.
                 Err(LoaderError::Load(LoadError::Budget(_))) if retries_left > 0 => {
-                    let first_try = retries_left == evict_retries;
+                    self.evict_pool(retries_left == evict_retries);
                     retries_left -= 1;
-                    if first_try {
-                        // Mostly-drained generations hold memory but serve
-                        // little; fresh full ones are the pool's working
-                        // capital. (The eviction keeps every generation's
-                        // visit cursors via `unpublish`.) Keys are sampled
-                        // once up front: workers keep ticking the claim
-                        // cursors while we sort, and a comparator that
-                        // re-reads them would not be a total order.
-                        let mut victims: Vec<(u64, BlockId)> = (0..num_blocks as BlockId)
-                            .map(|b| (pool.acquire(b).map_or(0, |buf| buf.remaining_sampled()), b))
-                            .collect();
-                        victims.sort_unstable();
-                        for &(_, b) in &victims[..num_blocks.div_ceil(2)] {
-                            drop(pool.unpublish(b));
-                        }
-                    } else {
-                        for b in 0..num_blocks {
-                            drop(pool.unpublish(b as BlockId));
-                        }
-                    }
-                    loader.request(target).map_err(loader_err)?;
-                    inflight.push_back((target, was_prefetch, model.now));
-                    continue;
+                    self.loader.request(target).map_err(loader_err)?;
+                    let now = self.ledger.clock.now();
+                    self.inflight.push_back((target, was_prefetch, now));
                 }
                 Err(e) => return Err(loader_err(e)),
-            };
-            let done_ns = model.load_done(issued_ns, loaded.service_ns);
-            let block = Arc::new(loaded.block);
-            debug_assert_eq!(block.info().id, target);
-            let bytes = block.info().byte_len();
+            }
+        }
+        self.drain_inflight()
+    }
 
-            if buckets[target as usize].is_empty() {
-                // Nobody wants this block any more: account the I/O and
-                // move on (only prefetches can end up here).
-                if bytes > 0 {
-                    metrics.record_coarse_load(bytes);
-                    trace.emit(|| TraceEvent::CoarseLoad {
-                        block: target,
-                        bytes,
-                        cache_hit: false,
-                        at_ns: done_ns,
-                    });
-                }
-                if was_prefetch {
-                    metrics.record_prefetch_wasted();
-                    trace.emit(|| TraceEvent::Prefetch {
-                        block: target,
-                        hit: false,
-                        at_ns: done_ns,
-                    });
-                }
-                continue;
+    /// Frees budget for a load that failed on it. The published pre-sample
+    /// pool is the only memory the coordinator can reclaim (the sequential
+    /// engine's block cache evicts in the same spot). Retire the *coldest
+    /// half* of the published generations first — readers holding an
+    /// `Arc` finish their bucket first; the rest of the reservations free
+    /// immediately — so the hot blocks keep their buffers and, crucially,
+    /// the visit counters the next quota plan feeds on. Only a repeat
+    /// failure escalates to retiring everything.
+    fn evict_pool(&self, first_try: bool) {
+        let pool = &self.shared.pool;
+        let num_blocks = self.buckets.len();
+        if first_try {
+            // Mostly-drained generations hold memory but serve little;
+            // fresh full ones are the pool's working capital. (The
+            // eviction keeps every generation's visit counters via
+            // `unpublish`.) Keys are sampled once up front: workers keep
+            // ticking the claim counters while we sort, and a comparator
+            // that re-reads them would not be a total order.
+            let mut victims: Vec<(u64, BlockId)> = (0..num_blocks as BlockId)
+                .map(|b| (pool.acquire(b).map_or(0, |buf| buf.remaining_sampled()), b))
+                .collect();
+            victims.sort_unstable();
+            for &(_, b) in &victims[..num_blocks.div_ceil(2)] {
+                drop(pool.unpublish(b));
             }
+        } else {
+            for b in 0..num_blocks {
+                drop(pool.unpublish(b as BlockId));
+            }
+        }
+    }
 
-            if let Some((from, until)) = model.wait_until(done_ns) {
-                trace.emit(|| TraceEvent::Stall {
-                    waiting_for: Some(target),
-                    from_ns: from,
-                    until_ns: until,
-                });
-            }
-            if bytes > 0 {
-                metrics.record_coarse_load(bytes);
-                let at = model.now;
-                trace.emit(|| TraceEvent::CoarseLoad {
-                    block: target,
-                    bytes,
-                    cache_hit: false,
-                    at_ns: at,
-                });
-            }
-            if was_prefetch {
-                metrics.record_prefetch_hit();
-                let at = model.now;
-                trace.emit(|| TraceEvent::Prefetch {
-                    block: target,
-                    hit: true,
-                    at_ns: at,
-                });
-            }
+    /// Takes delivery of a loaded block: push it through the device
+    /// timeline, wait for it if walkers need it, and dispatch them.
+    fn deliver(
+        &mut self,
+        target: BlockId,
+        was_prefetch: bool,
+        issued_ns: u64,
+        loaded: Loaded,
+    ) -> Result<(), EngineError> {
+        let done_ns = self.ledger.clock.issue_io_at(issued_ns, loaded.service_ns);
+        let block = Arc::new(loaded.block);
+        debug_assert_eq!(block.info().id, target);
+        let bytes = block.info().byte_len();
+        if self.buckets[target as usize].is_empty() {
+            // Nobody wants this block any more: account the I/O and move
+            // on (only prefetches can end up here).
+            let wasted = was_prefetch.then_some(false);
+            self.ledger.load(target, bytes, wasted, done_ns);
+            return Ok(());
+        }
+        stall_on(
+            &mut self.ledger.clock,
+            &mut self.ledger.trace,
+            Some(target),
+            done_ns,
+        );
+        let now = self.ledger.clock.now();
+        self.ledger
+            .load(target, bytes, was_prefetch.then_some(true), now);
+        self.dispatch(&block)
+    }
 
-            // Warm-up pre-sampling: a block delivered with no published
-            // generation would push every walker of its first dispatch
-            // through the raw-sampling deferral path. The load just
-            // arrived and the workers are idle, so build the first
-            // generation here on the coordinator before fanning out; the
-            // draw cost is billed into this round like any refill.
-            let mut warm: Option<RefillReport> = None;
-            if self.opts.enable_presample
-                && pool.acquire(target).is_none()
-                && pool.try_begin_refill(target)
-            {
-                warm = refill_block(
-                    &*self.app,
-                    &self.graph,
-                    &pool,
-                    &self.budget,
-                    &self.opts,
-                    &block,
-                    &mut warm_rng,
-                );
-                pool.end_refill(target);
-                if let Some(rep) = &warm {
-                    shared.add_presamples_filled(rep.draws);
-                    shared.add_pool_publish();
-                    let at = model.now;
-                    let (blk, slots, draws) = (rep.block, rep.slots, rep.draws);
-                    trace.emit(|| TraceEvent::PoolPublish {
-                        block: blk,
-                        slots,
-                        draws,
-                        at_ns: at,
-                    });
-                }
+    /// One round on a resident block: warm its pool slot, fan its walkers
+    /// out to the workers, keep the loader and the refills busy meanwhile,
+    /// then collect, bill and re-bucket.
+    fn dispatch(&mut self, block: &Arc<LoadedBlock>) -> Result<(), EngineError> {
+        let target = block.info().id;
+        let pool = &self.shared.pool;
+        let mut job_costs: Vec<u64> = Vec::new();
+        let sample_cost = self.shared.opts.sample_cost();
+        // Warm-up pre-sampling: a block delivered with no published
+        // generation would push every walker of its first dispatch
+        // through the raw-sampling deferral path. The load just arrived
+        // and the workers are idle, so build the first generation here on
+        // the coordinator before fanning out; the draw cost is billed
+        // into this round like any refill.
+        if self.shared.opts.enable_presample
+            && pool.acquire(target).is_none()
+            && pool.try_begin_refill(target)
+        {
+            let warm = refill_block(&self.shared, block, &mut self.warm_rng);
+            pool.end_refill(target);
+            if let Some(rep) = warm {
+                job_costs.push(self.ledger.publish(rep) * sample_cost);
             }
-
-            // Fan the block's walkers out to the persistent workers. Chunks
-            // are kept coarse (at most one per worker) so per-job overhead
-            // stays negligible next to the walking itself.
-            let batch = std::mem::take(&mut buckets[target as usize]);
-            let batch_len = batch.len() as u64;
-            let mut jobs = 0;
-            if !batch.is_empty() {
-                let chunk = batch.len().div_ceil(workers).max(64);
-                let mut batch = batch;
-                while !batch.is_empty() {
-                    let tail = batch.split_off(batch.len().saturating_sub(chunk));
-                    job_tx
-                        .send(Job::Walk(Arc::clone(&block), tail))
-                        .map_err(|_| worker_died())?;
-                    jobs += 1;
-                }
-            }
-
-            // Top up the prefetch window while the workers chew: the
-            // loader reads ahead into the blocks that will most likely be
-            // scheduled next. `try_request` never blocks the coordinator.
-            while inflight.len() < prefetch_depth {
-                let Some(nb) = hottest(&buckets, &inflight) else {
-                    break;
-                };
-                match loader.try_request(nb) {
-                    Ok(true) => inflight.push_back((nb, true, model.now)),
-                    Ok(false) => break,
-                    Err(e) => return Err(loader_err(e)),
-                }
-            }
-
-            // Proactive refill (④): if the block's buffer is already
-            // under its demand watermark, schedule the rebuild while the
-            // workers still chew on this round's walkers. The pending
-            // flag keeps refills single-flight per block.
-            if self.opts.enable_presample
-                && pool.needs_refill(target)
-                && pool.try_begin_refill(target)
-            {
-                job_tx
-                    .send(Job::Refill(Arc::clone(&block)))
-                    .map_err(|_| worker_died())?;
-            }
-
-            let mut survivors = Vec::new();
-            let mut job_costs: Vec<u64> = Vec::with_capacity(jobs + 1);
-            if let Some(rep) = &warm {
-                job_costs.push(rep.draws * self.opts.sample_cost());
-            }
-            for _ in 0..jobs {
-                let out = res_rx.recv().map_err(|_| worker_died())?;
-                job_costs.push(
-                    out.steps * self.opts.step_cost() + out.samples * self.opts.sample_cost(),
-                );
-                survivors.extend(out.survivors);
-            }
-            // Refills that completed since the last round bill their
-            // drawing work into this round and surface as publishes.
-            while let Ok(rep) = refill_rx.try_recv() {
-                job_costs.push(rep.draws * self.opts.sample_cost());
-                let at = model.now;
-                trace.emit(|| TraceEvent::PoolPublish {
-                    block: rep.block,
-                    slots: rep.slots,
-                    draws: rep.draws,
-                    at_ns: at,
-                });
-            }
-            model.charge_round(&job_costs, workers);
-
-            let finished_now = batch_len - survivors.len() as u64;
-            live -= finished_now;
-            for w in survivors {
-                let b = bucket_of(&self.app, &w, &self.graph);
-                buckets[b].push(w);
-            }
-
-            // Post-round check: this round's phase-B claims may have
-            // pushed the buffer under its watermark; schedule the rebuild
-            // before the block leaves memory (the Arc keeps the data
-            // alive until the refill job runs).
-            if self.opts.enable_presample
-                && pool.needs_refill(target)
-                && pool.try_begin_refill(target)
-            {
-                job_tx
-                    .send(Job::Refill(Arc::clone(&block)))
-                    .map_err(|_| worker_died())?;
-            }
-            drop(block);
-            generate!();
         }
 
-        // Drain prefetches still in flight so their I/O is accounted and
-        // the loader can shut down cleanly.
-        while let Some((b, was_prefetch, issued_ns)) = inflight.pop_front() {
-            let loaded = match loader.recv() {
-                Ok(l) => l,
+        // Fan the block's walkers out to the persistent workers. Chunks
+        // are kept coarse (at most one per worker) so per-job overhead
+        // stays negligible next to the walking itself.
+        let mut batch = std::mem::take(&mut self.buckets[target as usize]);
+        let batch_len = batch.len() as u64;
+        let chunk = batch.len().div_ceil(self.workers).max(64);
+        let mut jobs = 0;
+        while !batch.is_empty() {
+            let tail = batch.split_off(batch.len().saturating_sub(chunk));
+            self.send(Job::Walk(Arc::clone(block), tail))?;
+            jobs += 1;
+        }
+
+        // Top up the prefetch window while the workers chew: the loader
+        // reads ahead into the blocks that will most likely be scheduled
+        // next. `try_request` never blocks the coordinator.
+        while self.inflight.len() < self.shared.opts.prefetch_depth as usize {
+            let Some(nb) = self.hottest_block() else {
+                break;
+            };
+            if !self.loader.try_request(nb).map_err(loader_err)? {
+                break;
+            }
+            self.inflight.push_back((nb, true, self.ledger.clock.now()));
+        }
+        // Proactive refill (④): if the block's buffer is already under
+        // its demand watermark, schedule the rebuild while the workers
+        // still chew on this round's walkers.
+        self.schedule_refill(block)?;
+
+        let mut survivors = Vec::new();
+        for _ in 0..jobs {
+            let out = self.res_rx.recv().map_err(|_| worker_died())?;
+            // Reserved slots were drawn (and billed) at refill time; only
+            // on-block and raw steps sample on line.
+            let samples = out.metrics.steps_on_block + out.metrics.steps_on_raw;
+            job_costs
+                .push(out.metrics.steps * self.shared.opts.step_cost() + samples * sample_cost);
+            self.ledger.metrics.merge(&out.metrics);
+            survivors.extend(out.survivors);
+        }
+        // Refills that completed since the last round bill their drawing
+        // work into this round and surface as publishes.
+        while let Ok(rep) = self.refill_rx.try_recv() {
+            job_costs.push(self.ledger.publish(rep) * sample_cost);
+        }
+        self.ledger.charge_round(&job_costs, self.workers);
+
+        self.live -= batch_len - survivors.len() as u64;
+        for w in survivors {
+            self.bucket(w);
+        }
+        // This round's phase-B claims may have pushed the buffer under
+        // its watermark; schedule the rebuild before the block leaves
+        // memory (the Arc keeps the data alive until the refill job runs).
+        self.schedule_refill(block)?;
+        self.generate();
+        Ok(())
+    }
+
+    fn send(&self, job: Job<A::Walker>) -> Result<(), EngineError> {
+        self.job_tx.send(job).map_err(|_| worker_died())
+    }
+
+    /// Queues a refill job for `block` if its pool slot is under the
+    /// demand watermark. The pending flag keeps refills single-flight per
+    /// block.
+    fn schedule_refill(&self, block: &Arc<LoadedBlock>) -> Result<(), EngineError> {
+        let (pool, b) = (&self.shared.pool, block.info().id);
+        if self.shared.opts.enable_presample && pool.needs_refill(b) && pool.try_begin_refill(b) {
+            self.send(Job::Refill(Arc::clone(block)))?;
+        }
+        Ok(())
+    }
+
+    /// Drains prefetches still in flight once no walker is left, so their
+    /// I/O is accounted and the loader can shut down cleanly.
+    fn drain_inflight(&mut self) -> Result<(), EngineError> {
+        while let Some((b, was_prefetch, issued_ns)) = self.inflight.pop_front() {
+            let wasted = was_prefetch.then_some(false);
+            match self.loader.recv() {
+                Ok(loaded) => {
+                    let done_ns = self.ledger.clock.issue_io_at(issued_ns, loaded.service_ns);
+                    let bytes = loaded.block.info().byte_len();
+                    self.ledger.load(b, bytes, wasted, done_ns);
+                }
                 // A prefetch that lost the budget race delivered nothing:
                 // no walker is waiting (the run is over), so it is just a
                 // wasted prefetch, not a run failure.
                 Err(LoaderError::Load(LoadError::Budget(_))) => {
-                    if was_prefetch {
-                        metrics.record_prefetch_wasted();
-                        let at = model.now;
-                        trace.emit(|| TraceEvent::Prefetch {
-                            block: b,
-                            hit: false,
-                            at_ns: at,
-                        });
-                    }
-                    continue;
+                    let now = self.ledger.clock.now();
+                    self.ledger.load(b, 0, wasted, now);
                 }
                 Err(e) => return Err(loader_err(e)),
-            };
-            let done_ns = model.load_done(issued_ns, loaded.service_ns);
-            let bytes = loaded.block.info().byte_len();
-            if bytes > 0 {
-                metrics.record_coarse_load(bytes);
-                trace.emit(|| TraceEvent::CoarseLoad {
-                    block: b,
-                    bytes,
-                    cache_hit: false,
-                    at_ns: done_ns,
-                });
-            }
-            if was_prefetch {
-                metrics.record_prefetch_wasted();
-                trace.emit(|| TraceEvent::Prefetch {
-                    block: b,
-                    hit: false,
-                    at_ns: done_ns,
-                });
             }
         }
+        Ok(())
+    }
 
-        drop(job_tx);
-        for h in worker_handles {
+    /// Stops the workers and closes the books.
+    fn finish(mut self, wall: &WallTimer) -> RunMetrics {
+        drop(self.job_tx);
+        for h in self.worker_handles {
             let _ = h.join();
         }
         // Publishes whose reports arrived after the coordinator's last
-        // drain still get traced (their draws were already counted by the
-        // worker; bill the compute too).
+        // drain still get counted, traced and billed.
+        let sample_cost = self.shared.opts.sample_cost();
         let mut tail_costs: Vec<u64> = Vec::new();
-        while let Ok(rep) = refill_rx.try_recv() {
-            tail_costs.push(rep.draws * self.opts.sample_cost());
-            let at = model.now;
-            trace.emit(|| TraceEvent::PoolPublish {
-                block: rep.block,
-                slots: rep.slots,
-                draws: rep.draws,
-                at_ns: at,
-            });
+        while let Ok(rep) = self.refill_rx.try_recv() {
+            tail_costs.push(self.ledger.publish(rep) * sample_cost);
         }
         if !tail_costs.is_empty() {
-            model.charge_round(&tail_costs, workers);
+            self.ledger.charge_round(&tail_costs, self.workers);
         }
+        let mut metrics = self.ledger.close();
+        metrics.finalize_wall(wall);
+        metrics.set_peak_memory(self.shared.budget.peak());
+        metrics.derive_edges_loaded(self.shared.graph.format().record_bytes() as u64);
+        metrics
+    }
+}
 
-        shared.drain_into(&mut metrics);
-        metrics.set_peak_memory(self.budget.peak());
-        metrics.derive_edges_loaded(self.graph.format().record_bytes() as u64);
-        metrics.finalize_wall(&wall);
-        metrics.set_sim_times(model.now.max(1), model.stalled, model.io_busy);
-        let (steps, walkers_finished, at) = (metrics.steps, metrics.walkers_finished, model.now);
-        trace.emit(|| TraceEvent::RunEnd {
-            steps,
-            walkers_finished,
-            at_ns: at,
-        });
-        Ok(metrics)
+/// A worker thread's life: take jobs until the coordinator hangs up.
+fn worker_loop<A: Walk>(
+    shared: &Shared<A>,
+    mut rng: WalkRng,
+    jobs: &Receiver<Job<A::Walker>>,
+    outcomes: &Sender<WalkOutcome<A::Walker>>,
+    refills: &Sender<RefillReport>,
+) {
+    while let Ok(job) = jobs.recv() {
+        match job {
+            Job::Walk(block, walkers) => {
+                let mut metrics = RunMetrics::default();
+                let survivors = drive_batch(shared, &block, &mut metrics, &mut rng, walkers);
+                if outcomes.send(WalkOutcome { survivors, metrics }).is_err() {
+                    break;
+                }
+            }
+            Job::Refill(block) => {
+                if let Some(rep) = refill_block(shared, &block, &mut rng) {
+                    let _ = refills.send(rep);
+                }
+                // Re-arm scheduling even when nothing was published (gate
+                // lost, above the watermark, or out of budget).
+                shared.pool.end_refill(block.info().id);
+            }
+        }
     }
 }
 
@@ -913,24 +889,21 @@ impl<A: Walk + 'static> ParallelRunner<A> {
 /// slots still above the demand watermark, or no budget even after
 /// retiring the old generation).
 fn refill_block<A: Walk>(
-    app: &A,
-    graph: &OnDiskGraph,
-    pool: &SharedPool,
-    budget: &Arc<MemoryBudget>,
-    opts: &EngineOptions,
+    shared: &Shared<A>,
     block: &LoadedBlock,
     rng: &mut WalkRng,
 ) -> Option<RefillReport> {
+    let (graph, pool, budget) = (&shared.graph, &shared.pool, &shared.budget);
     let info = *block.info();
     let b = info.id;
     let nv = info.num_vertices() as usize;
     if nv == 0 {
         return None;
     }
-    // LINT-ALLOW(L11): the refill gate must span the whole buffer build —
-    // holding it is what makes refills single-flight per block. It is a
-    // non-blocking try_lock: losers return immediately and steppers never
-    // wait on it, so the loop it crosses runs on private data only.
+    // The refill gate spans the whole buffer build — holding it is what
+    // makes refills single-flight per block. It is a non-blocking
+    // try_lock: losers return immediately and steppers never wait on it,
+    // so the build it covers runs on private data only.
     let _gate = pool.slots[b as usize].refill_gate.try_lock()?;
     let demand = pool.demand(b);
     // Carry the previous generation's visit counters forward: claims count
@@ -940,14 +913,10 @@ fn refill_block<A: Walk>(
     // retires it.
     let (weights, own_bytes): (Vec<u32>, u64) = match pool.acquire(b) {
         Some(prev) => {
-            let cap = prev.sampled_capacity();
-            if cap > 0 {
-                // Re-check the watermark under the gate: the coordinator's
-                // `needs_refill` ran earlier and demand may have moved.
-                let watermark = demand.pressure().clamp(cap / 8, cap / 2).max(1);
-                if prev.remaining_sampled() >= watermark {
-                    return None; // comfortably above the watermark
-                }
+            // Re-check the watermark under the gate: the coordinator's
+            // `needs_refill` ran earlier and demand may have moved.
+            if pool.under_watermark(b, &prev) == Some(false) {
+                return None; // comfortably above the watermark
             }
             (prev.visit_weights_snapshot(), prev.memory_bytes())
         }
@@ -961,9 +930,6 @@ fn refill_block<A: Walk>(
             0,
         ),
     };
-    let degrees: Vec<u64> = (0..nv)
-        .map(|i| graph.degree(info.vertex_start + i as VertexId))
-        .collect();
     // Demand-weighted split of the *stable* pool budget fixed at run
     // start. Sizing shares from `budget.available()` self-throttles: once
     // every block holds a published generation, "available" is only the
@@ -1007,53 +973,30 @@ fn refill_block<A: Walk>(
     if avail <= meta {
         return None;
     }
-    let plan = plan_quotas(
-        &degrees,
-        &weights,
-        (avail - meta) / 4,
-        opts.low_degree_threshold,
-        opts.alias_degree_threshold,
-        opts.presample_cap_per_vertex,
-    );
-    if plan.total_slots == 0 {
-        return None;
-    }
-    let bytes = PreSampleBuffer::planned_bytes(&plan, false);
-    let reservation = match budget.try_reserve(bytes) {
-        Ok(r) => r,
-        Err(_) => {
-            // Retire the old generation to free its reservation (readers
-            // holding an Arc keep it alive until they finish their
-            // bucket), then retry once.
-            drop(pool.unpublish(b));
-            budget.try_reserve(bytes).ok()?
-        }
+    let generation = Generation {
+        app: &*shared.app,
+        graph,
+        opts: &shared.opts,
+        src: block,
     };
-    let (mut buf, draws) = PreSampleBuffer::build(
-        info.vertex_start,
-        &plan,
-        false,
-        |v| {
-            // LINT-ALLOW(L5): the quota planner only covers block vertices.
-            let view = block.vertex_edges(graph, v).expect("vertex in block");
-            app.sample(&view, rng)
-        },
-        |v, edges, _| {
-            // LINT-ALLOW(L5): the quota planner only covers block vertices.
-            let view = block.vertex_edges(graph, v).expect("vertex in block");
-            for i in 0..view.degree() {
-                edges.push(view.target(i));
-            }
-        },
-    );
-    buf.set_reservation(reservation);
+    // No room for the plan: retire the old generation to free its
+    // reservation (readers holding an Arc keep it alive until they finish
+    // their bucket), then try once more.
+    let reserve = |bytes, _: &mut u64| {
+        ControlFlow::Break(budget.try_reserve(bytes).ok().or_else(|| {
+            drop(pool.unpublish(b));
+            budget.try_reserve(bytes).ok()
+        }))
+    };
+    let (buf, slots, draws) =
+        generation.build(&info, None, &weights, (avail - meta) / 4, rng, reserve)?;
     drop(pool.publish(b, Arc::new(buf.into_published())));
     // A fresh generation starts with a clean demand tally: the watermark
     // should reflect pressure against *this* buffer, not its ancestors.
     demand.reset();
     Some(RefillReport {
         block: b,
-        slots: plan.total_slots,
+        slots,
         draws,
     })
 }
@@ -1077,17 +1020,6 @@ fn worker_died() -> EngineError {
     ))
 }
 
-/// The shared, read-only context one walk job steps against.
-struct StepCtx<'a, A: Walk> {
-    app: &'a A,
-    graph: &'a OnDiskGraph,
-    block: &'a LoadedBlock,
-    pool: &'a SharedPool,
-    /// Sampled slots to claim per atomic RMW once a vertex shows reuse
-    /// inside a bucket (see [`EngineOptions::claim_batch`]).
-    batch: u32,
-}
-
 /// Why a walker stopped moving on the resident block.
 enum OnBlock {
     /// The walk ended (length reached or dead end); already finalized.
@@ -1097,38 +1029,28 @@ enum OnBlock {
     Left,
 }
 
-/// Finalizes a finished walker, attributing a cancellation to the
-/// cancelled counter so the walker-completion law stays balanced.
-fn finish<A: Walk>(app: &A, local: &mut LocalCounters, w: A::Walker) {
-    let cancelled = app.is_cancelled(&w);
-    app.on_terminate(&w);
-    if cancelled {
-        local.record_cancelled();
-    } else {
-        local.record_finished();
-    }
-}
-
 /// Moves one walker as far as the resident block carries it.
 fn drive_on_block<A: Walk>(
-    ctx: &StepCtx<'_, A>,
-    local: &mut LocalCounters,
+    shared: &Shared<A>,
+    block: &LoadedBlock,
+    local: &mut RunMetrics,
     rng: &mut WalkRng,
     w: &mut A::Walker,
 ) -> OnBlock {
+    let (app, graph) = (&*shared.app, &*shared.graph);
     loop {
-        if !ctx.app.is_active(w) {
+        if !app.is_active(w) {
             return OnBlock::Terminated;
         }
-        let loc = ctx.app.location(w);
-        if ctx.graph.degree(loc) == 0 {
+        let loc = app.location(w);
+        if graph.degree(loc) == 0 {
             return OnBlock::Terminated;
         }
-        let Some(view) = ctx.block.vertex_edges(ctx.graph, loc) else {
+        let Some(view) = block.vertex_edges(graph, loc) else {
             return OnBlock::Left;
         };
-        let dst = ctx.app.sample_for(w, &view, rng);
-        ctx.app.action(w, dst, rng);
+        let dst = app.sample_for(w, &view, rng);
+        app.action(w, dst, rng);
         local.record_step(StepSource::Block);
     }
 }
@@ -1168,10 +1090,10 @@ impl Cached<'_> {
 /// resident block runs to exhaustion against the in-memory edges; (B) the
 /// walkers that left are grouped by destination block and each group
 /// drains the published pre-sample pool — *one* buffer acquire per group,
-/// then lock-free batched [`PublishedBuffer::claim_batch`]es. The first
+/// then lock-free batched [`PreSampleBuffer::claim_batch`]es. The first
 /// claim for a vertex takes a single slot; once a vertex shows reuse
 /// inside the bucket (its cache entry ran dry), claims escalate to
-/// [`StepCtx::batch`] slots per RMW, amortizing cursor traffic on hot
+/// [`EngineOptions::claim_batch`] slots per RMW, amortizing cursor traffic on hot
 /// vertices while bounding tail waste on cold ones. Slots the app
 /// declines (e.g. restarts) are returned to the cache; slots still cached
 /// when the bucket retires are recorded as `claims_burned`, keeping
@@ -1183,37 +1105,39 @@ impl Cached<'_> {
 /// Returns the walkers the pool could not move — the coordinator
 /// re-buckets them for a future block schedule. Two causes are counted
 /// apart: a claim against a live generation whose slots ran dry is a
-/// *stall* ([`LocalCounters::record_pool_stall`], a quota-planning miss),
+/// *stall* ([`RunMetrics::record_pool_stall`], a quota-planning miss),
 /// while a group whose block has no published generation at all *defers*
-/// ([`LocalCounters::record_pool_deferrals`] — nothing existed to claim
+/// ([`RunMetrics::record_pool_deferrals`] — nothing existed to claim
 /// from, so it is not a pool attempt). Both are tallied into the block's
 /// [`BlockDemand`], so refill scheduling and quota planning see the full
 /// demand signal either way.
 fn drive_batch<A: Walk>(
-    ctx: &StepCtx<'_, A>,
-    local: &mut LocalCounters,
+    shared: &Shared<A>,
+    block: &LoadedBlock,
+    local: &mut RunMetrics,
     rng: &mut WalkRng,
     walkers: Vec<A::Walker>,
 ) -> Vec<A::Walker> {
-    let resident_id = ctx.block.info().id;
+    let (app, graph, pool) = (&*shared.app, &*shared.graph, &shared.pool);
+    let resident_id = block.info().id;
     let mut resident = walkers;
     let mut buckets: BTreeMap<BlockId, Vec<A::Walker>> = BTreeMap::new();
     let mut stalled = Vec::new();
     while !resident.is_empty() || !buckets.is_empty() {
         // Phase A: the resident block serves from memory.
         for mut w in std::mem::take(&mut resident) {
-            match drive_on_block(ctx, local, rng, &mut w) {
-                OnBlock::Terminated => finish(ctx.app, local, w),
+            match drive_on_block(shared, block, local, rng, &mut w) {
+                OnBlock::Terminated => retire_walker(app, local, &w),
                 OnBlock::Left => {
-                    let b = ctx.graph.block_of(ctx.app.location(&w));
+                    let b = graph.block_of(app.location(&w));
                     buckets.entry(b).or_default().push(w);
                 }
             }
         }
         // Phase B: each destination bucket drains the published pool.
         for (b, group) in std::mem::take(&mut buckets) {
-            let demand = ctx.pool.demand(b);
-            let Some(buf) = ctx.pool.acquire(b) else {
+            let demand = pool.demand(b);
+            let Some(buf) = pool.acquire(b) else {
                 // No generation published for this block at all: there is
                 // no pool to claim from, so the group *defers* to the
                 // block's next residency rather than stalling a claim.
@@ -1232,14 +1156,14 @@ fn drive_batch<A: Walk>(
             let mut stalls = 0u64;
             'walkers: for mut w in group {
                 loop {
-                    let loc = ctx.app.location(&w);
+                    let loc = app.location(&w);
                     let mut served = cache.get_mut(&loc).and_then(Cached::pop);
                     if served.is_none() {
                         // First claim for a vertex takes one slot; a dry
                         // cache entry is evidence of reuse and escalates
                         // to a full batch.
                         let n = if cache.contains_key(&loc) {
-                            ctx.batch
+                            shared.opts.claim_batch
                         } else {
                             1
                         };
@@ -1252,8 +1176,8 @@ fn drive_batch<A: Walk>(
                                 cache.insert(loc, c);
                             }
                             BatchClaim::Raw(view) => {
-                                let dst = ctx.app.sample_for(&mut w, &view, rng);
-                                ctx.app.action(&mut w, dst, rng);
+                                let dst = app.sample_for(&mut w, &view, rng);
+                                app.action(&mut w, dst, rng);
                                 local.record_step(StepSource::Raw);
                             }
                             BatchClaim::Stalled => {
@@ -1269,23 +1193,23 @@ fn drive_batch<A: Walk>(
                         // really took the step; a declined hop (e.g. a
                         // restart) returns the slot to the cache for the
                         // next walker at this vertex.
-                        if ctx.app.action(&mut w, dst, rng) {
+                        if app.action(&mut w, dst, rng) {
                             local.record_presample_consumed();
                         } else if let Some(c) = cache.get_mut(&loc) {
                             c.unpop();
                         }
                         local.record_step(StepSource::PreSample);
                     }
-                    if !ctx.app.is_active(&w) {
-                        finish(ctx.app, local, w);
+                    if !app.is_active(&w) {
+                        retire_walker(app, local, &w);
                         continue 'walkers;
                     }
-                    let nloc = ctx.app.location(&w);
-                    if ctx.graph.degree(nloc) == 0 {
-                        finish(ctx.app, local, w);
+                    let nloc = app.location(&w);
+                    if graph.degree(nloc) == 0 {
+                        retire_walker(app, local, &w);
                         continue 'walkers;
                     }
-                    let nb = ctx.graph.block_of(nloc);
+                    let nb = graph.block_of(nloc);
                     if nb == resident_id {
                         resident.push(w);
                         continue 'walkers;
@@ -1317,6 +1241,7 @@ fn drive_batch<A: Walk>(
 mod tests {
     use super::*;
     use crate::audit::MemorySink;
+    use crate::presample::plan_quotas;
     use noswalker_graph::generators;
     use noswalker_storage::{SimSsd, SsdProfile};
     use std::sync::atomic::{AtomicU64 as A64, Ordering};
@@ -1399,6 +1324,11 @@ mod tests {
         assert_eq!(m.walkers_finished, 800);
         assert_eq!(m.steps, 800 * 9);
         assert_eq!(app.visits.load(Ordering::Relaxed), m.steps);
+        // Zero workers is clamped to one (as `ParallelKernel::new` does),
+        // not a panic: the same seed gives the same run.
+        let (_, r0) = runner(800);
+        let m0 = r0.run(5, 0).unwrap();
+        assert_eq!((m0.steps, m0.sim_ns), (m.steps, m.sim_ns));
     }
 
     #[test]

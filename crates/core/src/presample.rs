@@ -11,14 +11,16 @@
 //! samples: the slots never deplete, since the full edge set can be sampled
 //! from forever.
 //!
-//! Two consumption modes share the same storage layout:
+//! One [`PreSampleBuffer`] serves both consumption modes, because `cnt` is
+//! an `AtomicU32` per vertex:
 //!
-//! * [`PreSampleBuffer`] — single-owner, `&mut` consumption (the
-//!   sequential engine's path);
-//! * [`PublishedBuffer`] — an immutable *generation* whose per-vertex
-//!   cursors are atomics, so any number of worker threads can claim slots
-//!   with a single `fetch_add` and no lock (the parallel runner's path;
-//!   see DESIGN.md §11 for the publish/claim protocol).
+//! * single-owner — [`PreSampleBuffer::peek`] then `&mut`
+//!   [`PreSampleBuffer::consume`] (the sequential engine's path; plain
+//!   loads and stores, no atomic RMW);
+//! * shared — once the buffer sits behind an `Arc`, any number of worker
+//!   threads [`PreSampleBuffer::claim`] slots with a single `fetch_add`
+//!   and no lock (the parallel runner's path; see DESIGN.md §11 for the
+//!   publish/claim protocol).
 
 use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::{AliasTable, VertexId};
@@ -179,7 +181,7 @@ pub fn plan_quotas(
 /// watermark and the demand-weighted budget split.
 ///
 /// Both fields are commutative Relaxed counters folded at refill time (the
-/// publish mutex is the barrier), exactly like the claim cursors above.
+/// publish mutex is the barrier), exactly like the buffers' claim counters.
 #[derive(Debug, Default)]
 pub struct BlockDemand {
     claims: AtomicU64,
@@ -212,14 +214,33 @@ impl BlockDemand {
 }
 
 /// A pre-sampled edge buffer for one block of consecutive vertices.
+///
+/// The slot arrays (`idx`/`edges`/`weights`/`raw`/`alias`) are frozen at
+/// build time; the only mutable state is one `AtomicU32` counter per
+/// vertex, which serves three roles at once:
+///
+/// 1. **slot claim** — `fetch_add(1, Relaxed)` returns a unique previous
+///    value per caller (atomic RMW totality), so each sampled slot index
+///    `< quota` is handed to exactly one thread, with no lock;
+/// 2. **stall recording** — a counter past the quota means the visit found
+///    nothing; the tick itself is the stall record (the paper's `cnt`
+///    doubling as popularity, §3.3.2), per-vertex and contention-sharded;
+/// 3. **refill weights** — [`PreSampleBuffer::visit_weights_snapshot`]
+///    reads the counters back as the next [`plan_quotas`] input.
+///
+/// `Relaxed` ordering suffices throughout: slot exclusivity needs only the
+/// RMW's atomicity, and the arrays a claimed index dereferences are frozen
+/// before the `Arc<PreSampleBuffer>` is published through the pool slot's
+/// mutex, whose release/acquire pair provides the happens-before edge.
 #[derive(Debug)]
 pub struct PreSampleBuffer {
     vertex_start: VertexId,
     /// Prefix of slot positions: vertex `i`'s slots are
     /// `edges[idx[i] .. idx[i + 1]]`.
     idx: Vec<u32>,
-    /// Consumed-or-stalled counter per vertex (the paper's `cnt`).
-    cnt: Vec<u32>,
+    /// Consumed-or-stalled counter per vertex (the paper's `cnt`), doubling
+    /// as the lock-free claim cursor.
+    cnt: Vec<AtomicU32>,
     raw: Vec<bool>,
     edges: Vec<VertexId>,
     /// Parallel raw-edge weights (only populated for raw vertices of
@@ -229,9 +250,15 @@ pub struct PreSampleBuffer {
     /// arrays), built once per generation for weighted alias-retained
     /// vertices so their sampling is O(1).
     alias: BTreeMap<u32, (Vec<f32>, Vec<u32>)>,
-    /// Budget reservation covering this buffer, if the owner charges one.
+    /// RAII hold on the budget bytes covering this buffer, if the owner
+    /// charges one; released when the buffer (or the last `Arc` to it)
+    /// drops. Never read, only owned.
     reservation: Option<Reservation>,
 }
+
+/// A [`PreSampleBuffer`] frozen into a generation of the parallel runner's
+/// shared pool (see [`PreSampleBuffer::into_published`]).
+pub type PublishedBuffer = PreSampleBuffer;
 
 impl PreSampleBuffer {
     /// Builds a buffer from a quota plan, filling slots through callbacks:
@@ -291,7 +318,7 @@ impl PreSampleBuffer {
             PreSampleBuffer {
                 vertex_start,
                 idx,
-                cnt: vec![0; n],
+                cnt: (0..n).map(|_| AtomicU32::new(0)).collect(),
                 raw: plan.raw.clone(),
                 edges,
                 weights,
@@ -371,6 +398,17 @@ impl PreSampleBuffer {
         (v - self.vertex_start) as usize
     }
 
+    fn raw_view(&self, i: usize, s: usize, e: usize) -> VertexEdges<'_> {
+        VertexEdges::Mem {
+            targets: &self.edges[s..e],
+            weights: self.weights.as_ref().map(|w| &w[s..e]),
+            alias: self
+                .alias
+                .get(&(i as u32))
+                .map(|(p, a)| (p.as_slice(), a.as_slice())),
+        }
+    }
+
     /// What's available for vertex `v` right now.
     pub fn peek(&self, v: VertexId) -> Peek<'_> {
         let i = self.local(v);
@@ -379,16 +417,9 @@ impl PreSampleBuffer {
             if s == e {
                 return Peek::Empty;
             }
-            return Peek::Raw(VertexEdges::Mem {
-                targets: &self.edges[s..e],
-                weights: self.weights.as_ref().map(|w| &w[s..e]),
-                alias: self
-                    .alias
-                    .get(&(i as u32))
-                    .map(|(p, a)| (p.as_slice(), a.as_slice())),
-            });
+            return Peek::Raw(self.raw_view(i, s, e));
         }
-        let used = self.cnt[i] as usize;
+        let used = self.cnt[i].load(Ordering::Relaxed) as usize;
         if s + used < e {
             Peek::Sampled(self.edges[s + used])
         } else {
@@ -401,7 +432,8 @@ impl PreSampleBuffer {
     /// visit.
     pub fn consume(&mut self, v: VertexId) {
         let i = self.local(v);
-        self.cnt[i] = self.cnt[i].saturating_add(1);
+        let cnt = self.cnt[i].get_mut();
+        *cnt = cnt.saturating_add(1);
     }
 
     /// Records a stalled visit at `v` (pre-samples exhausted): bumps `cnt`
@@ -410,9 +442,11 @@ impl PreSampleBuffer {
         self.consume(v);
     }
 
-    /// The carried visit counters, fed to [`plan_quotas`] at refill time.
-    pub fn visit_weights(&self) -> &[u32] {
-        &self.cnt
+    /// Snapshot of the visit counters, fed to [`plan_quotas`] at refill
+    /// time (concurrent claims may still be ticking; any torn-across-
+    /// vertices view is fine — the weights are a popularity heuristic).
+    pub fn visit_weights_snapshot(&self) -> Vec<u32> {
+        self.cnt.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
     /// Total sampled slot capacity (raw slots excluded).
@@ -424,34 +458,85 @@ impl PreSampleBuffer {
     }
 
     /// Remaining unconsumed sampled slots (raw slots excluded — they never
-    /// deplete).
+    /// deplete; a counter driven past its quota by stall ticks counts as
+    /// zero remaining).
     pub fn remaining_sampled(&self) -> u64 {
         (0..self.cnt.len())
             .filter(|&i| !self.raw[i])
             .map(|i| {
                 let quota = self.idx[i + 1] - self.idx[i];
-                quota.saturating_sub(self.cnt[i]) as u64
+                quota.saturating_sub(self.cnt[i].load(Ordering::Relaxed)) as u64
             })
             .sum()
     }
 
-    /// Converts this buffer into an immutable published generation for the
-    /// lock-free pool, carrying `cnt` over as the atomic claim cursors.
+    /// Hands the buffer to the lock-free pool as one generation: the same
+    /// value, consumption state included — wrap it in an `Arc` and workers
+    /// [`claim`](PreSampleBuffer::claim) where the owner used to `consume`.
     pub fn into_published(self) -> PublishedBuffer {
-        PublishedBuffer {
-            vertex_start: self.vertex_start,
-            idx: self.idx,
-            cursors: self.cnt.into_iter().map(AtomicU32::new).collect(),
-            raw: self.raw,
-            edges: self.edges,
-            weights: self.weights,
-            alias: self.alias,
-            _reservation: self.reservation,
+        self
+    }
+
+    /// Claims one slot for vertex `v` — the entire lock-free step path.
+    ///
+    /// One `fetch_add` per visit, success or stall: a sampled counter value
+    /// below the quota owns that slot, anything else *is* the recorded
+    /// stall; raw vertices only tick the visit counter and never deplete.
+    /// (Counter wrap-around would need 2³² visits to a single vertex within
+    /// one buffer generation — unreachable between refills.)
+    pub fn claim(&self, v: VertexId) -> Claim<'_> {
+        let i = self.local(v);
+        let (s, e) = (self.idx[i] as usize, self.idx[i + 1] as usize);
+        let prev = self.cnt[i].fetch_add(1, Ordering::Relaxed) as usize;
+        if self.raw[i] {
+            if s == e {
+                return Claim::Stalled;
+            }
+            return Claim::Raw(self.raw_view(i, s, e));
         }
+        if s + prev < e {
+            Claim::Sampled(self.edges[s + prev])
+        } else {
+            Claim::Stalled
+        }
+    }
+
+    /// Claims up to `n` slots for vertex `v` in one atomic RMW — the
+    /// batched variant of [`PreSampleBuffer::claim`] that amortizes the
+    /// `fetch_add` across several hops at a hot vertex.
+    ///
+    /// The counter still means "visits": a batch that served `k` slots nets
+    /// the counter `+k`, and a fully-stalled batch nets `+1` (one stall
+    /// tick), by subtracting the overshoot right back. The transient
+    /// overshoot between the add and the sub can only make concurrent
+    /// claimers see *fewer* remaining slots, never hand a slot out twice —
+    /// the counter never drops below the next-unserved index.
+    pub fn claim_batch(&self, v: VertexId, n: u32) -> BatchClaim<'_> {
+        let i = self.local(v);
+        let (s, e) = (self.idx[i] as usize, self.idx[i + 1] as usize);
+        if self.raw[i] {
+            self.cnt[i].fetch_add(1, Ordering::Relaxed);
+            if s == e {
+                return BatchClaim::Stalled;
+            }
+            return BatchClaim::Raw(self.raw_view(i, s, e));
+        }
+        let n = n.max(1);
+        let prev = self.cnt[i].fetch_add(n, Ordering::Relaxed) as usize;
+        let quota = e - s;
+        if prev >= quota {
+            self.cnt[i].fetch_sub(n - 1, Ordering::Relaxed);
+            return BatchClaim::Stalled;
+        }
+        let k = (quota - prev).min(n as usize);
+        if k < n as usize {
+            self.cnt[i].fetch_sub(n - k as u32, Ordering::Relaxed);
+        }
+        BatchClaim::Sampled(&self.edges[s + prev..s + prev + k])
     }
 }
 
-/// What a lock-free [`PublishedBuffer::claim`] produced.
+/// What a lock-free [`PreSampleBuffer::claim`] produced.
 ///
 /// The mirror of [`Peek`], except that a successful `Sampled` claim has
 /// *already* taken exclusive ownership of the slot — there is no separate
@@ -467,7 +552,7 @@ pub enum Claim<'a> {
     Stalled,
 }
 
-/// What a batched [`PublishedBuffer::claim_batch`] produced.
+/// What a batched [`PreSampleBuffer::claim_batch`] produced.
 #[derive(Debug)]
 pub enum BatchClaim<'a> {
     /// `1..=n` contiguous pre-sampled destinations this caller now
@@ -478,182 +563,6 @@ pub enum BatchClaim<'a> {
     Raw(VertexEdges<'a>),
     /// No usable slots: the whole batch stalls (recorded as one visit).
     Stalled,
-}
-
-/// An immutable, concurrently-consumable generation of a block's
-/// pre-sample buffer.
-///
-/// The slot arrays (`idx`/`edges`/`weights`/`raw`) are frozen at build
-/// time; the only mutable state is one `AtomicU32` cursor per vertex,
-/// which serves three roles at once:
-///
-/// 1. **slot claim** — `fetch_add(1, Relaxed)` returns a unique previous
-///    value per caller (atomic RMW totality), so each sampled slot index
-///    `< quota` is handed to exactly one thread, with no lock;
-/// 2. **stall recording** — a cursor past the quota means the visit found
-///    nothing; the tick itself is the stall record (the paper's `cnt`
-///    doubling as popularity, §3.3.2), per-vertex and contention-sharded;
-/// 3. **refill weights** — [`PublishedBuffer::visit_weights_snapshot`]
-///    reads the cursors back as the next [`plan_quotas`] input.
-///
-/// `Relaxed` ordering suffices throughout: slot exclusivity needs only the
-/// RMW's atomicity, and the arrays a claimed index dereferences are frozen
-/// before the `Arc<PublishedBuffer>` is published through the pool slot's
-/// mutex, whose release/acquire pair provides the happens-before edge.
-#[derive(Debug)]
-pub struct PublishedBuffer {
-    vertex_start: VertexId,
-    idx: Vec<u32>,
-    /// Claim cursor per vertex — the atomic reincarnation of `cnt`.
-    cursors: Vec<AtomicU32>,
-    raw: Vec<bool>,
-    edges: Vec<VertexId>,
-    weights: Option<Vec<f32>>,
-    /// Frozen per-hub alias tables (see [`PreSampleBuffer`]).
-    alias: BTreeMap<u32, (Vec<f32>, Vec<u32>)>,
-    /// RAII hold on the budget bytes; released when the last `Arc` to this
-    /// generation drops. Never read, only owned.
-    _reservation: Option<Reservation>,
-}
-
-impl PublishedBuffer {
-    /// First vertex covered.
-    pub fn vertex_start(&self) -> VertexId {
-        self.vertex_start
-    }
-
-    /// Number of vertices covered.
-    pub fn num_vertices(&self) -> usize {
-        self.cursors.len()
-    }
-
-    fn local(&self, v: VertexId) -> usize {
-        debug_assert!(
-            v >= self.vertex_start && ((v - self.vertex_start) as usize) < self.cursors.len(),
-            "vertex {v} outside buffer"
-        );
-        (v - self.vertex_start) as usize
-    }
-
-    /// Claims one slot for vertex `v` — the entire lock-free step path.
-    ///
-    /// One `fetch_add` per visit, success or stall: a sampled cursor value
-    /// below the quota owns that slot, anything else *is* the recorded
-    /// stall; raw vertices only tick the visit counter and never deplete.
-    /// (Cursor wrap-around would need 2³² visits to a single vertex within
-    /// one buffer generation — unreachable between refills.)
-    pub fn claim(&self, v: VertexId) -> Claim<'_> {
-        let i = self.local(v);
-        let (s, e) = (self.idx[i] as usize, self.idx[i + 1] as usize);
-        let prev = self.cursors[i].fetch_add(1, Ordering::Relaxed) as usize;
-        if self.raw[i] {
-            if s == e {
-                return Claim::Stalled;
-            }
-            return Claim::Raw(self.raw_view(i, s, e));
-        }
-        if s + prev < e {
-            Claim::Sampled(self.edges[s + prev])
-        } else {
-            Claim::Stalled
-        }
-    }
-
-    fn raw_view(&self, i: usize, s: usize, e: usize) -> VertexEdges<'_> {
-        VertexEdges::Mem {
-            targets: &self.edges[s..e],
-            weights: self.weights.as_ref().map(|w| &w[s..e]),
-            alias: self
-                .alias
-                .get(&(i as u32))
-                .map(|(p, a)| (p.as_slice(), a.as_slice())),
-        }
-    }
-
-    /// Claims up to `n` slots for vertex `v` in one atomic RMW — the
-    /// batched variant of [`PublishedBuffer::claim`] that amortizes the
-    /// `fetch_add` across several hops at a hot vertex.
-    ///
-    /// The cursor still means "visits": a batch that served `k` slots nets
-    /// the cursor `+k`, and a fully-stalled batch nets `+1` (one stall
-    /// tick), by subtracting the overshoot right back. The transient
-    /// overshoot between the add and the sub can only make concurrent
-    /// claimers see *fewer* remaining slots, never hand a slot out twice —
-    /// the cursor never drops below the next-unserved index.
-    pub fn claim_batch(&self, v: VertexId, n: u32) -> BatchClaim<'_> {
-        let i = self.local(v);
-        let (s, e) = (self.idx[i] as usize, self.idx[i + 1] as usize);
-        if self.raw[i] {
-            self.cursors[i].fetch_add(1, Ordering::Relaxed);
-            if s == e {
-                return BatchClaim::Stalled;
-            }
-            return BatchClaim::Raw(self.raw_view(i, s, e));
-        }
-        let n = n.max(1);
-        let prev = self.cursors[i].fetch_add(n, Ordering::Relaxed) as usize;
-        let quota = e - s;
-        if prev >= quota {
-            self.cursors[i].fetch_sub(n - 1, Ordering::Relaxed);
-            return BatchClaim::Stalled;
-        }
-        let k = (quota - prev).min(n as usize);
-        if k < n as usize {
-            self.cursors[i].fetch_sub(n - k as u32, Ordering::Relaxed);
-        }
-        BatchClaim::Sampled(&self.edges[s + prev..s + prev + k])
-    }
-
-    /// Snapshot of the visit counters, fed to [`plan_quotas`] at refill
-    /// time (concurrent claims may still be ticking; any torn-across-
-    /// vertices view is fine — the weights are a popularity heuristic).
-    pub fn visit_weights_snapshot(&self) -> Vec<u32> {
-        self.cursors
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Total sampled slot capacity (raw slots excluded).
-    pub fn sampled_capacity(&self) -> u64 {
-        (0..self.cursors.len())
-            .filter(|&i| !self.raw[i])
-            .map(|i| (self.idx[i + 1] - self.idx[i]) as u64)
-            .sum()
-    }
-
-    /// Remaining unclaimed sampled slots (raw slots excluded; a cursor
-    /// driven past its quota by stall ticks counts as zero remaining).
-    pub fn remaining_sampled(&self) -> u64 {
-        (0..self.cursors.len())
-            .filter(|&i| !self.raw[i])
-            .map(|i| {
-                let quota = self.idx[i + 1] - self.idx[i];
-                quota.saturating_sub(self.cursors[i].load(Ordering::Relaxed)) as u64
-            })
-            .sum()
-    }
-
-    /// Actual memory footprint in bytes (same layout as
-    /// [`PreSampleBuffer::memory_bytes`]; the cursors are `cnt`-sized).
-    pub fn memory_bytes(&self) -> u64 {
-        let sampled = self.edges.len() as u64 * 4;
-        let raw_weights = if self.weights.is_some() {
-            (0..self.cursors.len())
-                .filter(|&i| self.raw[i])
-                .map(|i| (self.idx[i + 1] - self.idx[i]) as u64 * 4)
-                .sum()
-        } else {
-            0
-        };
-        let alias_bytes: u64 = self
-            .alias
-            .values()
-            .map(|(p, a)| (p.len() + a.len()) as u64 * 4)
-            .sum();
-        let meta = (self.idx.len() + self.cursors.len()) as u64 * 4 + self.raw.len() as u64;
-        sampled + raw_weights + alias_bytes + meta
-    }
 }
 
 #[cfg(test)]
@@ -741,7 +650,7 @@ mod tests {
         }
         assert!(matches!(buf.peek(2), Peek::Empty));
         buf.record_stall(2);
-        assert_eq!(buf.visit_weights()[2], 4);
+        assert_eq!(buf.visit_weights_snapshot()[2], 4);
     }
 
     #[test]
@@ -757,7 +666,7 @@ mod tests {
             }
             buf.consume(1);
         }
-        assert_eq!(buf.visit_weights()[1], 10);
+        assert_eq!(buf.visit_weights_snapshot()[1], 10);
     }
 
     #[test]

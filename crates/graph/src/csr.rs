@@ -195,13 +195,6 @@ impl Csr {
         }
     }
 
-    /// Iterates over the out-neighbors of `v`.
-    pub fn neighbor_iter(&self, v: VertexId) -> NeighborIter<'_> {
-        NeighborIter {
-            inner: self.neighbors(v).iter(),
-        }
-    }
-
     /// Returns the symmetrized (undirected) version of this graph: for every
     /// edge `(u, v)` both `(u, v)` and `(v, u)` are present, deduplicated.
     ///
@@ -246,20 +239,6 @@ impl Iterator for EdgeIter<'_> {
             self.v += 1;
             self.i = 0;
         }
-    }
-}
-
-/// Iterator over the out-neighbors of one vertex.
-#[derive(Debug)]
-pub struct NeighborIter<'a> {
-    inner: std::slice::Iter<'a, VertexId>,
-}
-
-impl Iterator for NeighborIter<'_> {
-    type Item = VertexId;
-
-    fn next(&mut self) -> Option<VertexId> {
-        self.inner.next().copied()
     }
 }
 

@@ -44,7 +44,7 @@ pub mod stats;
 
 pub use alias::AliasTable;
 pub use builder::CsrBuilder;
-pub use csr::{Csr, NeighborIter};
+pub use csr::Csr;
 pub use layout::{EdgeFormat, VertexEdges};
 pub use partition::{BlockId, BlockInfo, Partition, FINE_PAGE_BYTES};
 

@@ -1,13 +1,13 @@
 //! L7 — `std::sync::atomic` types in `crates/core/src` only in
-//! `metrics.rs`, `presample.rs`, `parallel.rs` — and L10 — memory-ordering
+//! `presample.rs` and `parallel.rs` — and L10 — memory-ordering
 //! discipline for core and serve.
 //!
 //! L10 enforces the two halves of the lock-free protocol register:
 //!
 //! * `Ordering::Relaxed` is only legitimate on the sanctioned *counter*
 //!   modules, where every atomic is a mergeable tally folded at a barrier
-//!   (`metrics.rs` SharedMetrics, `presample.rs` cursor claims, the serve
-//!   layer's per-query slot counters in `app.rs`). A Relaxed anywhere else
+//!   (`presample.rs` slot claims and demand tallies, the serve layer's
+//!   per-query slot counters in `app.rs`). A Relaxed anywhere else
 //!   is either a bug or needs an explicit suppression with justification.
 //! * Any Acquire/Release/AcqRel/SeqCst site is a *protocol* site: it must
 //!   carry an anchored comment starting with the ordering marker that
@@ -19,8 +19,9 @@ use super::{Hit, Pass, PassCx};
 
 /// The `std::sync::atomic` type names gated by L7: concurrent state in the
 /// core crate is confined to the modules whose invariants are documented
-/// and audited (metrics counters, the published pre-sample pool, the
-/// parallel runner).
+/// and audited (the pre-sample buffers' claim counters and the parallel
+/// runner's pool). Run counters are plain `RunMetrics` values merged by
+/// the coordinator, so `metrics.rs` holds no atomics.
 const ATOMIC_TYPES: &[&str] = &[
     "AtomicBool",
     "AtomicU8",
@@ -39,15 +40,10 @@ const ATOMIC_TYPES: &[&str] = &[
 /// Files where `Ordering::Relaxed` is sanctioned: all their atomics are
 /// commutative counters folded at a synchronization barrier, so ordering
 /// genuinely does not matter.
-const SANCTIONED_RELAXED: &[&str] = &[
-    "crates/core/src/metrics.rs",
-    "crates/core/src/presample.rs",
-    "crates/serve/src/app.rs",
-];
+const SANCTIONED_RELAXED: &[&str] = &["crates/core/src/presample.rs", "crates/serve/src/app.rs"];
 
 fn l7_exempt(path: &str) -> bool {
     !path.starts_with("crates/core/src/")
-        || path.ends_with("/metrics.rs")
         || path.ends_with("/presample.rs")
         || path.ends_with("/parallel.rs")
 }
@@ -79,9 +75,9 @@ impl Pass for AtomicConfinement {
                     rule: "L7",
                     line: tok.line,
                     message: format!("`{}` outside the audited concurrency modules", a.t(i)),
-                    hint: "shared counters belong in metrics.rs (SharedMetrics), lock-free \
-                           claim state in presample.rs (PublishedBuffer); route concurrent \
-                           state through those modules or parallel.rs"
+                    hint: "count into a per-job RunMetrics and merge it; lock-free claim \
+                           state belongs in presample.rs (PreSampleBuffer), other concurrent \
+                           state in parallel.rs"
                         .into(),
                 });
             }
@@ -110,10 +106,10 @@ impl Pass for OrderingDiscipline {
                         line: site.line,
                         message: "`Ordering::Relaxed` outside the sanctioned counter modules"
                             .into(),
-                        hint: "Relaxed is only safe for mergeable counters (metrics.rs \
-                               SharedMetrics, presample.rs cursor claims, serve app.rs slot \
-                               folds); use a stronger ordering with a protocol comment, or \
-                               justify with a registered suppression"
+                        hint: "Relaxed is only safe for mergeable counters (presample.rs \
+                               slot claims, serve app.rs slot folds); use a stronger \
+                               ordering with a protocol comment, or justify with a \
+                               registered suppression"
                             .into(),
                     });
                 }

@@ -75,8 +75,8 @@ impl Pass for MetricsWrites {
                         rule: "L1",
                         line: toks[i + 1].line,
                         message: format!("atomic write to shared metrics field `{field}`"),
-                        hint: "mutate shared counters through SharedMetrics/LocalCounters in \
-                               crates/core/src/metrics.rs"
+                        hint: "count into a plain RunMetrics through its record_* helpers \
+                               and RunMetrics::merge it; run counters are never atomics"
                             .into(),
                     });
                 }

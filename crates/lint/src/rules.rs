@@ -11,10 +11,10 @@
 //! | L4 | threads are only spawned in `threaded.rs` / `parallel.rs` / the realtime driver (`crates/serve/src/realtime.rs`) |
 //! | L5 | no `unwrap`/`expect`/`panic!` family in library code of core/storage/graph |
 //! | L6 | every `unsafe` is preceded by a `SAFETY:` comment; unsafe-free crates `#![forbid(unsafe_code)]` |
-//! | L7 | `std::sync::atomic` types in `crates/core/src` only in `metrics.rs`, `presample.rs`, `parallel.rs` |
+//! | L7 | `std::sync::atomic` types in `crates/core/src` only in `presample.rs`, `parallel.rs` |
 //! | L8 | no `thread::sleep` or raw clock reads in `crates/serve/src`, and `WallTimer` only in `realtime.rs` — lockstep serving uses modeled time |
 //! | L9 | no ambient/time-seeded randomness and no `HashMap`/`HashSet` in functions reachable from a digest or trace-emit path in core/serve/shard |
-//! | L10 | `Ordering::Relaxed` only on sanctioned counter modules; Acquire/Release/SeqCst sites carry registered protocol comments |
+//! | L10 | `Ordering::Relaxed` only on sanctioned counter modules (`presample.rs`, serve `app.rs`); Acquire/Release/SeqCst sites carry registered protocol comments |
 //! | L11 | `let`-bound Mutex guards in parallel.rs/serve drop within their binding block — never across a loop or a loader call |
 //! | L12 | every `RunMetrics` counter is referenced by a conservation law in `audit.rs` |
 //!

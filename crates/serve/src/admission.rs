@@ -125,12 +125,6 @@ impl AdmissionController {
         self.overloaded
     }
 
-    /// Whether the controller is currently shedding due to backend
-    /// overload.
-    pub fn is_overloaded(&self) -> bool {
-        self.overloaded
-    }
-
     /// Admitted-but-not-yet-activated queries.
     pub fn pending_len(&self) -> usize {
         self.pending.len()

@@ -51,11 +51,6 @@ impl Raid0 {
         }
     }
 
-    /// Number of member devices.
-    pub fn num_members(&self) -> usize {
-        self.members.len()
-    }
-
     /// Splits `[offset, offset+len)` into `(member, member_offset, len)`
     /// segments.
     fn segments(&self, mut offset: u64, mut len: u64) -> Vec<(usize, u64, u64)> {

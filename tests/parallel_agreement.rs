@@ -197,3 +197,119 @@ fn worker_count_does_not_change_conservation() {
         assert_eq!(m.walkers_finished, 1500, "workers = {workers}");
     }
 }
+
+/// A fixed-length walk over a graph whose every vertex has one heavy and
+/// one light out-edge, counting how often the heavy one is taken. Samples
+/// by weight wherever the edge view carries weights.
+#[derive(Debug)]
+struct HeavyShare {
+    walkers: u64,
+    length: u32,
+    heavy: Vec<VertexId>,
+    heavy_taken: AtomicU64,
+}
+
+impl HeavyShare {
+    fn share(&self, steps: u64) -> f64 {
+        self.heavy_taken.load(Ordering::Relaxed) as f64 / steps as f64
+    }
+}
+
+impl Walk for HeavyShare {
+    type Walker = (VertexId, u32);
+    fn total_walkers(&self) -> u64 {
+        self.walkers
+    }
+    fn generate(&self, n: u64, _r: &mut WalkRng) -> Self::Walker {
+        ((n % self.heavy.len() as u64) as VertexId, 0)
+    }
+    fn location(&self, w: &Self::Walker) -> VertexId {
+        w.0
+    }
+    fn is_active(&self, w: &Self::Walker) -> bool {
+        w.1 < self.length
+    }
+    fn sample(&self, v: &VertexEdges<'_>, r: &mut WalkRng) -> VertexId {
+        if v.weight(0).is_some() {
+            noswalker::core::walk::weighted_sample(v, r)
+        } else {
+            uniform_sample(v, r)
+        }
+    }
+    fn action(&self, w: &mut Self::Walker, next: VertexId, _r: &mut WalkRng) -> bool {
+        if next == self.heavy[w.0 as usize] {
+            self.heavy_taken.fetch_add(1, Ordering::Relaxed);
+        }
+        *w = (next, w.1 + 1);
+        true
+    }
+}
+
+/// Raw-retained vertices served from the published pool must keep their
+/// edge weights: on a 9:1 graph under a budget (the size of the edge
+/// region) where the pool serves a real share of the steps, the parallel
+/// runner takes the heavy edge as often as the sequential engine does.
+#[test]
+fn weighted_raw_retention_keeps_edge_weights() {
+    let n: u32 = 4096;
+    let heavy: Vec<VertexId> = (0..n).map(|v| v.wrapping_mul(2_654_435_761) % n).collect();
+    let mut b = noswalker::graph::CsrBuilder::new(n as usize);
+    for v in 0..n {
+        let h = heavy[v as usize];
+        let l = v.wrapping_mul(40_503).wrapping_add(977) % n;
+        b.push_edge(v, h);
+        b.push_edge(v, if l == h { (l + 1) % n } else { l });
+    }
+    let csr = b.build();
+    let weights: Vec<f32> = (0..n)
+        .flat_map(|v| csr.neighbors(v).iter().map(move |&t| (v, t)))
+        .map(|(v, t)| if t == heavy[v as usize] { 9.0 } else { 1.0 })
+        .collect();
+    let csr = csr.with_weights(weights);
+    let (walkers, length) = (40_000u64, 10u32);
+    let steps = walkers * length as u64;
+    let make = || {
+        Arc::new(HeavyShare {
+            walkers,
+            length,
+            heavy: heavy.clone(),
+            heavy_taken: AtomicU64::new(0),
+        })
+    };
+
+    let seq_app = make();
+    let m_seq = NosWalkerEngine::new(
+        Arc::clone(&seq_app),
+        on_device(&csr),
+        EngineOptions::default(),
+        MemoryBudget::new(64 << 10),
+    )
+    .run(5)
+    .unwrap();
+    assert_eq!(m_seq.steps, steps);
+    let seq_share = seq_app.share(steps);
+    assert!((seq_share - 0.9).abs() < 0.01, "sequential {seq_share}");
+
+    for workers in [1usize, 2] {
+        let par_app = make();
+        let m_par = ParallelRunner::new(
+            Arc::clone(&par_app),
+            on_device(&csr),
+            EngineOptions::default(),
+            MemoryBudget::new(64 << 10),
+        )
+        .run(5, workers)
+        .unwrap();
+        assert_eq!(m_par.steps, steps);
+        assert!(
+            m_par.steps_on_raw * 20 >= steps,
+            "only {} of {steps} steps on raw slots at {workers} workers",
+            m_par.steps_on_raw
+        );
+        let par_share = par_app.share(steps);
+        assert!(
+            (par_share - seq_share).abs() < 0.01,
+            "heavy-edge share {par_share} at {workers} workers vs sequential {seq_share}"
+        );
+    }
+}
