@@ -1,5 +1,6 @@
 //! One module per paper table/figure. Each exposes `run(scale)`, prints a
 //! table shaped like the figure's series and writes `results/<id>.tsv`.
+//! Serving and engine throughput are measured by `benchmark/`, not here.
 
 pub mod ablations;
 pub mod fig10;
@@ -13,72 +14,43 @@ pub mod fig17;
 pub mod fig2;
 pub mod fig4;
 pub mod fig9;
-pub mod serve;
 pub mod table1;
-pub mod throughput;
 
 use crate::datasets::Scale;
 
-/// All experiment ids in paper order.
-pub const ALL: &[&str] = &[
-    "table1",
-    "fig2",
-    "fig4",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12a",
-    "fig12bc",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "ablation-alloc",
-    "ablation-lowdeg",
-    "ablation-ssds",
-    "ablation-g25",
-    "throughput",
-    "serve",
+/// An experiment's entry point.
+type Run = fn(Scale);
+
+/// Every experiment in paper order: its id and its entry point.
+pub const ALL: &[(&str, Run)] = &[
+    ("table1", table1::run),
+    ("fig2", fig2::run),
+    ("fig4", fig4::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12a", fig12::run_12a),
+    ("fig12bc", fig12::run_12bc),
+    ("fig13", fig13::run),
+    ("fig14", fig14::run),
+    ("fig15", fig15::run),
+    ("fig16", fig16::run),
+    ("fig17", fig17::run),
+    ("ablation-alloc", ablations::run_alloc),
+    ("ablation-lowdeg", ablations::run_lowdeg),
+    ("ablation-ssds", ablations::run_ssds),
+    ("ablation-g25", ablations::run_g25),
 ];
 
-/// Dispatches an experiment by id. Returns `None` for unknown ids,
-/// otherwise whether the experiment's acceptance gates passed
-/// (experiments without a gate always pass, so the CLI's exit code only
-/// ratchets on gated benches).
-pub fn dispatch(id: &str, scale: Scale) -> Option<bool> {
-    // Gated experiments report their acceptance verdict.
-    match id {
-        "throughput" => return Some(throughput::run(scale)),
-        "serve" => return Some(serve::run(scale)),
-        "all" => {
-            let mut ok = true;
-            for id in ALL {
-                ok &= dispatch(id, scale).unwrap_or(true);
-            }
-            return Some(ok);
+/// Runs the experiment named `id` (`"all"` runs every entry of [`ALL`]).
+/// Returns whether the id is known.
+pub fn dispatch(id: &str, scale: Scale) -> bool {
+    let mut known = false;
+    for (name, run) in ALL {
+        if id == "all" || id == *name {
+            run(scale);
+            known = true;
         }
-        _ => {}
     }
-    match id {
-        "table1" => table1::run(scale),
-        "fig2" => fig2::run(scale),
-        "fig4" => fig4::run(scale),
-        "fig9" => fig9::run(scale),
-        "fig10" => fig10::run(scale),
-        "fig11" => fig11::run(scale),
-        "fig12a" => fig12::run_12a(scale),
-        "fig12bc" => fig12::run_12bc(scale),
-        "fig13" => fig13::run(scale),
-        "fig14" => fig14::run(scale),
-        "fig15" => fig15::run(scale),
-        "fig16" => fig16::run(scale),
-        "fig17" => fig17::run(scale),
-        "ablation-alloc" => ablations::run_alloc(scale),
-        "ablation-lowdeg" => ablations::run_lowdeg(scale),
-        "ablation-ssds" => ablations::run_ssds(scale),
-        "ablation-g25" => ablations::run_g25(scale),
-        _ => return None,
-    }
-    Some(true)
+    known
 }

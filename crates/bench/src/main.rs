@@ -7,8 +7,9 @@ use noswalker_bench::experiments;
 use std::process::ExitCode;
 
 fn usage() {
-    eprintln!("usage: noswalker-bench <experiment> [--scale default|tiny] [--quick]");
-    eprintln!("experiments: {} all", experiments::ALL.join(" "));
+    eprintln!("usage: noswalker-bench <experiment> [--scale default|tiny]");
+    let ids: Vec<&str> = experiments::ALL.iter().map(|(id, _)| *id).collect();
+    eprintln!("experiments: {} all", ids.join(" "));
 }
 
 fn main() -> ExitCode {
@@ -25,8 +26,6 @@ fn main() -> ExitCode {
                 };
                 scale = v;
             }
-            // CI smoke runs: shorthand for `--scale tiny`.
-            "--quick" => scale = Scale::Tiny,
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;
@@ -38,24 +37,14 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     }
-    let mut all_pass = true;
     for id in &ids {
         let start = std::time::Instant::now();
-        match experiments::dispatch(id, scale) {
-            None => {
-                eprintln!("unknown experiment: {id}");
-                usage();
-                return ExitCode::FAILURE;
-            }
-            // Keep running the remaining experiments so one regression
-            // does not hide another; the exit code ratchets at the end.
-            Some(pass) => all_pass &= pass,
+        if !experiments::dispatch(id, scale) {
+            eprintln!("unknown experiment: {id}");
+            usage();
+            return ExitCode::FAILURE;
         }
         eprintln!("[{id} took {:.1}s wall]", start.elapsed().as_secs_f64());
     }
-    if all_pass {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::SUCCESS
 }

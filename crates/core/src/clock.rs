@@ -130,7 +130,8 @@ impl WallTimer {
 /// (`RunMetrics::sim_ns`) and while idle it jumps to the next query
 /// arrival. Every latency, deadline, and retry-after figure in
 /// `noswalker-serve` is derived from this clock, never from the host —
-/// which is what makes `noswalker-bench -- serve` replayable bit-for-bit.
+/// which is what makes a `noswalker serve --script` replay bit-for-bit
+/// repeatable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModelClock {
     now_ns: u64,

@@ -20,11 +20,11 @@
 //! — which is identical across hosts and runs whenever the step count is
 //! (see DESIGN.md §13). Both engines and both kernels now price compute
 //! with the same per-thread `step_cost`/`sample_cost`, so cross-engine
-//! `sim_ns` figures are directly comparable (the throughput bench's
-//! ratcheted 1-worker ratio leans on this). The remaining counters in
-//! `metrics` are honest per-run observations; under the parallel kernel
-//! the I/O-shaped ones (loads, stalls, `sim_ns`) may vary with
-//! scheduling. At one worker the parallel pipeline is FIFO-deterministic,
+//! `sim_ns` figures are directly comparable (the ratcheted 1-worker
+//! ratio in `tests/parallel_agreement.rs` leans on this). The remaining
+//! counters in `metrics` are honest per-run observations; under the
+//! parallel kernel the I/O-shaped ones (loads, stalls, `sim_ns`) may vary
+//! with scheduling. At one worker the parallel pipeline is FIFO-deterministic,
 //! so even its `sim_ns` is stable run to run.
 
 use crate::engine::{EngineError, NosWalkerEngine};

@@ -34,9 +34,8 @@ pub struct RunMetrics {
     pub sim_ns: u64,
     /// Wall-clock time the simulation itself took (host seconds, for
     /// curiosity only — never an input to any modeled figure). The
-    /// serving layer zeroes it internally so replays stay bit-identical;
-    /// the bench/CLI boundary re-stamps it with the measured replay time
-    /// via [`RunMetrics::set_wall_ns`].
+    /// serving layer zeroes it (via [`RunMetrics::set_wall_ns`]) so
+    /// replays stay bit-identical.
     pub wall_ns: u64,
     /// Time spent stalled on I/O.
     pub stall_ns: u64,
@@ -419,10 +418,9 @@ impl RunMetrics {
     // ------------------------------------------------------------------
 
     /// Every counter as `(name, JSON scalar)` in declaration order — the
-    /// one place that enumerates the fields. The CLI report, the bench
-    /// JSON artifacts, and the TSV writers all render from this list, so
-    /// a new counter shows up everywhere at once instead of drifting
-    /// between hand-rolled copies.
+    /// one place that enumerates the fields. The CLI report renders from
+    /// this list, so a new counter shows up there without a hand-rolled
+    /// copy to drift.
     pub fn snapshot_fields(&self) -> Vec<(&'static str, String)> {
         // Unset optionals render as 0, not `null`: every engine then emits
         // the same scalar shape and downstream tooling needs no
@@ -464,40 +462,6 @@ impl RunMetrics {
             ("rejects", self.rejects.to_string()),
             ("peak_memory", self.peak_memory.to_string()),
         ]
-    }
-
-    /// The snapshot as one JSON object, indented by `indent` spaces per
-    /// level (values are the raw scalars from [`RunMetrics::snapshot_fields`]).
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let fields = self.snapshot_fields();
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            let comma = if i + 1 < fields.len() { "," } else { "" };
-            out.push_str(&format!("{pad}{pad}\"{k}\": {v}{comma}\n"));
-        }
-        out.push_str(&format!("{pad}}}"));
-        out
-    }
-
-    /// Tab-separated header matching [`RunMetrics::to_tsv_row`].
-    pub fn tsv_header() -> String {
-        RunMetrics::default()
-            .snapshot_fields()
-            .iter()
-            .map(|(k, _)| *k)
-            .collect::<Vec<_>>()
-            .join("\t")
-    }
-
-    /// The snapshot as one tab-separated row (unset optionals render as
-    /// 0, same as the JSON writer).
-    pub fn to_tsv_row(&self) -> String {
-        self.snapshot_fields()
-            .iter()
-            .map(|(_, v)| v.as_str())
-            .collect::<Vec<_>>()
-            .join("\t")
     }
 }
 
@@ -777,9 +741,9 @@ mod tests {
         m.merge(&other);
         assert_eq!(m.walkers_emigrated, 4);
         assert_eq!(m.walkers_immigrated, 4);
-        let json = m.to_json(2);
-        assert!(json.contains("\"walkers_emigrated\": 4"));
-        assert!(json.contains("\"walkers_immigrated\": 4"));
+        let fields = m.snapshot_fields();
+        assert!(fields.contains(&("walkers_emigrated", "4".to_string())));
+        assert!(fields.contains(&("walkers_immigrated", "4".to_string())));
     }
 
     #[test]
@@ -805,21 +769,13 @@ mod tests {
         ] {
             assert!(names.binary_search(&key).is_ok(), "missing {key}");
         }
-        let json = m.to_json(2);
-        assert!(json.contains("\"walkers_cancelled\": 1"));
-        assert!(json.contains("\"fine_mode_at_step\": 0"));
+        assert!(fields.contains(&("walkers_cancelled", "1".to_string())));
+        assert!(fields.contains(&("fine_mode_at_step", "0".to_string())));
         // Unset optionals also render as 0 — every backend emits the same
         // scalar shape (no `null` special case downstream).
         assert!(RunMetrics::default()
-            .to_json(2)
-            .contains("\"fine_mode_at_step\": 0"));
-        let header = RunMetrics::tsv_header();
-        let row = m.to_tsv_row();
-        assert_eq!(
-            header.split('\t').count(),
-            row.split('\t').count(),
-            "TSV header and row must align"
-        );
+            .snapshot_fields()
+            .contains(&("fine_mode_at_step", "0".to_string())));
     }
 
     // ------------------------------------------------------------------

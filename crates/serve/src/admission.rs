@@ -112,9 +112,11 @@ impl AdmissionController {
     }
 
     /// The retry-after hint for a shed query: the base backoff scaled by
-    /// queue depth, so heavier backlogs push retries further out.
+    /// queue depth, so heavier backlogs push retries further out
+    /// (saturating: the base is caller-supplied).
     pub fn retry_after(&self) -> u64 {
-        self.opts.retry_after_ns * (self.pending.len() as u64 + 1)
+        let depth = self.pending.len() as u64 + 1;
+        self.opts.retry_after_ns.saturating_mul(depth)
     }
 
     /// Updates overload mode from the last round's observed pre-sample
@@ -214,6 +216,17 @@ mod tests {
         );
         assert_eq!(c.shed_count(), 1);
         assert_eq!(c.admitted_count(), 2);
+    }
+
+    #[test]
+    fn retry_hint_saturates_instead_of_overflowing() {
+        let mut c = AdmissionController::new(AdmissionOptions {
+            retry_after_ns: u64::MAX / 2,
+            ..Default::default()
+        });
+        c.offer(spec(1, 0, None));
+        c.offer(spec(2, 0, None));
+        assert_eq!(c.retry_after(), u64::MAX);
     }
 
     #[test]

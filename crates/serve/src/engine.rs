@@ -167,7 +167,17 @@ impl ServeReport {
         self.outcomes.iter().filter(|o| o.degraded).count() as u64
     }
 
-    /// Served queries per modeled second.
+    /// Good answers: served complete and on time (not shed, not degraded,
+    /// no deadline miss) — the numerator of goodput.
+    pub fn good_count(&self) -> u64 {
+        self.outcomes
+            .iter()
+            .filter(|o| !(o.shed || o.degraded || o.deadline_missed))
+            .count() as u64
+    }
+
+    /// Served queries per modeled second. "Served" includes degraded
+    /// partials and deadline misses; goodput counts [`Self::good_count`].
     pub fn achieved_qps(&self) -> f64 {
         self.completed_count() as f64 / (self.end_ns.max(1) as f64 / 1e9)
     }

@@ -852,9 +852,9 @@ impl TickCore {
     /// handoff-conservation and per-query conservation laws are asserted.
     pub fn finish(mut self, end_ns: u64) -> TickReport {
         // The serving layer reports modeled time only: the inner rounds'
-        // host wall time would make otherwise bit-identical replays (and
-        // the bench artifacts built from them) differ run to run. The
-        // bench/CLI boundary re-stamps `wall_ns` with its own measurement.
+        // host wall time would make otherwise bit-identical replays
+        // differ run to run. Callers that want wall time (`benchmark/`,
+        // the CLI's realtime mode) measure it around the run themselves.
         self.metrics.set_wall_ns(0);
         if cfg!(debug_assertions) {
             // Run-end conservation: every emigrated walker was re-admitted.

@@ -110,12 +110,16 @@ fn us(ns: u64) -> f64 {
 /// outcome lines.
 pub fn render_report(r: &ServeReport) -> String {
     let mut out = String::new();
+    let good = r.good_count();
     out.push_str(&format!(
-        "served {} queries in {} rounds over {:.1} us modeled ({:.1} q/s)\n",
+        "served {} queries in {} rounds over {:.1} us modeled ({:.1} q/s)   \
+         good: {} ({:.1} q/s)\n",
         r.completed_count(),
         r.rounds,
         us(r.end_ns),
         r.achieved_qps(),
+        good,
+        good as f64 / (r.end_ns.max(1) as f64 / 1e9),
     ));
     out.push_str(&format!(
         "  shed: {}   deadline misses: {}   degraded: {}\n",
@@ -169,6 +173,51 @@ pub fn render_report(r: &ServeReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryOutcome;
+
+    #[test]
+    fn report_totals_separate_good_answers_from_served() {
+        let clean = QueryOutcome {
+            id: 1,
+            class: "ppr".to_string(),
+            stats: Default::default(),
+            latency_ns: Some(400_000),
+            degraded: false,
+            deadline_missed: false,
+            shed: false,
+            retry_after_ns: None,
+            digest: 0,
+        };
+        let late_partial = QueryOutcome {
+            latency_ns: Some(900_000),
+            degraded: true,
+            deadline_missed: true,
+            ..clean.clone()
+        };
+        let shed = QueryOutcome {
+            latency_ns: None,
+            shed: true,
+            retry_after_ns: Some(2_000),
+            ..clean.clone()
+        };
+        let r = ServeReport {
+            outcomes: vec![clean, late_partial, shed],
+            histograms: Default::default(),
+            metrics: Default::default(),
+            rounds: 5,
+            end_ns: 1_000_000,
+        };
+        let text = render_report(&r);
+        let totals: Vec<&str> = text.lines().take(2).collect();
+        assert_eq!(
+            totals[0],
+            "served 2 queries in 5 rounds over 1000.0 us modeled (2000.0 q/s)   \
+             good: 1 (1000.0 q/s)"
+        );
+        assert_eq!(totals[1], "  shed: 1   deadline misses: 1   degraded: 1");
+        assert!(text.contains("in 900.0 us  DEADLINE MISS  (degraded)"));
+        assert!(text.contains("SHED (retry after 2.0 us)"));
+    }
 
     #[test]
     fn parses_a_script_with_comments_and_defaults() {

@@ -7,22 +7,23 @@ use noswalker_bench::experiments;
 #[test]
 fn tiny_scale_key_experiments_run() {
     for id in ["table1", "fig2", "fig14"] {
-        assert_eq!(experiments::dispatch(id, Scale::Tiny), Some(true), "{id}");
+        assert!(experiments::dispatch(id, Scale::Tiny), "{id}");
     }
 }
 
 #[test]
 fn unknown_experiment_is_rejected() {
-    assert_eq!(experiments::dispatch("fig99", Scale::Tiny), None);
+    // Throughput and serving are `benchmark/`'s to measure, not an experiment's.
+    for id in ["fig99", "throughput", "serve"] {
+        assert!(!experiments::dispatch(id, Scale::Tiny), "{id}");
+    }
 }
 
-/// The full suite at tiny scale (slower; run with `--ignored`). `Some(true)`
-/// means every experiment ran AND every gated bench (throughput, with its
-/// ratcheted ratio floor and stall ceiling) passed its acceptance.
+/// The full suite at tiny scale (slower; run with `--ignored`).
 #[test]
 #[ignore = "runs every experiment; ~a minute"]
 fn tiny_scale_full_suite_runs() {
-    assert_eq!(experiments::dispatch("all", Scale::Tiny), Some(true));
+    assert!(experiments::dispatch("all", Scale::Tiny));
 }
 
 #[test]

@@ -313,3 +313,45 @@ fn weighted_raw_retention_keeps_edge_weights() {
         );
     }
 }
+
+/// The two ratchets of the former `noswalker-bench throughput` gate, on
+/// its exact tiny cell and at one worker only: that pipeline is
+/// FIFO-deterministic (0.660 and 0.315 on every run), while multi-worker
+/// interleaving is the OS scheduler's and is measured at scale by
+/// `benchmark/`. Both engines are modeled-I/O-bound here, so the ratio
+/// tracks bytes moved (coarse reloads); `pool_stalls` are claims that found
+/// a live pre-sample generation already dry, the quota planner's miss rate.
+/// Raise the floor and lower the ceiling when the kernel improves; never
+/// loosen either without a recorded regression analysis.
+#[test]
+fn one_worker_pipeline_overhead_and_stall_rate_stay_ratcheted() {
+    use noswalker_bench::datasets::{self, Scale};
+    use noswalker_bench::runner::env;
+    const RATIO_FLOOR: f64 = 0.65;
+    const STALL_CEILING: f64 = 0.35;
+
+    let d = datasets::get("k30", Scale::Tiny);
+    let budget = datasets::default_budget(Scale::Tiny);
+    let walkers = Scale::Tiny.walkers(100_000);
+    let make = || Arc::new(BasicRw::new(walkers, 10, d.csr.num_vertices()));
+
+    let e = env(&d, budget);
+    let m_seq = NosWalkerEngine::new(make(), e.graph, EngineOptions::default(), e.budget)
+        .run(29)
+        .unwrap();
+    let e = env(&d, budget);
+    let m_par = ParallelRunner::new(make(), e.graph, EngineOptions::default(), e.budget)
+        .run(29, 1)
+        .unwrap();
+
+    let ratio = m_par.steps_per_sec() / m_seq.steps_per_sec();
+    assert!(
+        ratio >= RATIO_FLOOR,
+        "1-worker/sequential modeled steps/s {ratio:.3} under the floor {RATIO_FLOOR}"
+    );
+    let stall_rate = m_par.pool_stalls as f64 / m_par.steps.max(1) as f64;
+    assert!(
+        stall_rate <= STALL_CEILING,
+        "1-worker pool_stalls/steps {stall_rate:.3} over the ceiling {STALL_CEILING}"
+    );
+}
