@@ -149,16 +149,20 @@ pub(crate) struct Generation<'a, A: Walk, S: EdgeSource + ?Sized> {
 
 impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
     /// Builds block `info`'s next generation (§3.3.2): slots are planned
-    /// over the vertices `src` covers (`only` restricts them further, to
-    /// what a fine load actually served) proportionally to the carried
-    /// visit `weights`, within `capacity_slots`; the planned bytes are
-    /// reserved; then the slots are filled by sampling. Weighted graphs
-    /// keep their edge weights on raw-retained slots.
+    /// over the vertices `src` covers — the whole block when `only` is
+    /// `None` (a coarse load), otherwise the listed vertices a fine load
+    /// actually served — proportionally to the carried visit `weights`.
+    /// `capacity_slots` bounds the *sampled* slots only: raw retention of
+    /// low-degree vertices is planned on top of it, whatever it is. The
+    /// planned bytes are reserved; then the slots are filled by sampling.
+    /// Weighted graphs keep their edge weights on raw-retained slots.
     ///
     /// How much to plan for and what to do when the budget says no are the
     /// caller's policy: `reserve(bytes, &mut capacity_slots)` returns the
     /// reservation, gives up with `Break(None)`, or adjusts the capacity
-    /// and asks for a re-plan with `Continue`.
+    /// and asks for a re-plan with `Continue` — which is honoured only
+    /// while the capacity can change the plan: a refused plan that is
+    /// nothing but raw retention is refused for good.
     ///
     /// Returns the buffer (reservation attached), its planned slot count
     /// and the sample draws performed — or `None` when nothing was built.
@@ -172,16 +176,19 @@ impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
         mut reserve: impl FnMut(u64, &mut u64) -> ControlFlow<Option<Reservation>>,
     ) -> Option<(PreSampleBuffer, u64, u64)> {
         let (graph, src) = (self.graph, self.src);
-        let degrees: Vec<u64> = (info.vertex_start..info.vertex_end)
-            .map(|v| {
-                let covered = only.is_none_or(|list| list.binary_search(&v).is_ok());
-                if covered && src.edges(graph, v).is_some() {
-                    graph.degree(v)
-                } else {
-                    0
+        let mut degrees = vec![0u64; info.num_vertices() as usize];
+        match only {
+            None => {
+                for v in info.vertex_start..info.vertex_end {
+                    degrees[(v - info.vertex_start) as usize] = graph.degree(v);
                 }
-            })
-            .collect();
+            }
+            Some(list) => {
+                for &v in list.iter().filter(|&&v| src.edges(graph, v).is_some()) {
+                    degrees[(v - info.vertex_start) as usize] = graph.degree(v);
+                }
+            }
+        }
         let weighted = graph.format() != noswalker_graph::EdgeFormat::Unweighted;
         let (plan, reservation) = loop {
             let plan = plan_quotas(
@@ -199,6 +206,10 @@ impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
             match reserve(bytes, &mut capacity_slots) {
                 ControlFlow::Break(r) => break (plan, r?),
                 ControlFlow::Continue(()) => {}
+            }
+            // Every smaller capacity would plan these same bytes again.
+            if (0..degrees.len()).all(|i| degrees[i] == 0 || (plan.raw[i] && !plan.alias[i])) {
+                return None;
             }
         };
         let (mut buf, draws) = PreSampleBuffer::build(
@@ -374,10 +385,37 @@ impl Pending {
     }
 }
 
-/// A bucket entry: a walker slot plus the vertex whose edge data it is
-/// waiting for (its location; for second order with a pending candidate,
-/// the candidate).
-type Entry = (usize, VertexId);
+/// A bucket entry: a walker slot, the vertex whose edge data it is waiting
+/// for (its location; for second order with a pending candidate, the
+/// candidate), and its bucket's scan count when it was pushed.
+#[derive(Clone, Copy)]
+struct Entry {
+    slot: usize,
+    v: VertexId,
+    scan: u32,
+}
+
+/// The walkers waiting on one block, as a *parked prefix + untried tail*.
+///
+/// An entry is parked once an attempt to move it made no progress against
+/// the block's current pre-sample generation (its peek came back empty, it
+/// waits on a rejection, or there is no buffer). Pre-sample slots only
+/// drain, so nothing but a load of the block — which takes the whole
+/// bucket — can make a parked walker runnable; the scheduler pass skips the
+/// prefix and owes each parked walker the stall tick the skipped visit
+/// would have recorded (see [`Run::settle`]). A pass that polled every
+/// entry would re-push the failing prefix first and in order, so skipping
+/// it leaves bucket order exactly as polling would.
+#[derive(Clone, Default)]
+struct Bucket {
+    entries: Vec<Entry>,
+    /// `entries[..parked]` are parked.
+    parked: usize,
+    /// Scheduler passes that found this bucket non-empty with a buffer.
+    scans: u32,
+    /// [`Walk::cancel_epoch`] when the whole bucket was last polled.
+    swept: u64,
+}
 
 /// All mutable state of one engine run.
 struct Run<'e, A: Walk> {
@@ -391,7 +429,10 @@ struct Run<'e, A: Walk> {
     slab: Vec<Option<A::Walker>>,
     free: Vec<usize>,
     /// Walker entries bucketed by the block of their needed vertex.
-    buckets: Vec<Vec<Entry>>,
+    buckets: Vec<Bucket>,
+    /// Whether a parked walker's skipped visits tick the stall counters
+    /// (second order: only while it has no candidate).
+    owes_ticks: fn(&A, &A::Walker) -> bool,
     live: u64,
     next_id: u64,
     total: u64,
@@ -407,6 +448,9 @@ struct Run<'e, A: Walk> {
     max_block_bytes: u64,
     trace: Trace<'e>,
     wall: WallTimer,
+    /// Calls of `chase_presamples` / `chase_block` (the scheduler ratchet).
+    #[cfg(test)]
+    pickups: u64,
 }
 
 /// The live walker in slot `i`. Bucket entries only reference live slots,
@@ -464,7 +508,8 @@ impl<'e, A: Walk> Run<'e, A> {
             metrics: RunMetrics::default(),
             slab: Vec::new(),
             free: Vec::new(),
-            buckets: vec![Vec::new(); num_blocks],
+            buckets: vec![Bucket::default(); num_blocks],
+            owes_ticks: |_, _| true,
             live: 0,
             next_id: 0,
             total,
@@ -476,10 +521,18 @@ impl<'e, A: Walk> Run<'e, A> {
             max_block_bytes: engine.graph.max_block_bytes(),
             trace,
             wall: WallTimer::start(),
+            #[cfg(test)]
+            pickups: 0,
         })
     }
 
     fn finish(mut self) -> RunMetrics {
+        // A parked entry leaves its bucket only through `settle`, so empty
+        // buckets also mean no stall tick is left unbooked.
+        debug_assert!(
+            self.buckets.iter().all(|b| b.entries.is_empty()),
+            "a walker was left parked in a bucket"
+        );
         let at = self.clock.now();
         let steps = self.metrics.steps;
         let walkers_finished = self.metrics.walkers_finished;
@@ -523,10 +576,17 @@ impl<'e, A: Walk> Run<'e, A> {
             self.slab.push(Some(w));
             self.slab.len() - 1
         };
-        let b = self.graph.block_of(needed) as usize;
-        self.buckets[b].push((idx, needed));
+        self.enqueue(idx, needed);
         self.live += 1;
         idx
+    }
+
+    /// Appends walker `slot`, waiting on `v`, to the untried tail of `v`'s
+    /// bucket.
+    fn enqueue(&mut self, slot: usize, v: VertexId) {
+        let bucket = &mut self.buckets[self.graph.block_of(v) as usize];
+        let scan = bucket.scans;
+        bucket.entries.push(Entry { slot, v, scan });
     }
 
     fn retire(&mut self, i: usize) {
@@ -539,10 +599,83 @@ impl<'e, A: Walk> Run<'e, A> {
     /// Re-buckets walker `i` by `needed`; no-op if it terminated.
     fn rebucket(&mut self, i: usize, needed: impl Fn(&Self, &A::Walker) -> VertexId) {
         if let Some(w) = &self.slab[i] {
-            let v = needed(self, w);
-            let b = self.graph.block_of(v) as usize;
-            self.buckets[b].push((i, v));
+            self.enqueue(i, needed(self, w));
         }
+    }
+
+    /// Makes block `b`'s whole bucket untried again, first booking the
+    /// stall ticks its parked walkers are owed: one per scan of the bucket
+    /// since each was last settled — exactly what visiting them on every
+    /// pass would have recorded, so the wait-weighted `cnt` that steers the
+    /// next quota plan is unchanged. Must run before anything reads or
+    /// drops the buffer's counters and before a parked entry leaves the
+    /// bucket.
+    fn settle(&mut self, b: usize) {
+        let bucket = &mut self.buckets[b];
+        let parked = std::mem::take(&mut bucket.parked);
+        let Some(buf) = &mut self.presample[b] else {
+            return; // scans only advance while a buffer is present
+        };
+        for e in &bucket.entries[..parked] {
+            let owed = bucket.scans - e.scan;
+            if owed > 0 && (self.owes_ticks)(self.app, live(&self.slab, e.slot)) {
+                buf.record_stalls(e.v, owed);
+                self.metrics.record_presample_stalls(u64::from(owed));
+            }
+        }
+    }
+
+    /// Takes block `b`'s whole bucket for a load, ticks settled.
+    fn take_bucket(&mut self, b: BlockId) -> Vec<Entry> {
+        self.settle(b as usize);
+        std::mem::take(&mut self.buckets[b as usize].entries)
+    }
+
+    /// One scheduler pass (the `pass` of [`Run::run_pool`]): gives every
+    /// walker that may be able to move on reserved pre-samples one
+    /// `attempt`, block by block, and re-buckets it by `needed`. Parked
+    /// walkers are not visited. Returns the progress made.
+    fn pool_pass(
+        &mut self,
+        needed: impl Fn(&Self, &A::Walker) -> VertexId + Copy,
+        attempt: impl Fn(&mut Self, usize) -> u64,
+    ) -> u64 {
+        if !self.opts.enable_presample {
+            return 0;
+        }
+        let mut progress = 0u64;
+        for b in 0..self.buckets.len() {
+            if self.presample[b].is_none() || self.buckets[b].entries.is_empty() {
+                continue;
+            }
+            // Read per bucket: an `action` earlier in this pass may cancel
+            // walkers parked further on. They are retired by polling their
+            // bucket this once, at the pass a per-pass poll would have.
+            let epoch = self.app.cancel_epoch();
+            if std::mem::replace(&mut self.buckets[b].swept, epoch) != epoch {
+                self.settle(b);
+            }
+            let bucket = &mut self.buckets[b];
+            bucket.scans += 1;
+            if bucket.parked == bucket.entries.len() {
+                continue;
+            }
+            let tail = bucket.entries.split_off(bucket.parked);
+            // The first walker that moved and landed back here may move
+            // again; everything before it is parked.
+            let mut runnable = usize::MAX;
+            for e in tail {
+                let n = attempt(self, e.slot);
+                progress += n;
+                let at = self.buckets[b].entries.len();
+                self.rebucket(e.slot, needed);
+                if n > 0 && self.buckets[b].entries.len() > at {
+                    runnable = runnable.min(at);
+                }
+            }
+            self.buckets[b].parked = runnable.min(self.buckets[b].entries.len());
+        }
+        progress
     }
 
     /// Generates walkers up to `cap` live, shrinking the pool reservation
@@ -593,6 +726,10 @@ impl<'e, A: Walk> Run<'e, A> {
     /// Moves walker `i` as far as possible on pre-sampled / raw slots
     /// (the decoupled fast path). Returns steps taken.
     fn chase_presamples(&mut self, i: usize) -> u64 {
+        #[cfg(test)]
+        {
+            self.pickups += 1;
+        }
         let mut steps = 0u64;
         loop {
             let Some(w) = self.slab[i].as_ref() else {
@@ -656,6 +793,10 @@ impl<'e, A: Walk> Run<'e, A> {
     /// (GraphWalker-style re-entry; "use loaded edges as pre-sampled
     /// edges", §3.3.5), then keeps going on pre-samples. Returns steps.
     fn chase_block(&mut self, i: usize, src: &dyn EdgeSource) -> u64 {
+        #[cfg(test)]
+        {
+            self.pickups += 1;
+        }
         let mut steps = 0u64;
         loop {
             let Some(w) = self.slab[i].as_ref() else {
@@ -713,6 +854,7 @@ impl<'e, A: Walk> Run<'e, A> {
                         bytes: freed,
                         at_ns: at,
                     });
+                    self.settle(b);
                     self.presample[b] = None;
                 }
                 None => {
@@ -732,8 +874,8 @@ impl<'e, A: Walk> Run<'e, A> {
         self.buckets
             .iter()
             .enumerate()
-            .filter(|&(i, b)| Some(i as BlockId) != skip && !b.is_empty())
-            .max_by_key(|(_, b)| b.len())
+            .filter(|&(i, b)| Some(i as BlockId) != skip && !b.entries.is_empty())
+            .max_by_key(|(_, b)| b.entries.len())
             .map(|(i, _)| i as BlockId)
     }
 
@@ -771,8 +913,11 @@ impl<'e, A: Walk> Run<'e, A> {
         };
         self.check_fine_mode();
         if self.fine_mode {
-            let mut verts: Vec<VertexId> =
-                self.buckets[b as usize].iter().map(|&(_, v)| v).collect();
+            let mut verts: Vec<VertexId> = self.buckets[b as usize]
+                .entries
+                .iter()
+                .map(|e| e.v)
+                .collect();
             verts.sort_unstable();
             verts.dedup();
             // Bound the batch so its pages fit comfortably in memory; the
@@ -865,6 +1010,10 @@ impl<'e, A: Walk> Run<'e, A> {
         if nv == 0 {
             return;
         }
+        // Called with `b`'s bucket just taken for the load: no parked
+        // walker is owed a tick the snapshot below would miss, and the new
+        // generation finds the whole bucket untried.
+        debug_assert_eq!(self.buckets[b as usize].parked, 0);
         let old = self.presample[b as usize].take();
         let weights: Vec<u32> = if self.opts.uniform_presample_alloc {
             vec![0; nv] // zero weights → the planner falls back to uniform
@@ -997,24 +1146,10 @@ impl<'e, A: Walk> Run<'e, A> {
         )
     }
 
-    /// One pass over all waiting walkers, chasing pre-samples. Returns
-    /// total steps moved.
+    /// One pass over the walkers that may move, chasing pre-samples.
+    /// Returns total steps moved.
     fn presample_pass(&mut self) -> u64 {
-        if !self.opts.enable_presample {
-            return 0;
-        }
-        let mut moved = 0u64;
-        for b in 0..self.buckets.len() {
-            if self.presample[b].is_none() || self.buckets[b].is_empty() {
-                continue;
-            }
-            let bucket = std::mem::take(&mut self.buckets[b]);
-            for (i, _) in bucket {
-                moved += self.chase_presamples(i);
-                self.rebucket(i, |run, w| run.app.location(w));
-            }
-        }
-        moved
+        self.pool_pass(|run, w| run.app.location(w), Self::chase_presamples)
     }
 
     fn integrate_first_order(&mut self, p: Pending) {
@@ -1033,19 +1168,19 @@ impl<'e, A: Walk> Run<'e, A> {
         let cap = self.pool_cap();
         loop {
             let progress_mark = self.metrics.steps + self.metrics.walkers_finished + self.next_id;
-            let bucket = std::mem::take(&mut self.buckets[b as usize]);
+            let bucket = self.take_bucket(b);
             if bucket.is_empty() {
                 self.generate(cap, |run, w| run.app.location(w));
                 if self.next_id + self.metrics.walkers_finished == progress_mark
-                    || self.buckets[b as usize].is_empty()
+                    || self.buckets[b as usize].entries.is_empty()
                 {
                     break;
                 }
                 continue;
             }
-            for (i, needed) in bucket {
+            for Entry { slot: i, v, .. } in bucket {
                 if matches!(p, Pending::Fine { .. }) {
-                    served.push(needed);
+                    served.push(v);
                 }
                 self.chase_block(i, src);
                 self.rebucket(i, |run, w| run.app.location(w));
@@ -1086,7 +1221,7 @@ impl<'e, A: Walk> Run<'e, A> {
             // Walker-state swap (GraphWalker's fixed walker buffer,
             // §2.4.2): the block's walker states are read from and written
             // back to a swap region on the same device.
-            let in_block = self.buckets[b as usize].len() as u64;
+            let in_block = self.buckets[b as usize].entries.len() as u64;
             self.charge_swap(in_block)?;
             // Prefetch the next-hottest block while processing (skipped
             // when the budget cannot hold two block buffers).
@@ -1097,8 +1232,7 @@ impl<'e, A: Walk> Run<'e, A> {
                     Err(e) => return Err(e),
                 }
             }
-            let bucket = std::mem::take(&mut self.buckets[b as usize]);
-            for (i, _) in bucket {
+            for Entry { slot: i, .. } in self.take_bucket(b) {
                 self.chase_block(i, &*block);
                 self.rebucket(i, by_loc);
             }
@@ -1153,6 +1287,7 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
     }
 
     fn run_pooled_2nd(&mut self) -> Result<(), EngineError> {
+        self.owes_ticks = |app, w| app.candidate(w).is_none();
         self.run_pool(
             |run, w| run.needed_vertex(w),
             Self::integrate_2nd,
@@ -1163,21 +1298,7 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
     /// Hands candidates to candidate-less walkers from pre-samples
     /// (steps 1–2 of the rejection method, Appendix A.2).
     fn candidate_pass(&mut self) -> u64 {
-        if !self.opts.enable_presample {
-            return 0;
-        }
-        let mut progress = 0u64;
-        for b in 0..self.buckets.len() {
-            if self.presample[b].is_none() || self.buckets[b].is_empty() {
-                continue;
-            }
-            let bucket = std::mem::take(&mut self.buckets[b]);
-            for (i, _) in bucket {
-                progress += self.acquire_candidate(i);
-                self.rebucket(i, |run, w| run.needed_vertex(w));
-            }
-        }
-        progress
+        self.pool_pass(|run, w| run.needed_vertex(w), Self::acquire_candidate)
     }
 
     fn acquire_candidate(&mut self, i: usize) -> u64 {
@@ -1239,11 +1360,11 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
             Pending::Coarse { block, .. } => &**block,
             Pending::Fine { load, .. } => load,
         };
-        let bucket = std::mem::take(&mut self.buckets[b as usize]);
+        let bucket = self.take_bucket(b);
         let mut served: Vec<VertexId> = Vec::new();
-        for (i, needed) in bucket {
+        for Entry { slot: i, v, .. } in bucket {
             if matches!(p, Pending::Fine { .. }) {
-                served.push(needed);
+                served.push(v);
             }
             loop {
                 let Some(w) = self.slab[i].as_ref() else {
@@ -1437,26 +1558,105 @@ mod tests {
         assert!(m.fine_mode_at_step.is_none());
     }
 
+    /// An out-of-core regime: the graph (~128 KiB) far exceeds the budget
+    /// (24 KiB), so the block cache cannot mask reloads and the pre-sample
+    /// pool is what saves I/O.
+    fn ooc_engine(opts: EngineOptions) -> NosWalkerEngine<Basic> {
+        let csr = generators::rmat(12, 8, generators::RmatParams::default(), 11);
+        let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
+        let graph = Arc::new(OnDiskGraph::store(&csr, device, 4096).unwrap());
+        let app = Arc::new(Basic::new(2000, 10, csr.num_vertices()));
+        NosWalkerEngine::new(app, graph, opts, MemoryBudget::new(24 << 10))
+    }
+
     #[test]
     fn presample_knob_reduces_io() {
-        // An out-of-core regime: the graph (~128 KiB) far exceeds the
-        // budget (24 KiB), so the block cache cannot mask reloads and the
-        // pre-sample pool is what saves I/O.
-        let mk = |opts: EngineOptions| {
-            let csr = generators::rmat(12, 8, generators::RmatParams::default(), 11);
-            let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
-            let graph = Arc::new(OnDiskGraph::store(&csr, device, 4096).unwrap());
-            let app = Arc::new(Basic::new(2000, 10, csr.num_vertices()));
-            NosWalkerEngine::new(app, graph, opts, MemoryBudget::new(24 << 10))
-        };
-        let m_no = mk(EngineOptions::with_shrink_block()).run(3).unwrap();
-        let m_ps = mk(EngineOptions::full()).run(3).unwrap();
+        let m_no = ooc_engine(EngineOptions::with_shrink_block())
+            .run(3)
+            .unwrap();
+        let m_ps = ooc_engine(EngineOptions::full()).run(3).unwrap();
         assert!(m_ps.steps_on_presample > 0);
         assert!(
             m_ps.edge_bytes_loaded < m_no.edge_bytes_loaded,
             "pre-sampling should reduce edge I/O: {} vs {}",
             m_ps.edge_bytes_loaded,
             m_no.edge_bytes_loaded
+        );
+    }
+
+    #[test]
+    fn scheduler_cost_follows_steps_not_pool_size_times_passes() {
+        // The `presample_knob_reduces_io` cell (`scheduler_parity`'s cell
+        // (a)). The polling pass that re-visited every waiting walker on
+        // every scheduler pass cost 58,764 pick-ups for these 13,381 steps
+        // (4.39 per step); park-once measures 25,323 (1.89). Wall-free: a
+        // loop that is O(pool x passes) again cannot pass this, whatever
+        // the host. `presample_stalls` cannot serve as the guard — it is
+        // identical by design.
+        let engine = ooc_engine(EngineOptions::full());
+        let mut run = Run::new(&engine, 3, Trace::from_option(None)).unwrap();
+        run.run_pooled().unwrap();
+        let pickups = run.pickups;
+        let m = run.finish();
+        assert_eq!((m.steps, m.presample_stalls), (13_381, 37_469));
+        let per_step = pickups as f64 / m.steps as f64;
+        assert!(
+            per_step < 1.25 * 1.89,
+            "{pickups} pick-ups for {} steps = {per_step:.2} per step",
+            m.steps
+        );
+    }
+
+    /// Builds block 0's generation under `opts` with a budget policy that
+    /// always refuses and halves down to the 64-slot floor; returns the
+    /// capacities it was asked at.
+    fn refused_build_capacities(opts: EngineOptions) -> Vec<u64> {
+        let csr = generators::rmat(10, 8, generators::RmatParams::default(), 11);
+        let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
+        let graph = OnDiskGraph::store(&csr, device, 2048).unwrap();
+        let (block, _) = graph.load_block(0, &MemoryBudget::new(1 << 20)).unwrap();
+        let info = *block.info();
+        let generation = Generation {
+            app: &Basic::new(1, 1, csr.num_vertices()),
+            graph: &graph,
+            opts: &opts,
+            src: &block,
+        };
+        let mut asked = Vec::new();
+        let built = generation.build(
+            &info,
+            None,
+            &vec![0; info.num_vertices() as usize],
+            4096,
+            &mut WalkRng::seed_from_u64(1),
+            |_bytes, slots| {
+                asked.push(*slots);
+                if *slots > 64 {
+                    *slots /= 2;
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(None)
+                }
+            },
+        );
+        assert!(built.is_none());
+        asked
+    }
+
+    #[test]
+    fn refused_build_replans_only_while_capacity_can_change_the_plan() {
+        // All-raw (what serve runs): the plan is a raw copy of the block
+        // whatever the capacity, so one refusal settles it.
+        let all_raw = EngineOptions {
+            low_degree_threshold: u32::MAX,
+            ..EngineOptions::default()
+        };
+        assert_eq!(refused_build_capacities(all_raw), [4096]);
+        // Default options: halving shrinks the sampled share, so the
+        // policy is followed all the way down to its floor.
+        assert_eq!(
+            refused_build_capacities(EngineOptions::default()),
+            [4096, 2048, 1024, 512, 256, 128, 64]
         );
     }
 

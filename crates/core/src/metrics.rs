@@ -71,7 +71,13 @@ pub struct RunMetrics {
     pub walkers_cancelled: u64,
     /// Walker visits that found an empty reserved pre-sample slot and had
     /// to wait for the block (the sequential mirror of `pool_stalls`; the
-    /// serving layer's shedding policy watches this rate).
+    /// serving layer's shedding policy watches this rate). Counted per
+    /// *scheduler scan*, not per walker: a walker that stalls is counted
+    /// once when it arrives and once more for every later pass of the
+    /// pooled loop over its block's bucket while that block has a buffer
+    /// and the walker is still waiting — so the figure is wait-weighted
+    /// and can exceed `steps` several times over (8.4 per step on an
+    /// out-of-core batch run).
     pub presample_stalls: u64,
     /// Step count at which the engine switched to fine-grained mode
     /// (`None` = never switched).
@@ -172,7 +178,13 @@ impl RunMetrics {
     /// Records a walker visit that found an empty reserved pre-sample slot
     /// (the walker stalls until its block loads).
     pub fn record_presample_stall(&mut self) {
-        self.presample_stalls += 1;
+        self.record_presample_stalls(1);
+    }
+
+    /// Records `n` such visits at once (the sequential engine books a
+    /// parked walker's stalled visits in bulk, see DESIGN.md §7).
+    pub fn record_presample_stalls(&mut self, n: u64) {
+        self.presample_stalls += n;
     }
 
     /// Overwrites the finished-walker count from an engine that tracks

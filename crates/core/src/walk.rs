@@ -107,6 +107,18 @@ pub trait Walk: Send + Sync {
         false
     }
 
+    /// A counter that moves whenever [`Walk::is_active`] may have turned
+    /// false for a walker nobody touched — a cancellation reaching walkers
+    /// that are waiting in the engine. The sequential engine does not look
+    /// at a parked walker again until its block loads; when this counter
+    /// moves it re-checks the parked ones first, so they retire at the
+    /// same scheduler pass a per-pass poll would have retired them. Apps
+    /// whose `is_active` reads walker state only never need it; the
+    /// default is a constant.
+    fn cancel_epoch(&self) -> u64 {
+        0
+    }
+
     /// Bytes of memory charged per live walker.
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self::Walker>().max(1)

@@ -185,12 +185,19 @@ fn test_ranges(toks: &[Token]) -> Vec<(u32, u32)> {
             || (content.first() == Some(&"cfg") && content.contains(&"test"));
         if is_test {
             // Scan forward to the item body `{` (stopping at `;` for
-            // bodiless items like `#[cfg(test)] use …;`).
+            // bodiless items like `#[cfg(test)] use …;`, and at a `,` or
+            // `}` outside any bracket for a test-only struct field or
+            // field initializer, which has no body of its own).
             let mut k = j;
             let mut open = None;
+            let mut nest = 0i32;
             while k < toks.len() {
                 match toks[k].text.as_str() {
                     ";" => break,
+                    "," | "}" if nest == 0 => break,
+                    "(" | "[" | "<" => nest += 1,
+                    ")" | "]" | ">" => nest -= 1,
+                    ">>" => nest -= 2,
                     "{" => {
                         open = Some(k);
                         break;
@@ -217,4 +224,33 @@ fn test_ranges(toks: &[Token]) -> Vec<(u32, u32)> {
         i = j;
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ranges(src: &str) -> Vec<(u32, u32)> {
+        test_ranges(&lex(src).tokens)
+    }
+
+    #[test]
+    fn test_only_fields_do_not_swallow_the_next_body() {
+        // A `#[cfg(test)]` struct field or field initializer has no body;
+        // the item after it is production code.
+        let src =
+            "struct S {\n a: u8,\n #[cfg(test)]\n b: u8,\n}\nfn live() {\n x.expect(\"\");\n}\n";
+        assert_eq!(ranges(src), []);
+        let src = "fn new() -> S {\n S {\n a: 0,\n #[cfg(test)]\n b: 0,\n }\n}\nfn f() {\n}\n";
+        assert_eq!(ranges(src), []);
+    }
+
+    #[test]
+    fn test_items_and_blocks_are_covered_to_their_closing_brace() {
+        let src =
+            "#[cfg(test)]\nimpl<A, B> T<Vec<Vec<A>>, B> for (A, B) {\n fn f() {}\n}\nfn g() {}\n";
+        assert_eq!(ranges(src), [(1, 4)]);
+        let src = "fn f() {\n #[cfg(test)]\n {\n n += 1;\n }\n g();\n}\n#[cfg(test)]\nuse a::b;\n";
+        assert_eq!(ranges(src), [(2, 5)]);
+    }
 }

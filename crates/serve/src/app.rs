@@ -171,6 +171,9 @@ struct Slot {
 #[derive(Debug, Default)]
 pub struct QueryTable {
     slots: Vec<Slot>,
+    /// Cancel flags raised so far ([`Walk::cancel_epoch`]): tells the
+    /// sequential engine that walkers it parked may have gone inactive.
+    cancel_epoch: AtomicU64,
 }
 
 fn mix(v: VertexId) -> u64 {
@@ -197,6 +200,7 @@ impl QueryTable {
                     digest: AtomicU64::new(0),
                 })
                 .collect(),
+            cancel_epoch: AtomicU64::new(0),
         }
     }
 
@@ -247,9 +251,12 @@ impl QueryTable {
     /// already fired (the query stays active until every in-flight walker
     /// is accounted for, keeping the query-conservation law balanced).
     pub fn cancel(&self, slot: u32) {
-        self.slots[slot as usize]
+        if !self.slots[slot as usize]
             .cancel_flag
-            .store(true, Ordering::Relaxed);
+            .swap(true, Ordering::Relaxed)
+        {
+            self.cancel_epoch.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Steps taken by `slot`'s walkers this round.
@@ -449,7 +456,7 @@ impl Walk for RoundApp {
                 // every remaining walker of this query (they retire as
                 // cancelled) and keep what was computed as the partial,
                 // degraded result.
-                s.cancel_flag.store(true, Ordering::Relaxed);
+                self.table.cancel(w.slot);
             }
         }
         w.at = match s.class {
@@ -490,6 +497,10 @@ impl Walk for RoundApp {
         // attribution above keeps them out of the cancelled tally.
         let s = self.slot(w);
         w.step < s.length && (s.cancel_flag.load(Ordering::Relaxed) || !self.owns(w.at))
+    }
+
+    fn cancel_epoch(&self) -> u64 {
+        self.table.cancel_epoch.load(Ordering::Relaxed)
     }
 }
 

@@ -236,7 +236,12 @@ impl TickCore {
         // refill path differs per kernel. With every retained buffer raw,
         // destinations come only from `Walk::sample_for` (walker-private
         // randomness) on either backend, which is what makes
-        // cross-backend digests bit-identical.
+        // cross-backend digests bit-identical. What it costs: an all-raw
+        // buffer is a whole-block raw copy, planned outside the capacity
+        // it was offered, so it is built only when the budget happens to
+        // hold it — 63–67 of the 156–168 attempts in a 2,000-walker round
+        // on the scale-16 graph at a 25 % budget. The serving pre-sample
+        // builder (ROADMAP item 1) starts from that split, not from zero.
         let mut round_opts = opts.engine.clone();
         round_opts.low_degree_threshold = u32::MAX;
         let built: Vec<Lane> = lanes

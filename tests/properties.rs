@@ -199,19 +199,41 @@ proptest! {
     #[test]
     fn noswalker_is_deterministic_under_arbitrary_configs(
         seed in 0u64..1000,
-        walkers in 1u64..100,
-        length in 1u32..8,
+        walkers in 1u64..300,
+        length in 1u32..10,
+        budget_kib in 24u64..96,
+        pool in 1usize..96,
+        rung in 0usize..8,
+        alpha in 0u64..5,
     ) {
-        let csr = noswalker::graph::generators::uniform_degree(64, 4, 5);
+        // 64 KiB of edges in 2 KiB blocks: the small budgets are out of
+        // core, so walkers park on dry buffers and wait for loads, and a
+        // small `alpha` turns those loads fine-grained. A parked walker
+        // nobody wakes must fail here (the engine's own `debug_assert!`s,
+        // or the walker count below), not hang a benchmark.
+        let csr = noswalker::graph::generators::uniform_degree(2048, 8, 5);
+        let ladder = [
+            EngineOptions::base(),
+            EngineOptions::with_walker_management(),
+            EngineOptions::with_shrink_block(),
+            EngineOptions::full(),
+        ];
+        let opts = EngineOptions {
+            walker_pool_size: pool,
+            alpha,
+            ..ladder[rung.min(3)].clone()
+        };
         let run = || {
             let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
-            let graph = Arc::new(OnDiskGraph::store(&csr, device, 128).unwrap());
-            let app = Arc::new(BasicRw::new(walkers, length, 64));
-            NosWalkerEngine::new(app, graph, EngineOptions::default(), MemoryBudget::new(1 << 20))
+            let graph = Arc::new(OnDiskGraph::store(&csr, device, 2048).unwrap());
+            let app = Arc::new(BasicRw::new(walkers, length, 2048));
+            NosWalkerEngine::new(app, graph, opts.clone(), MemoryBudget::new(budget_kib << 10))
                 .run(seed)
                 .unwrap()
         };
         let (mut a, mut b) = (run(), run());
+        prop_assert_eq!(a.walkers_finished + a.walkers_cancelled, walkers);
+        prop_assert_eq!(a.steps, b.steps);
         a.wall_ns = 0;
         b.wall_ns = 0;
         prop_assert_eq!(a, b);
