@@ -14,10 +14,11 @@
 //! | [`in_memory`] | ThunderRW (VLDB '21) | whole graph resident; separates load time from walk time |
 //! | [`distributed`] | KnightKing (SOSP '19) | partitioned in-memory cluster with per-hop network messages |
 
-#![forbid(unsafe_code)]
-// Walker-movement loops re-borrow the walker set mutably inside the body,
-// so clippy's `while let` suggestion does not compile there.
-#![allow(clippy::while_let_loop)]
+#![allow(
+    clippy::while_let_loop,
+    reason = "walker-movement loops re-borrow the walker set mutably inside the body, \
+              so clippy's `while let` suggestion does not compile there"
+)]
 
 pub mod common;
 pub mod distributed;

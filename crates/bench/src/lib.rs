@@ -12,7 +12,11 @@
 //! the rows as TSV under `results/`. See `EXPERIMENTS.md` at the workspace
 //! root for paper-vs-measured summaries.
 
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the paper-figure harness sits outside the engine's determinism invariant; its \
+              dataset cache is a HashMap whose order is never observed"
+)]
 
 pub mod datasets;
 pub mod experiments;

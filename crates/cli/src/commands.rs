@@ -194,7 +194,10 @@ fn write_trace(path: &str, sink: &MemorySink) -> Result<String, String> {
 }
 
 /// `noswalker run <graph> --app APP ... [--trace-out PATH]`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per parsed `run` flag"
+)]
 pub fn run_walk(
     graph_path: &str,
     app: &str,
@@ -331,7 +334,10 @@ pub fn run_walk(
 /// submits each query when its `at_us` of wall time has elapsed;
 /// `--duration-ms` caps the run, shutting the server down mid-serve
 /// (in-flight queries report degraded partials, nothing is lost).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per parsed `serve` flag"
+)]
 pub fn run_serve(
     graph_path: &str,
     script_path: &str,
@@ -401,6 +407,11 @@ pub fn run_serve(
 /// the server is shut down when the cap elapses — whatever is in flight
 /// reports a degraded partial, and every submitted query still gets
 /// exactly one outcome.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the CLI is the wall-clock boundary: a realtime `serve` paces the script's \
+              arrivals and its duration cap with real sleeps"
+)]
 fn run_serve_realtime(
     graph: Arc<OnDiskGraph>,
     budget: Arc<MemoryBudget>,

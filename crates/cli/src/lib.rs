@@ -14,8 +14,6 @@
 //! subcommand is a pure function from parsed options to an exit report, so
 //! the whole surface is unit-testable.
 
-#![forbid(unsafe_code)]
-
 pub mod args;
 pub mod commands;
 

@@ -1,7 +1,5 @@
 //! The `noswalker` binary.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -586,6 +586,7 @@ impl AuditReport {
 
     /// Panics with every violation listed unless the report is clean.
     /// Intended for test builds and debug assertions.
+    #[expect(clippy::panic, reason = "panicking is its documented purpose")]
     pub fn assert_clean(&self) {
         if !self.is_clean() {
             let mut msg = String::from("run audit failed:\n");
@@ -596,8 +597,6 @@ impl AuditReport {
                 msg.push_str(&v.detail);
                 msg.push('\n');
             }
-            // LINT-ALLOW(L5): panicking is this method's documented purpose
-            // — it is the assertion form of the audit report.
             panic!("{msg}");
         }
     }
@@ -714,183 +713,210 @@ impl RunAudit {
     ///     source shard via the cancellation path, so
     ///     `walkers_emigrated <= walkers_cancelled`.
     pub fn verify_metrics(&self, m: &RunMetrics) -> AuditReport {
+        let RunMetrics {
+            sim_ns,
+            wall_ns: _,
+            stall_ns,
+            io_busy_ns: _,
+            steps,
+            steps_on_block,
+            steps_on_presample,
+            steps_on_raw,
+            edge_bytes_loaded,
+            edges_loaded,
+            io_ops,
+            swap_bytes,
+            coarse_loads,
+            fine_loads,
+            walkers_finished,
+            walkers_cancelled,
+            presample_stalls,
+            fine_mode_at_step: _,
+            presamples_filled,
+            presamples_consumed,
+            pool_publishes,
+            pool_stalls,
+            pool_deferrals,
+            pool_attempts,
+            claims_burned,
+            prefetch_hits,
+            prefetch_wasted,
+            walkers_emigrated,
+            walkers_immigrated,
+            accepts,
+            rejects,
+            peak_memory,
+        } = *m;
         let mut violations = Vec::new();
         let mut fail = |law: &'static str, detail: String| {
             violations.push(Violation { law, detail });
         };
 
-        let attributed = m.steps_on_block + m.steps_on_presample + m.steps_on_raw;
-        if m.steps != attributed {
+        let attributed = steps_on_block + steps_on_presample + steps_on_raw;
+        if steps != attributed {
             fail(
                 "step-attribution",
                 format!(
-                    "steps {} != on_block {} + on_presample {} + on_raw {} (= {})",
-                    m.steps, m.steps_on_block, m.steps_on_presample, m.steps_on_raw, attributed
+                    "steps {steps} != on_block {steps_on_block} + on_presample \
+                     {steps_on_presample} + on_raw {steps_on_raw} (= {attributed})"
                 ),
             );
         }
-        if m.walkers_finished + m.walkers_cancelled != self.total_walkers {
+        if walkers_finished + walkers_cancelled != self.total_walkers {
             fail(
                 "walker-completion",
                 format!(
-                    "walkers_finished {} + walkers_cancelled {} != total_walkers {}",
-                    m.walkers_finished, m.walkers_cancelled, self.total_walkers
+                    "walkers_finished {walkers_finished} + walkers_cancelled \
+                     {walkers_cancelled} != total_walkers {}",
+                    self.total_walkers
                 ),
             );
         }
-        if m.presamples_consumed + m.claims_burned > m.presamples_filled {
+        if presamples_consumed + claims_burned > presamples_filled {
             fail(
                 "presample-balance",
                 format!(
-                    "presamples_consumed {} + claims_burned {} > presamples_filled {}",
-                    m.presamples_consumed, m.claims_burned, m.presamples_filled
+                    "presamples_consumed {presamples_consumed} + claims_burned \
+                     {claims_burned} > presamples_filled {presamples_filled}"
                 ),
             );
         }
-        if m.pool_attempts > m.presamples_consumed + m.claims_burned + m.pool_stalls {
+        if pool_attempts > presamples_consumed + claims_burned + pool_stalls {
             fail(
                 "claim-conservation",
                 format!(
-                    "pool_attempts {} > presamples_consumed {} + claims_burned {} + \
-                     pool_stalls {} — a claimed slot leaked without being consumed, \
-                     burned, or stalled",
-                    m.pool_attempts, m.presamples_consumed, m.claims_burned, m.pool_stalls
+                    "pool_attempts {pool_attempts} > presamples_consumed \
+                     {presamples_consumed} + claims_burned {claims_burned} + \
+                     pool_stalls {pool_stalls} — a claimed slot leaked without being \
+                     consumed, burned, or stalled"
                 ),
             );
         }
-        let loads = m.coarse_loads + m.fine_loads;
-        if m.edge_bytes_loaded > 0 && (loads == 0 || m.io_ops == 0) {
+        let loads = coarse_loads + fine_loads;
+        if edge_bytes_loaded > 0 && (loads == 0 || io_ops == 0) {
             fail(
                 "load-byte-consistency",
                 format!(
-                    "edge_bytes_loaded {} with coarse_loads {} + fine_loads {} and io_ops {}",
-                    m.edge_bytes_loaded, m.coarse_loads, m.fine_loads, m.io_ops
+                    "edge_bytes_loaded {edge_bytes_loaded} with coarse_loads \
+                     {coarse_loads} + fine_loads {fine_loads} and io_ops {io_ops}"
                 ),
             );
         }
-        if loads > 0 && m.edge_bytes_loaded == 0 {
+        if loads > 0 && edge_bytes_loaded == 0 {
             fail(
                 "load-byte-consistency",
                 format!(
-                    "{} loads issued ({} coarse, {} fine) but edge_bytes_loaded == 0",
-                    loads, m.coarse_loads, m.fine_loads
+                    "{loads} loads issued ({coarse_loads} coarse, {fine_loads} fine) but \
+                     edge_bytes_loaded == 0"
                 ),
             );
         }
-        if m.stall_ns > m.sim_ns {
+        if stall_ns > sim_ns {
             fail(
                 "clock-sanity",
-                format!("stall_ns {} > sim_ns {}", m.stall_ns, m.sim_ns),
+                format!("stall_ns {stall_ns} > sim_ns {sim_ns}"),
             );
         }
-        if m.edges_loaded > m.edge_bytes_loaded {
+        if edges_loaded > edge_bytes_loaded {
             fail(
                 "edge-accounting",
                 format!(
-                    "edges_loaded {} > edge_bytes_loaded {} (an edge costs at least one byte)",
-                    m.edges_loaded, m.edge_bytes_loaded
+                    "edges_loaded {edges_loaded} > edge_bytes_loaded {edge_bytes_loaded} \
+                     (an edge costs at least one byte)"
                 ),
             );
         }
-        if m.swap_bytes > 0 && self.total_walkers == 0 {
+        if swap_bytes > 0 && self.total_walkers == 0 {
             fail(
                 "swap-attribution",
-                format!(
-                    "swap_bytes {} moved but the run had no walkers to swap",
-                    m.swap_bytes
-                ),
+                format!("swap_bytes {swap_bytes} moved but the run had no walkers to swap"),
             );
         }
-        if m.accepts > m.steps_on_block {
+        if accepts > steps_on_block {
             fail(
                 "second-order-balance",
                 format!(
-                    "accepts {} > steps_on_block {} (every accepted candidate is a \
-                     resident-block step)",
-                    m.accepts, m.steps_on_block
+                    "accepts {accepts} > steps_on_block {steps_on_block} (every accepted \
+                     candidate is a resident-block step)"
                 ),
             );
         }
-        if m.accepts + m.rejects > 0 && loads == 0 {
+        if accepts + rejects > 0 && loads == 0 {
             fail(
                 "second-order-balance",
                 format!(
-                    "rejection sampling ran ({} accepts, {} rejects) with no loads — \
-                     candidate edges must come from loaded data",
-                    m.accepts, m.rejects
+                    "rejection sampling ran ({accepts} accepts, {rejects} rejects) with no \
+                     loads — candidate edges must come from loaded data"
                 ),
             );
         }
-        if m.prefetch_hits > m.coarse_loads {
+        if prefetch_hits > coarse_loads {
             fail(
                 "prefetch-accounting",
                 format!(
-                    "prefetch_hits {} > coarse_loads {} (every hit is a coarse load \
-                     served early)",
-                    m.prefetch_hits, m.coarse_loads
+                    "prefetch_hits {prefetch_hits} > coarse_loads {coarse_loads} (every hit \
+                     is a coarse load served early)"
                 ),
             );
         }
-        if m.prefetch_hits + m.prefetch_wasted > 0 && m.coarse_loads == 0 {
+        if prefetch_hits + prefetch_wasted > 0 && coarse_loads == 0 {
             fail(
                 "prefetch-accounting",
                 format!(
-                    "prefetch outcomes recorded ({} hits, {} wasted) with no coarse \
-                     loads — the first load is always a demand load",
-                    m.prefetch_hits, m.prefetch_wasted
+                    "prefetch outcomes recorded ({prefetch_hits} hits, {prefetch_wasted} \
+                     wasted) with no coarse loads — the first load is always a demand load"
                 ),
             );
         }
-        if m.pool_publishes > 0 && m.coarse_loads == 0 {
+        if pool_publishes > 0 && coarse_loads == 0 {
             fail(
                 "pool-accounting",
                 format!(
-                    "pool_publishes {} with no coarse loads — published buffers are \
-                     built from loaded block data",
-                    m.pool_publishes
+                    "pool_publishes {pool_publishes} with no coarse loads — published \
+                     buffers are built from loaded block data"
                 ),
             );
         }
-        if m.presample_stalls + m.pool_stalls + m.pool_deferrals > 0
-            && m.steps == 0
-            && m.walkers_cancelled == 0
+        if presample_stalls + pool_stalls + pool_deferrals > 0
+            && steps == 0
+            && walkers_cancelled == 0
         {
             fail(
                 "stall-accounting",
                 format!(
-                    "stalls recorded ({} presample, {} pool, {} deferred) but the run \
-                     took no steps and cancelled no walkers — a waiting walker was lost",
-                    m.presample_stalls, m.pool_stalls, m.pool_deferrals
+                    "stalls recorded ({presample_stalls} presample, {pool_stalls} pool, \
+                     {pool_deferrals} deferred) but the run took no steps and cancelled no \
+                     walkers — a waiting walker was lost"
                 ),
             );
         }
-        if m.walkers_immigrated > m.walkers_emigrated {
+        if walkers_immigrated > walkers_emigrated {
             fail(
                 "handoff-conservation",
                 format!(
-                    "walkers_immigrated {} > walkers_emigrated {} — a shard re-admitted \
-                     a walker that never crossed a boundary",
-                    m.walkers_immigrated, m.walkers_emigrated
+                    "walkers_immigrated {walkers_immigrated} > walkers_emigrated \
+                     {walkers_emigrated} — a shard re-admitted a walker that never crossed \
+                     a boundary"
                 ),
             );
         }
-        if m.walkers_emigrated > m.walkers_cancelled {
+        if walkers_emigrated > walkers_cancelled {
             fail(
                 "handoff-conservation",
                 format!(
-                    "walkers_emigrated {} > walkers_cancelled {} — every emigrated walker \
-                     is retired on its source shard via the cancellation path",
-                    m.walkers_emigrated, m.walkers_cancelled
+                    "walkers_emigrated {walkers_emigrated} > walkers_cancelled \
+                     {walkers_cancelled} — every emigrated walker is retired on its source \
+                     shard via the cancellation path"
                 ),
             );
         }
-        if m.peak_memory != 0 && m.peak_memory < self.budget_floor {
+        if peak_memory != 0 && peak_memory < self.budget_floor {
             fail(
                 "budget-peak",
                 format!(
-                    "peak_memory {} below the pre-run budget floor {} (the peak is a \
-                     running maximum starting at the floor)",
-                    m.peak_memory, self.budget_floor
+                    "peak_memory {peak_memory} below the pre-run budget floor {} (the peak \
+                     is a running maximum starting at the floor)",
+                    self.budget_floor
                 ),
             );
         }

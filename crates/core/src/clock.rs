@@ -101,9 +101,9 @@ impl PipelineClock {
 /// and the real-thread runner's trace timestamps.
 ///
 /// This is the single sanctioned gateway to `std::time::Instant` in
-/// engine code: the `nosw-lint` L3 rule forbids `Instant::now` everywhere
-/// except this module and the bench/CLI crates, so simulated results can
-/// never silently depend on host time.
+/// engine code: `crates/clippy.toml` bans `Instant::now` everywhere else
+/// outside the bench/CLI crates, so simulated results can never silently
+/// depend on host time.
 #[derive(Debug, Clone, Copy)]
 pub struct WallTimer {
     started: std::time::Instant,
@@ -111,6 +111,7 @@ pub struct WallTimer {
 
 impl WallTimer {
     /// Starts the timer.
+    #[expect(clippy::disallowed_methods, reason = "the one wall-clock gateway")]
     pub fn start() -> Self {
         WallTimer {
             started: std::time::Instant::now(),

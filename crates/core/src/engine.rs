@@ -217,12 +217,12 @@ impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
             &plan,
             weighted,
             |v| {
-                // LINT-ALLOW(L5): the quota planner zeroes uncovered vertices.
+                #[expect(clippy::expect_used, reason = "the planner zeroes uncovered vertices")]
                 let view = src.edges(graph, v).expect("planned vertices are covered");
                 self.app.sample(&view, rng)
             },
             |v, edges, mut wts| {
-                // LINT-ALLOW(L5): the quota planner zeroes uncovered vertices.
+                #[expect(clippy::expect_used, reason = "the planner zeroes uncovered vertices")]
                 let view = src.edges(graph, v).expect("planned vertices are covered");
                 for i in 0..view.degree() {
                     edges.push(view.target(i));
@@ -456,28 +456,28 @@ struct Run<'e, A: Walk> {
 /// The live walker in slot `i`. Bucket entries only reference live slots,
 /// so a vacant slot here is engine-state corruption, not a user error.
 fn live<W>(slab: &[Option<W>], i: usize) -> &W {
-    // LINT-ALLOW(L5): bucket entries always reference live slab slots.
+    #[expect(clippy::expect_used, reason = "bucket entries reference live slots")]
     slab[i].as_ref().expect("bucketed walker slot is live")
 }
 
 /// Mutable access to the live walker in slot `i` (see [`live`]).
 fn live_mut<W>(slab: &mut [Option<W>], i: usize) -> &mut W {
-    // LINT-ALLOW(L5): bucket entries always reference live slab slots.
+    #[expect(clippy::expect_used, reason = "bucket entries reference live slots")]
     slab[i].as_mut().expect("bucketed walker slot is live")
 }
 
 /// Takes the live walker out of slot `i` for retirement (see [`live`]).
 fn take_live<W>(slab: &mut [Option<W>], i: usize) -> W {
-    // LINT-ALLOW(L5): bucket entries always reference live slab slots.
+    #[expect(clippy::expect_used, reason = "bucket entries reference live slots")]
     slab[i].take().expect("retiring a live walker")
 }
 
 /// The pre-sample buffer for block `b`, which the caller has just peeked
 /// (the shared `Peek` borrow ends before this mutable re-borrow starts).
 fn peeked_buf(bufs: &mut [Option<PreSampleBuffer>], b: usize) -> &mut PreSampleBuffer {
+    #[expect(clippy::expect_used, reason = "callers check the buffer is present")]
     bufs[b]
         .as_mut()
-        // LINT-ALLOW(L5): callers check the buffer is present before mutating.
         .expect("pre-sample buffer peeked by caller")
 }
 

@@ -72,10 +72,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
-// The engine's walker-movement loops re-borrow the slab mutably inside the
-// body, so clippy's `while let` suggestion does not compile there.
-#![allow(clippy::while_let_loop)]
+#![allow(
+    clippy::while_let_loop,
+    reason = "the engine's walker-movement loops re-borrow the slab mutably inside the body, \
+              so clippy's `while let` suggestion does not compile there"
+)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(test, allow(clippy::disallowed_types, reason = "test code is exempt"))]
 
 pub mod audit;
 pub mod block;

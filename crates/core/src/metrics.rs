@@ -1,9 +1,10 @@
 //! Run metrics shared by every engine.
 //!
-//! All mutation goes through the tracked helpers on [`RunMetrics`]: the
-//! `nosw-lint` L1 rule forbids direct field writes outside this module, so
-//! the audit conservation laws cannot be bypassed by an engine quietly
-//! bumping a counter. In particular [`RunMetrics::record_step`] couples
+//! All mutation goes through the tracked helpers on [`RunMetrics`]:
+//! `tests/source_invariants.rs` (rule L1) fails on a direct field write
+//! outside this module, so the audit conservation laws cannot be bypassed
+//! by an engine quietly bumping a counter. In particular
+//! [`RunMetrics::record_step`] couples
 //! `steps` to exactly one of the three attribution counters, making the
 //! step-attribution law structurally true at every call site. The
 //! real-thread runner's workers each accumulate into a private
@@ -135,7 +136,7 @@ pub struct RunMetrics {
 
 impl RunMetrics {
     // ------------------------------------------------------------------
-    // Tracked mutation helpers (the only sanctioned write sites; lint L1)
+    // Tracked mutation helpers (the only sanctioned write sites; rule L1)
     // ------------------------------------------------------------------
 
     /// Records one walker step served from `src`. Couples `steps` to its

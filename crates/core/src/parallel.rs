@@ -67,6 +67,12 @@
 //! still reports honest wall time. Walk *semantics* are identical to the
 //! sequential engine (same `Walk` contract), which the tests check.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "`refill_pending` is an Acquire/Release hand-off (see its ORDERING: comments); \
+              `published_bytes` is a Relaxed advisory tally, the swap is ordered by the slot mutex"
+)]
+
 use crate::audit::{RunAudit, Trace, TraceEvent, TraceSink};
 use crate::block::LoadedBlock;
 use crate::clock::{PipelineClock, WallTimer};
@@ -160,12 +166,10 @@ impl SharedPool {
         // their next share from it), never a synchronization edge; the
         // generation swap itself is ordered by the slot mutex.
         let added = buf.memory_bytes();
-        // LINT-ALLOW(L10): mergeable advisory counter, see above.
         self.published_bytes.fetch_add(added, Ordering::Relaxed);
         let old = self.slots[b as usize].published.lock().replace(buf);
         if let Some(old) = &old {
             let freed = old.memory_bytes();
-            // LINT-ALLOW(L10): same advisory byte tally as above.
             self.published_bytes.fetch_sub(freed, Ordering::Relaxed);
         }
         old
@@ -181,7 +185,6 @@ impl SharedPool {
         if let Some(buf) = &buf {
             *slot.carried_weights.lock() = Some(buf.visit_weights_snapshot());
             let freed = buf.memory_bytes();
-            // LINT-ALLOW(L10): advisory byte tally, see `publish`.
             self.published_bytes.fetch_sub(freed, Ordering::Relaxed);
         }
         buf
@@ -193,7 +196,6 @@ impl SharedPool {
     /// because a budget-pressure eviction darkens whole blocks (every
     /// claim on them stalls) until their next residency.
     fn published_bytes(&self) -> u64 {
-        // LINT-ALLOW(L10): advisory byte tally, see `publish`.
         self.published_bytes.load(Ordering::Relaxed)
     }
 
@@ -527,11 +529,11 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
                 let shared = Arc::clone(&shared);
                 let (job_rx, res_tx, refill_tx) =
                     (job_rx.clone(), res_tx.clone(), refill_tx.clone());
+                #[expect(clippy::disallowed_methods, reason = "sanctioned spawn: worker pool")]
+                #[expect(clippy::expect_used, reason = "spawn fails only on OS exhaustion")]
                 std::thread::Builder::new()
                     .name(format!("noswalker-worker-{wi}"))
                     .spawn(move || worker_loop(&shared, wrng, &job_rx, &res_tx, &refill_tx))
-                    // LINT-ALLOW(L5): thread spawning fails only on OS
-                    // resource exhaustion, which has no recovery path here.
                     .expect("spawning a worker thread")
             })
             .collect();

@@ -22,6 +22,12 @@
 //!   and no lock (the parallel runner's path; see DESIGN.md §11 for the
 //!   publish/claim protocol).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "`cnt` slot cursors and `BlockDemand` tallies are Relaxed RMW counters: a claim's \
+              fetch_add hands out a distinct slot, and publication is ordered by the pool mutex"
+)]
+
 use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::{AliasTable, VertexId};
 use noswalker_storage::Reservation;

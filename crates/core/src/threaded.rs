@@ -86,6 +86,8 @@ impl BackgroundLoader {
         assert!(queue_depth > 0, "queue depth must be positive");
         let (req_tx, req_rx) = bounded::<BlockId>(queue_depth);
         let (res_tx, res_rx) = bounded::<Result<Loaded, LoadError>>(queue_depth);
+        #[expect(clippy::disallowed_methods, reason = "sanctioned spawn: block loader")]
+        #[expect(clippy::expect_used, reason = "spawn fails only on OS exhaustion")]
         let handle = std::thread::Builder::new()
             .name("noswalker-loader".into())
             .spawn(move || {
@@ -98,8 +100,6 @@ impl BackgroundLoader {
                     }
                 }
             })
-            // LINT-ALLOW(L5): thread spawning fails only on OS resource
-            // exhaustion, which has no recovery path here.
             .expect("spawning the loader thread");
         BackgroundLoader {
             requests: req_tx,

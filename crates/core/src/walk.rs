@@ -186,10 +186,9 @@ pub fn alias_sample(v: &VertexEdges<'_>, rng: &mut WalkRng) -> VertexId {
     let d = v.degree();
     assert!(d > 0, "cannot sample from a vertex with no out-edges");
     let slot = rng.gen_range(0..d);
+    #[expect(clippy::expect_used, reason = "documented panic: needs alias data")]
     let (prob, alias) = v
         .alias_slot(slot)
-        // LINT-ALLOW(L5): documented panic — this sampler's contract requires
-        // alias-table edge data.
         .expect("alias_sample requires alias-table edge data");
     let u: f32 = rng.gen();
     let idx = if u < prob { slot as u32 } else { alias };
@@ -205,14 +204,13 @@ pub fn alias_sample(v: &VertexEdges<'_>, rng: &mut WalkRng) -> VertexId {
 pub fn weighted_sample(v: &VertexEdges<'_>, rng: &mut WalkRng) -> VertexId {
     let d = v.degree();
     assert!(d > 0, "cannot sample from a vertex with no out-edges");
+    #[expect(clippy::expect_used, reason = "documented panic: needs weights")]
     let total: f64 = (0..d)
-        // LINT-ALLOW(L5): documented panic — this sampler's contract
-        // requires weighted edge data.
         .map(|i| v.weight(i).expect("weighted_sample requires weights") as f64)
         .sum();
     let mut r = rng.gen::<f64>() * total;
+    #[expect(clippy::expect_used, reason = "weights were checked just above")]
     for i in 0..d {
-        // LINT-ALLOW(L5): weights were checked present just above.
         r -= v.weight(i).expect("weights checked above") as f64;
         if r <= 0.0 {
             return v.target(i);

@@ -166,8 +166,11 @@ impl Csr {
     ///
     /// Panics if the graph has no weights.
     pub fn build_alias_tables(mut self) -> Self {
-        // LINT-ALLOW(L5): documented panic — the builder API contract is
-        // that weights are attached before alias construction.
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic — the builder API contract is that weights are \
+                      attached before alias construction"
+        )]
         let weights = self.weights.as_ref().expect("alias tables need weights");
         let mut prob = vec![0.0f32; self.targets.len()];
         let mut alias = vec![0u32; self.targets.len()];

@@ -31,7 +31,7 @@
 //! assert!(s.max_degree >= s.avg_degree as u64);
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod alias;
 pub mod builder;

@@ -10,6 +10,8 @@
 //! ([`Walk::is_cancelled`]) so the walker-completion audit law stays
 //! balanced.
 
+#![expect(clippy::disallowed_types, reason = "Relaxed tallies, read after join")]
+
 use noswalker_core::apps_prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -138,8 +140,7 @@ pub fn walker_stream_seed(query_seed: u64, k: u64) -> u64 {
 /// sequential engine they are plain interior mutability and every round is
 /// deterministic.
 ///
-/// Every access here is `Ordering::Relaxed`, and this file is one of the
-/// lint's sanctioned-Relaxed modules (L10): each atomic is a commutative
+/// Every access here is `Ordering::Relaxed`: each atomic is a commutative
 /// per-query tally (step counts, walker completions, the xor/add digest
 /// mix) or a monotonic cancel latch, never a publication handshake. The
 /// round barrier in the serving loop joins all steppers before any slot is

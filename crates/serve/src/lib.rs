@@ -42,15 +42,13 @@
 //!
 //! Determinism is load-bearing: outside the explicitly wall-clocked
 //! [`realtime`] module, no code in this crate reads the host clock or
-//! sleeps (nosw-lint rule L8 enforces this) — latency is modeled from
+//! sleeps (`crates/serve/clippy.toml` bans both) — latency is modeled from
 //! each round's deterministic `advance_ns` charge, and walker movement
 //! draws only walker-private randomness, so a replayed trace produces
 //! identical reports on every [`Backend`]. The realtime driver reuses the
 //! same state machine and confines wall time to pacing, which is why a
 //! replayed ingress trace under a scripted clock is bit-identical to a
 //! lockstep run (the `serve_realtime` parity test pins this).
-
-#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod app;

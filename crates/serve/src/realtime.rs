@@ -2,7 +2,8 @@
 //! shared [`TickCore`] state machine against real time.
 //!
 //! This module is the **only** place in the serving crates where wall
-//! time exists (nosw-lint rules L3/L8 carve out exactly this file).
+//! time exists (`crates/serve/clippy.toml` bans `WallTimer` and thread
+//! spawns elsewhere; the exemptions are the `expect`s in this file).
 //! Everything time-*semantic* — deadlines, latency, retry-after hints —
 //! still runs through the [`TickClock`] seam, so the realtime driver and
 //! the lockstep [`ServeEngine`](crate::ServeEngine) execute the identical
@@ -33,6 +34,12 @@
 //! ([`RealtimeHandle::snapshot`] / [`RealtimeHandle::take_outcomes`])
 //! that readers poll without ever blocking the tick thread for more than
 //! an [`Arc`] clone.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the egress epoch index is a Release/Acquire hand-off (see its ORDERING: comments), \
+              and `WallClock` is the serving crate's one WallTimer holder"
+)]
 
 use crate::engine::{QueryOutcome, ServeError, ServeOptions};
 use crate::tick::{LaneConfig, LaneRouter, SingleLane, Tick, TickCore, TickReport};
@@ -277,6 +284,7 @@ impl RealtimeServer {
         let pool = Arc::new(EgressPool::new());
         let thread_pool = Arc::clone(&pool);
         let mode = self.rt.mode;
+        #[expect(clippy::disallowed_methods, reason = "sanctioned spawn: tick thread")]
         let join = std::thread::Builder::new()
             .name("nosw-serve-tick".into())
             .spawn(move || serve_thread(core, clock, rx, &thread_pool, mode))

@@ -133,7 +133,7 @@ struct Group {
     /// Slots to pre-cancel before the round runs (draining queries).
     precancel: Vec<u32>,
     /// `query id → slot` for this group (linear scan; tiny and
-    /// deterministic — no hash maps in the digest path, lint rule L9).
+    /// deterministic — `crates/clippy.toml` bans hash maps, rule L9).
     slot_of_query: Vec<(u64, u32)>,
 }
 
@@ -505,7 +505,6 @@ impl TickCore {
     /// [`ServeError::Engine`] when a kernel round fails;
     /// [`ServeError::BadQueryClass`] when an admitted query's class spec
     /// does not parse.
-    #[allow(clippy::too_many_lines)] // One round-loop, phase by phase.
     pub fn tick(
         &mut self,
         clock: &mut dyn TickClock,

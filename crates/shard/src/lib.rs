@@ -23,7 +23,7 @@
 //!   for its owned range, on its own simulated device.
 //! * **Routing** is a deterministic range lookup ([`ShardRouter`]): a
 //!   query is admitted on the shard owning its first walker's start
-//!   vertex; no hash maps anywhere near the digest path (lint rule L9).
+//!   vertex; no hash maps anywhere (`crates/clippy.toml`, rule L9).
 //! * **Handoff**: a walker that steps across a partition boundary goes
 //!   inactive on its shard, retires through the engine's cancellation
 //!   path (keeping each kernel round's walker-completion law balanced),
@@ -41,8 +41,6 @@
 //! With one shard the plane degenerates to exactly the unsharded engine:
 //! same admission decisions, same round carving, same walker streams —
 //! the `N = 1` parity test asserts the reports are bit-identical.
-
-#![forbid(unsafe_code)]
 
 pub mod plane;
 pub mod router;

@@ -8,8 +8,8 @@ use std::ops::Range;
 ///
 /// The router is a plain sorted-range lookup over the contiguous ranges
 /// produced by `Partition::shard_ranges` — no hashing, no iteration-order
-/// dependence, so the serving digest path stays deterministic (lint rule
-/// L9).
+/// dependence, so the serving digest path stays deterministic (rule L9,
+/// `crates/clippy.toml`).
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
     /// `ends[s]` = one past the last vertex shard `s` owns. Ranges are

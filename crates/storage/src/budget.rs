@@ -5,6 +5,12 @@
 //! budget is shared and thread-safe; a reservation releases its bytes on
 //! drop, mirroring how freeing a buffer returns pages to the cgroup.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "`used` is a Relaxed compare-exchange counter that alone decides admission; \
+              `peak` is a Relaxed fetch_max high-water mark; neither orders other memory"
+)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

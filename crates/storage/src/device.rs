@@ -1,5 +1,11 @@
 //! The block device abstraction and shared I/O accounting.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "IoStats counters are independent Relaxed tallies; a snapshot is advisory \
+              and diffed around a run, never used to order other memory"
+)]
+
 use parking_lot::RwLock;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -77,8 +77,11 @@ impl Device for FileDevice {
     }
 
     fn read(&self, offset: u64, buf: &mut [u8]) -> Result<u64, DeviceError> {
-        // LINT-ALLOW(L3): real device service time is wall-clock by
-        // definition; storage cannot depend on core's WallTimer.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "real device service time is wall-clock by definition; storage cannot \
+                      depend on core's WallTimer"
+        )]
         let start = Instant::now();
         let mut file = self.file.lock();
         file.seek(SeekFrom::Start(offset)).map_err(io_err)?;
@@ -89,8 +92,11 @@ impl Device for FileDevice {
     }
 
     fn write(&self, offset: u64, data: &[u8]) -> Result<u64, DeviceError> {
-        // LINT-ALLOW(L3): real device service time is wall-clock by
-        // definition; storage cannot depend on core's WallTimer.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "real device service time is wall-clock by definition; storage cannot \
+                      depend on core's WallTimer"
+        )]
         let start = Instant::now();
         let mut file = self.file.lock();
         file.seek(SeekFrom::Start(offset)).map_err(io_err)?;

@@ -21,7 +21,11 @@
 //! * [`IoStats`] — per-device counters (ops, bytes, busy time) that the
 //!   benchmark harness diffs around each run.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "test code is exempt")
+)]
 
 pub mod budget;
 pub mod device;

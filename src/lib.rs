@@ -7,8 +7,6 @@
 //!
 //! Start with [`core::NosWalkerEngine`] or the `examples/` directory.
 
-#![forbid(unsafe_code)]
-
 pub use noswalker_apps as apps;
 pub use noswalker_baselines as baselines;
 pub use noswalker_core as core;
