@@ -730,7 +730,6 @@ impl RunAudit {
             fine_loads,
             walkers_finished,
             walkers_cancelled,
-            presample_stalls,
             fine_mode_at_step: _,
             presamples_filled,
             presamples_consumed,
@@ -877,16 +876,13 @@ impl RunAudit {
                 ),
             );
         }
-        if presample_stalls + pool_stalls + pool_deferrals > 0
-            && steps == 0
-            && walkers_cancelled == 0
-        {
+        if pool_stalls + pool_deferrals > 0 && steps == 0 && walkers_cancelled == 0 {
             fail(
                 "stall-accounting",
                 format!(
-                    "stalls recorded ({presample_stalls} presample, {pool_stalls} pool, \
-                     {pool_deferrals} deferred) but the run took no steps and cancelled no \
-                     walkers — a waiting walker was lost"
+                    "stalls recorded ({pool_stalls} stalled, {pool_deferrals} deferred) but \
+                     the run took no steps and cancelled no walkers — a waiting walker was \
+                     lost"
                 ),
             );
         }
@@ -1174,7 +1170,7 @@ mod tests {
         m.prefetch_wasted = 1;
         m.pool_publishes = 2;
         m.pool_stalls = 1;
-        m.presample_stalls = 1;
+        m.pool_deferrals = 1;
         m.peak_memory = 4096;
         audit.verify_metrics(&m).assert_clean();
     }

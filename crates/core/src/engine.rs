@@ -385,14 +385,13 @@ impl Pending {
     }
 }
 
-/// A bucket entry: a walker slot, the vertex whose edge data it is waiting
-/// for (its location; for second order with a pending candidate, the
-/// candidate), and its bucket's scan count when it was pushed.
+/// A bucket entry: a walker slot and the vertex whose edge data it is
+/// waiting for (its location; for second order with a pending candidate,
+/// the candidate).
 #[derive(Clone, Copy)]
 struct Entry {
     slot: usize,
     v: VertexId,
-    scan: u32,
 }
 
 /// The walkers waiting on one block, as a *parked prefix + untried tail*.
@@ -402,17 +401,15 @@ struct Entry {
 /// waits on a rejection, or there is no buffer). Pre-sample slots only
 /// drain, so nothing but a load of the block — which takes the whole
 /// bucket — can make a parked walker runnable; the scheduler pass skips the
-/// prefix and owes each parked walker the stall tick the skipped visit
-/// would have recorded (see [`Run::settle`]). A pass that polled every
-/// entry would re-push the failing prefix first and in order, so skipping
-/// it leaves bucket order exactly as polling would.
+/// prefix. A stalled visit is an attempt, so a parked walker records no
+/// stall until it is tried again. A pass that polled every entry would
+/// re-push the failing prefix first and in order, so skipping it leaves
+/// bucket order exactly as polling would.
 #[derive(Clone, Default)]
 struct Bucket {
     entries: Vec<Entry>,
     /// `entries[..parked]` are parked.
     parked: usize,
-    /// Scheduler passes that found this bucket non-empty with a buffer.
-    scans: u32,
     /// [`Walk::cancel_epoch`] when the whole bucket was last polled.
     swept: u64,
 }
@@ -430,9 +427,6 @@ struct Run<'e, A: Walk> {
     free: Vec<usize>,
     /// Walker entries bucketed by the block of their needed vertex.
     buckets: Vec<Bucket>,
-    /// Whether a parked walker's skipped visits tick the stall counters
-    /// (second order: only while it has no candidate).
-    owes_ticks: fn(&A, &A::Walker) -> bool,
     live: u64,
     next_id: u64,
     total: u64,
@@ -509,7 +503,6 @@ impl<'e, A: Walk> Run<'e, A> {
             slab: Vec::new(),
             free: Vec::new(),
             buckets: vec![Bucket::default(); num_blocks],
-            owes_ticks: |_, _| true,
             live: 0,
             next_id: 0,
             total,
@@ -527,8 +520,6 @@ impl<'e, A: Walk> Run<'e, A> {
     }
 
     fn finish(mut self) -> RunMetrics {
-        // A parked entry leaves its bucket only through `settle`, so empty
-        // buckets also mean no stall tick is left unbooked.
         debug_assert!(
             self.buckets.iter().all(|b| b.entries.is_empty()),
             "a walker was left parked in a bucket"
@@ -584,9 +575,9 @@ impl<'e, A: Walk> Run<'e, A> {
     /// Appends walker `slot`, waiting on `v`, to the untried tail of `v`'s
     /// bucket.
     fn enqueue(&mut self, slot: usize, v: VertexId) {
-        let bucket = &mut self.buckets[self.graph.block_of(v) as usize];
-        let scan = bucket.scans;
-        bucket.entries.push(Entry { slot, v, scan });
+        self.buckets[self.graph.block_of(v) as usize]
+            .entries
+            .push(Entry { slot, v });
     }
 
     fn retire(&mut self, i: usize) {
@@ -603,32 +594,11 @@ impl<'e, A: Walk> Run<'e, A> {
         }
     }
 
-    /// Makes block `b`'s whole bucket untried again, first booking the
-    /// stall ticks its parked walkers are owed: one per scan of the bucket
-    /// since each was last settled — exactly what visiting them on every
-    /// pass would have recorded, so the wait-weighted `cnt` that steers the
-    /// next quota plan is unchanged. Must run before anything reads or
-    /// drops the buffer's counters and before a parked entry leaves the
-    /// bucket.
-    fn settle(&mut self, b: usize) {
-        let bucket = &mut self.buckets[b];
-        let parked = std::mem::take(&mut bucket.parked);
-        let Some(buf) = &mut self.presample[b] else {
-            return; // scans only advance while a buffer is present
-        };
-        for e in &bucket.entries[..parked] {
-            let owed = bucket.scans - e.scan;
-            if owed > 0 && (self.owes_ticks)(self.app, live(&self.slab, e.slot)) {
-                buf.record_stalls(e.v, owed);
-                self.metrics.record_presample_stalls(u64::from(owed));
-            }
-        }
-    }
-
-    /// Takes block `b`'s whole bucket for a load, ticks settled.
+    /// Takes block `b`'s whole bucket for a load, parked walkers included.
     fn take_bucket(&mut self, b: BlockId) -> Vec<Entry> {
-        self.settle(b as usize);
-        std::mem::take(&mut self.buckets[b as usize].entries)
+        let bucket = &mut self.buckets[b as usize];
+        bucket.parked = 0;
+        std::mem::take(&mut bucket.entries)
     }
 
     /// One scheduler pass (the `pass` of [`Run::run_pool`]): gives every
@@ -652,11 +622,10 @@ impl<'e, A: Walk> Run<'e, A> {
             // walkers parked further on. They are retired by polling their
             // bucket this once, at the pass a per-pass poll would have.
             let epoch = self.app.cancel_epoch();
-            if std::mem::replace(&mut self.buckets[b].swept, epoch) != epoch {
-                self.settle(b);
-            }
             let bucket = &mut self.buckets[b];
-            bucket.scans += 1;
+            if std::mem::replace(&mut bucket.swept, epoch) != epoch {
+                bucket.parked = 0;
+            }
             if bucket.parked == bucket.entries.len() {
                 continue;
             }
@@ -781,7 +750,7 @@ impl<'e, A: Walk> Run<'e, A> {
                 }
                 Peek::Empty => {
                     peeked_buf(&mut self.presample, b).record_stall(loc);
-                    self.metrics.record_presample_stall();
+                    self.metrics.record_pool_stall();
                     break;
                 }
             }
@@ -854,7 +823,6 @@ impl<'e, A: Walk> Run<'e, A> {
                         bytes: freed,
                         at_ns: at,
                     });
-                    self.settle(b);
                     self.presample[b] = None;
                 }
                 None => {
@@ -1010,8 +978,7 @@ impl<'e, A: Walk> Run<'e, A> {
         if nv == 0 {
             return;
         }
-        // Called with `b`'s bucket just taken for the load: no parked
-        // walker is owed a tick the snapshot below would miss, and the new
+        // Called with `b`'s bucket just taken for the load, so the new
         // generation finds the whole bucket untried.
         debug_assert_eq!(self.buckets[b as usize].parked, 0);
         let old = self.presample[b as usize].take();
@@ -1287,7 +1254,6 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
     }
 
     fn run_pooled_2nd(&mut self) -> Result<(), EngineError> {
-        self.owes_ticks = |app, w| app.candidate(w).is_none();
         self.run_pool(
             |run, w| run.needed_vertex(w),
             Self::integrate_2nd,
@@ -1345,7 +1311,7 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
             }
             Peek::Empty => {
                 peeked_buf(&mut self.presample, b).record_stall(loc);
-                self.metrics.record_presample_stall();
+                self.metrics.record_pool_stall();
                 0
             }
         }
@@ -1588,17 +1554,21 @@ mod tests {
     fn scheduler_cost_follows_steps_not_pool_size_times_passes() {
         // The `presample_knob_reduces_io` cell (`scheduler_parity`'s cell
         // (a)). The polling pass that re-visited every waiting walker on
-        // every scheduler pass cost 58,764 pick-ups for these 13,381 steps
-        // (4.39 per step); park-once measures 25,323 (1.89). Wall-free: a
+        // every scheduler pass cost 58,764 pick-ups for the 13,381 steps
+        // it simulated (4.39 per step); park-once measured 25,323 (1.89)
+        // there, and 25,001 for the 13,356 steps here (1.87). Wall-free: a
         // loop that is O(pool x passes) again cannot pass this, whatever
-        // the host. `presample_stalls` cannot serve as the guard — it is
-        // identical by design.
+        // the host. A stall is an attempt that came back dry, so the stall
+        // count guards too: a pick-up stalls at most once, and a ledger
+        // that booked a tick per pass a walker waits (37,469 on that cell)
+        // cannot stay under the pick-ups.
         let engine = ooc_engine(EngineOptions::full());
         let mut run = Run::new(&engine, 3, Trace::from_option(None)).unwrap();
         run.run_pooled().unwrap();
         let pickups = run.pickups;
         let m = run.finish();
-        assert_eq!((m.steps, m.presample_stalls), (13_381, 37_469));
+        assert_eq!((m.steps, m.pool_stalls), (13_356, 3_770));
+        assert!(m.pool_stalls <= pickups, "{} stalls", m.pool_stalls);
         let per_step = pickups as f64 / m.steps as f64;
         assert!(
             per_step < 1.25 * 1.89,

@@ -70,16 +70,6 @@ pub struct RunMetrics {
     /// walker-completion audit law balances finished + cancelled against
     /// the total, so no cancellation path can silently drop a walker.
     pub walkers_cancelled: u64,
-    /// Walker visits that found an empty reserved pre-sample slot and had
-    /// to wait for the block (the sequential mirror of `pool_stalls`; the
-    /// serving layer's shedding policy watches this rate). Counted per
-    /// *scheduler scan*, not per walker: a walker that stalls is counted
-    /// once when it arrives and once more for every later pass of the
-    /// pooled loop over its block's bucket while that block has a buffer
-    /// and the walker is still waiting — so the figure is wait-weighted
-    /// and can exceed `steps` several times over (8.4 per step on an
-    /// out-of-core batch run).
-    pub presample_stalls: u64,
     /// Step count at which the engine switched to fine-grained mode
     /// (`None` = never switched).
     pub fine_mode_at_step: Option<u64>,
@@ -90,11 +80,15 @@ pub struct RunMetrics {
     /// Pre-sample buffer generations published to the parallel runner's
     /// lock-free shared pool.
     pub pool_publishes: u64,
-    /// Walker visits that claimed against a *live* published generation
-    /// and found its sampled slots depleted: the quota planner's
+    /// Stalled visits, on both engines: attempts that found a *live*
+    /// pre-sample generation's sampled slots dry — the quota planner's
     /// actionable miss signal (it sized this vertex's quota too small for
-    /// the demand that materialized). The walker falls back to the
-    /// coordinator.
+    /// the demand that materialized), and the per-step rate the serving
+    /// layer's shedding policy watches. One per attempt, whether the walker
+    /// arrived by a step, was just spawned, or was re-tried after a wake;
+    /// a walker waiting out several scheduler passes counts once. The
+    /// parallel runner's walker falls back to the coordinator, the
+    /// sequential engine's waits in its block's bucket.
     pub pool_stalls: u64,
     /// Walker visits that found no published generation at all for their
     /// destination block — warmup before the block's first residency, a
@@ -176,18 +170,6 @@ impl RunMetrics {
         self.walkers_cancelled += 1;
     }
 
-    /// Records a walker visit that found an empty reserved pre-sample slot
-    /// (the walker stalls until its block loads).
-    pub fn record_presample_stall(&mut self) {
-        self.record_presample_stalls(1);
-    }
-
-    /// Records `n` such visits at once (the sequential engine books a
-    /// parked walker's stalled visits in bulk, see DESIGN.md §7).
-    pub fn record_presample_stalls(&mut self, n: u64) {
-        self.presample_stalls += n;
-    }
-
     /// Overwrites the finished-walker count from an engine that tracks
     /// completion externally (e.g. a [`crate::Walk`]-set epilogue).
     pub fn set_walkers_finished(&mut self, n: u64) {
@@ -239,10 +221,9 @@ impl RunMetrics {
         self.presamples_filled += draws;
     }
 
-    /// Records a walker visit that claimed against a live published
-    /// buffer and found its slots depleted: the walker falls back to the
-    /// coordinator. A stall is also one pool attempt, keeping the
-    /// claim-conservation law structurally balanced.
+    /// Records a stalled visit: an attempt against a live pre-sample
+    /// generation that found its slots depleted. A stall is also one pool
+    /// attempt, keeping the claim-conservation law structurally balanced.
     pub fn record_pool_stall(&mut self) {
         self.pool_stalls += 1;
         self.pool_attempts += 1;
@@ -365,7 +346,6 @@ impl RunMetrics {
         self.fine_loads += other.fine_loads;
         self.walkers_finished += other.walkers_finished;
         self.walkers_cancelled += other.walkers_cancelled;
-        self.presample_stalls += other.presample_stalls;
         if self.fine_mode_at_step.is_none() {
             self.fine_mode_at_step = other.fine_mode_at_step;
         }
@@ -458,7 +438,6 @@ impl RunMetrics {
             ("fine_loads", self.fine_loads.to_string()),
             ("walkers_finished", self.walkers_finished.to_string()),
             ("walkers_cancelled", self.walkers_cancelled.to_string()),
-            ("presample_stalls", self.presample_stalls.to_string()),
             ("fine_mode_at_step", opt(self.fine_mode_at_step)),
             ("presamples_filled", self.presamples_filled.to_string()),
             ("presamples_consumed", self.presamples_consumed.to_string()),
@@ -733,14 +712,14 @@ mod tests {
         m.record_walker_finished();
         m.record_walker_cancelled();
         m.record_walker_cancelled();
-        m.record_presample_stall();
+        m.record_pool_stall();
         let mut other = RunMetrics::default();
         other.record_walker_cancelled();
-        other.record_presample_stall();
+        other.record_pool_stall();
         m.merge(&other);
         assert_eq!(m.walkers_finished, 1);
         assert_eq!(m.walkers_cancelled, 3);
-        assert_eq!(m.presample_stalls, 2);
+        assert_eq!(m.pool_stalls, 2);
     }
 
     #[test]
@@ -775,7 +754,6 @@ mod tests {
             "steps",
             "walkers_finished",
             "walkers_cancelled",
-            "presample_stalls",
             "pool_stalls",
             "prefetch_hits",
             "peak_memory",

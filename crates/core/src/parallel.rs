@@ -22,16 +22,16 @@
 //! # The published pre-sample pool
 //!
 //! Pre-sample buffers are *built privately* on a worker (a refill job,
-//! serialized per block by a try-lock gate) and then *published*: the
-//! finished [`PreSampleBuffer`] goes behind an `Arc` and is never written
-//! again except through its per-vertex atomic counters. Consumption is
-//! lock-free: a worker acquires the `Arc` once per walker bucket and then
-//! claims sampled slots in small batches — one `fetch_add` covers up to
-//! [`EngineOptions::claim_batch`] hops once a vertex shows reuse inside
-//! the bucket ([`PreSampleBuffer::claim_batch`]). Slots the application
-//! declines (e.g. restarts) return to the bucket's claim cache for the
-//! next walker; slots still cached when the bucket retires are surfaced
-//! as `claims_burned`, so `pool_attempts` stays conserved against
+//! single-flight per block through its `refill_pending` flag) and then
+//! *published*: the finished [`PreSampleBuffer`] goes behind an `Arc` and
+//! is never written again except through its per-vertex atomic counters.
+//! Consumption is lock-free: a worker acquires the `Arc` once per walker
+//! bucket and then claims sampled slots in small batches — one `fetch_add`
+//! covers up to [`EngineOptions::claim_batch`] hops once a vertex shows
+//! reuse inside the bucket ([`PreSampleBuffer::claim_batch`]). Slots the
+//! application declines (e.g. restarts) return to the bucket's claim cache
+//! for the next walker; slots still cached when the bucket retires are
+//! surfaced as `claims_burned`, so `pool_attempts` stays conserved against
 //! consumption, burn, and stalls (`DESIGN.md` §10, law 13).
 //!
 //! Refills are scheduled by *demand*: each block tallies claims and
@@ -101,9 +101,6 @@ struct PoolSlot {
     /// The current published generation, if any. Locked only to swap or
     /// clone the `Arc` — never while stepping walkers.
     published: Mutex<Option<Arc<PreSampleBuffer>>>,
-    /// Serializes refills per block: a contended gate means another worker
-    /// is already rebuilding this buffer, so the loser just skips.
-    refill_gate: Mutex<()>,
     /// Demand observed against the current generation (sampled claims and
     /// stalls since the last publish) — the low-watermark refill signal
     /// and the weight of this block's share of the refill budget.
@@ -116,7 +113,8 @@ struct PoolSlot {
     /// when quotas track only the latest generation's cursors.
     carried_weights: Mutex<Option<Vec<u32>>>,
     /// Set while a refill job for this block is queued or running, so the
-    /// coordinator schedules at most one refill per block at a time.
+    /// coordinator schedules at most one refill per block at a time: the
+    /// single-flight guarantee every [`refill_block`] call runs under.
     refill_pending: AtomicBool,
 }
 
@@ -143,7 +141,6 @@ impl SharedPool {
             slots: (0..num_blocks)
                 .map(|_| PoolSlot {
                     published: Mutex::new(None),
-                    refill_gate: Mutex::new(()),
                     demand: BlockDemand::default(),
                     carried_weights: Mutex::new(None),
                     refill_pending: AtomicBool::new(false),
@@ -874,22 +871,24 @@ fn worker_loop<A: Walk>(
                 if let Some(rep) = refill_block(shared, &block, &mut rng) {
                     let _ = refills.send(rep);
                 }
-                // Re-arm scheduling even when nothing was published (gate
-                // lost, above the watermark, or out of budget).
+                // Re-arm scheduling even when nothing was published (above
+                // the watermark, or out of budget).
                 shared.pool.end_refill(block.info().id);
             }
         }
     }
 }
 
-/// Rebuilds a block's pre-sample buffer and publishes it (run on a worker
-/// thread; the block's `refill_gate` serializes concurrent refills —
-/// losers skip rather than queue). The build happens entirely on private
-/// data; readers of the previous generation are never blocked.
+/// Rebuilds a block's pre-sample buffer and publishes it (on a worker
+/// thread, or on the coordinator for a warm-up). Every caller has won the
+/// block's `refill_pending` flag ([`SharedPool::try_begin_refill`]) and
+/// clears it only afterwards, so refills of one block are single-flight.
+/// The build happens entirely on private data; readers of the previous
+/// generation are never blocked.
 ///
-/// Returns `None` when nothing was published (gate contended, remaining
-/// slots still above the demand watermark, or no budget even after
-/// retiring the old generation).
+/// Returns `None` when nothing was published (remaining slots still above
+/// the demand watermark, or no budget even after retiring the old
+/// generation).
 fn refill_block<A: Walk>(
     shared: &Shared<A>,
     block: &LoadedBlock,
@@ -902,11 +901,6 @@ fn refill_block<A: Walk>(
     if nv == 0 {
         return None;
     }
-    // The refill gate spans the whole buffer build — holding it is what
-    // makes refills single-flight per block. It is a non-blocking
-    // try_lock: losers return immediately and steppers never wait on it,
-    // so the build it covers runs on private data only.
-    let _gate = pool.slots[b as usize].refill_gate.try_lock()?;
     let demand = pool.demand(b);
     // Carry the previous generation's visit counters forward: claims count
     // both served steps and overflow stalls, which is exactly the demand
@@ -915,8 +909,8 @@ fn refill_block<A: Walk>(
     // retires it.
     let (weights, own_bytes): (Vec<u32>, u64) = match pool.acquire(b) {
         Some(prev) => {
-            // Re-check the watermark under the gate: the coordinator's
-            // `needs_refill` ran earlier and demand may have moved.
+            // Re-check the watermark: the coordinator's `needs_refill` ran
+            // earlier and demand may have moved.
             if pool.under_watermark(b, &prev) == Some(false) {
                 return None; // comfortably above the watermark
             }

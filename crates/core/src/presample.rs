@@ -445,17 +445,7 @@ impl PreSampleBuffer {
     /// Records a stalled visit at `v` (pre-samples exhausted): bumps `cnt`
     /// so the next refill allocates this vertex more slots (§3.3.2).
     pub fn record_stall(&mut self, v: VertexId) {
-        self.record_stalls(v, 1);
-    }
-
-    /// Records `n` stalled visits at `v` in one go — what `n` calls of
-    /// [`PreSampleBuffer::record_stall`] would leave behind, saturating
-    /// like [`PreSampleBuffer::consume`]. The sequential engine books the
-    /// visits a parked walker would have made this way.
-    pub fn record_stalls(&mut self, v: VertexId, n: u32) {
-        let i = self.local(v);
-        let cnt = self.cnt[i].get_mut();
-        *cnt = cnt.saturating_add(n);
+        self.consume(v);
     }
 
     /// Snapshot of the visit counters, fed to [`plan_quotas`] at refill
@@ -631,25 +621,6 @@ mod tests {
         // must still receive one slot.
         let p = plan_quotas(&[10, 10], &[1000, 1], 10, 0, u32::MAX, 64);
         assert!(p.quotas[1] >= 1);
-    }
-
-    #[test]
-    fn record_stalls_is_n_single_stalls_and_saturates() {
-        let (mut bulk, mut single) = (build_simple(), build_simple());
-        bulk.record_stalls(2, 5);
-        for _ in 0..5 {
-            single.record_stall(2);
-        }
-        bulk.record_stalls(3, 0);
-        assert_eq!(
-            bulk.visit_weights_snapshot(),
-            single.visit_weights_snapshot()
-        );
-        assert_eq!(bulk.visit_weights_snapshot(), [0, 0, 5, 0]);
-        bulk.record_stalls(2, u32::MAX);
-        bulk.record_stalls(2, 7);
-        assert_eq!(bulk.visit_weights_snapshot()[2], u32::MAX);
-        assert!(matches!(bulk.peek(2), Peek::Empty));
     }
 
     fn build_simple() -> PreSampleBuffer {

@@ -32,8 +32,9 @@ pub struct AdmissionOptions {
     /// with the current queue depth.
     pub retry_after_ns: u64,
     /// Throttle admission to one pending query at a time while the
-    /// observed pre-sample stall rate (stalls per step, as reported by
-    /// the previous round's metrics) is above this threshold.
+    /// observed pre-sample stall rate (`RunMetrics::pool_stalls` per step
+    /// in the previous round, the same unit on either kernel) is above
+    /// this threshold.
     pub shed_stall_rate: f64,
 }
 

@@ -137,6 +137,42 @@ struct Group {
     slot_of_query: Vec<(u64, u32)>,
 }
 
+impl Group {
+    /// Query `q`'s slot in this group (`idx` is its index into the active
+    /// set), created on first use with its deadline step allowance, its
+    /// stream seed and a charge of `fresh` fresh walkers; a draining
+    /// query's new slot is pre-cancelled. A fresh carve always creates,
+    /// so a found slot is only ever an immigrant's and charges nothing.
+    fn slot(
+        &mut self,
+        idx: usize,
+        q: &ActiveQuery,
+        fresh: u64,
+        now: u64,
+        step_cost: u64,
+        seed: u64,
+    ) -> u32 {
+        let id = q.spec.id;
+        if let Some(&(_, slot)) = self.slot_of_query.iter().find(|&&(qid, _)| qid == id) {
+            return slot;
+        }
+        let slot = self.entries.len() as u32;
+        let allowance = q
+            .spec
+            .deadline_ns
+            .map(|d| d.saturating_sub(now) / step_cost.max(1));
+        let stream = query_stream_seed(seed, id);
+        self.entries
+            .push((q.class, q.spec.walk_length, allowance, stream));
+        self.charged.push((idx, slot, fresh));
+        self.slot_of_query.push((id, slot));
+        if q.draining {
+            self.precancel.push(slot);
+        }
+        slot
+    }
+}
+
 /// One lane's mutable serving machinery.
 struct Lane {
     seq: SequentialKernel,
@@ -625,20 +661,8 @@ impl TickCore {
                 .backend
                 .routes_to_par(q.spec.deadline_ns.is_some());
             let g = &mut groups[s][usize::from(on_par)];
-            let slot = g.entries.len() as u32;
-            let allowance = q
-                .spec
-                .deadline_ns
-                .map(|d| d.saturating_sub(now) / self.step_cost.max(1));
-            g.entries.push((
-                q.class,
-                q.spec.walk_length,
-                allowance,
-                query_stream_seed(self.opts.seed, q.spec.id),
-            ));
+            let slot = g.slot(idx, q, count, now, self.step_cost, self.opts.seed);
             g.chunks.push((slot, q.stats.issued, count));
-            g.charged.push((idx, slot, count));
-            g.slot_of_query.push((q.spec.id, slot));
         }
 
         let idle = groups
@@ -679,35 +703,13 @@ impl TickCore {
                     .iter()
                     .position(|q| q.spec.id == qid)
                     .expect("in-flight walker's query stays active");
+                let q = &self.active[idx];
                 let on_par = self
                     .opts
                     .backend
-                    .routes_to_par(self.active[idx].spec.deadline_ns.is_some());
+                    .routes_to_par(q.spec.deadline_ns.is_some());
                 let g = &mut group_pair[usize::from(on_par)];
-                let slot = match g.slot_of_query.iter().find(|&&(id, _)| id == qid) {
-                    Some(&(_, slot)) => slot,
-                    None => {
-                        let q = &self.active[idx];
-                        let slot = g.entries.len() as u32;
-                        let allowance = q
-                            .spec
-                            .deadline_ns
-                            .map(|d| d.saturating_sub(now) / self.step_cost.max(1));
-                        g.entries.push((
-                            q.class,
-                            q.spec.walk_length,
-                            allowance,
-                            query_stream_seed(self.opts.seed, qid),
-                        ));
-                        g.charged.push((idx, slot, 0));
-                        g.slot_of_query.push((qid, slot));
-                        if q.draining {
-                            g.precancel.push(slot);
-                        }
-                        slot
-                    }
-                };
-                w.slot = slot;
+                w.slot = g.slot(idx, q, 0, now, self.step_cost, self.opts.seed);
                 g.resumed.push(w);
             }
         }
@@ -753,7 +755,7 @@ impl TickCore {
                     self.lanes[s].seq.run_round(Arc::clone(&app), seed)?
                 };
                 lane_advance += out.advance_ns;
-                round_stalls += out.metrics.presample_stalls + out.metrics.pool_stalls;
+                round_stalls += out.metrics.pool_stalls;
                 round_steps += out.metrics.steps;
                 self.metrics.merge(&out.metrics);
                 ran.push((s, table, g.charged, app));

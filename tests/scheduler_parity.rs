@@ -1,11 +1,15 @@
 //! Scheduler parity oracle: the sequential engine's scheduler may change
 //! how much host work a run costs, never what the run simulates. Every
-//! constant below was recorded at the commit *before* the park-once
-//! scheduler landed (the polling `presample_pass` that re-visited every
-//! waiting walker on every pass) and lists every `RunMetrics` counter
-//! except `wall_ns`. A cell that moves means the simulation changed —
-//! bucket order, stall ticks, quota plans, load order or RNG consumption —
-//! and is a bug in the scheduler, not a number to re-record.
+//! constant below lists every `RunMetrics` counter except `wall_ns`. They
+//! were first recorded with the polling `presample_pass` that re-visited
+//! every waiting walker on every pass, and the park-once scheduler kept
+//! them exactly. They were re-recorded once, when a stalled visit became
+//! one `cnt` tick per attempt instead of one per pass a walker waits:
+//! that changes the quota plans of every cell with sampled slots (a, b,
+//! c, e, f, h), while the all-raw cells d and g only lost the retired
+//! per-pass stall field. A cell that moves now means the simulation
+//! changed — bucket order, stall ticks, quota plans, load order or RNG
+//! consumption — and is a bug in the scheduler, not a number to re-record.
 
 use noswalker::apps::{BasicRw, Node2Vec, WeightedRw};
 use noswalker::core::apps_prelude::*;
@@ -132,10 +136,7 @@ fn f_second_order() {
     let m = engine
         .run_second_order_with_sink(5, Some(&mut sink))
         .unwrap();
-    assert!(
-        m.presample_stalls > 0,
-        "the cell must exercise stalled visits"
-    );
+    assert!(m.pool_stalls > 0, "the cell must exercise stalled visits");
     assert_eq!(fingerprint(&m, &sink), CELL_F);
 }
 
@@ -264,64 +265,63 @@ fn h_cancellation_reaches_parked_walkers() {
     let mut sink = MemorySink::new();
     let m = engine.run_with_sink(3, Some(&mut sink)).unwrap();
     assert_eq!(app.epoch.load(Ordering::Relaxed), 3);
-    assert!(m.walkers_cancelled > 0 && m.presample_stalls > 0);
+    assert!(m.walkers_cancelled > 0 && m.pool_stalls > 0);
     assert_eq!(fingerprint(&m, &sink), CELL_H);
 }
 
 const CELL_A: &str =
-    "sim_ns=534795 stall_ns=413748 io_busy_ns=534786 steps=13381 steps_on_block=12307 \
-    steps_on_presample=1055 steps_on_raw=19 edge_bytes_loaded=1275792 \
-    edges_loaded=318948 io_ops=321 swap_bytes=0 coarse_loads=312 fine_loads=9 \
-    walkers_finished=2000 walkers_cancelled=0 presample_stalls=37469 \
-    fine_mode_at_step=13369 presamples_filled=1364 presamples_consumed=1055 \
-    pool_publishes=0 pool_stalls=0 pool_deferrals=0 pool_attempts=0 claims_burned=0 \
-    prefetch_hits=0 prefetch_wasted=0 walkers_emigrated=0 walkers_immigrated=0 accepts=0 \
-    rejects=0 peak_memory=24572 trace=1013:c7568abce03bb15c";
+    "sim_ns=529823 stall_ns=408791 io_busy_ns=529788 steps=13356 steps_on_block=12204 \
+    steps_on_presample=1133 steps_on_raw=19 edge_bytes_loaded=1265364 edges_loaded=316341 \
+    io_ops=318 swap_bytes=0 coarse_loads=308 fine_loads=10 walkers_finished=2000 \
+    walkers_cancelled=0 fine_mode_at_step=13345 presamples_filled=1547 \
+    presamples_consumed=1133 pool_publishes=0 pool_stalls=3770 pool_deferrals=0 \
+    pool_attempts=3770 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
+    walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=24572 \
+    trace=1000:c82da976ff9d8d25";
 const CELL_B: &str =
-    "sim_ns=171046 stall_ns=4953 io_busy_ns=59976 steps=13597 steps_on_block=5837 \
-    steps_on_presample=4464 steps_on_raw=3296 edge_bytes_loaded=143020 \
-    edges_loaded=35755 io_ops=36 swap_bytes=0 coarse_loads=34 fine_loads=2 \
-    walkers_finished=2000 walkers_cancelled=0 presample_stalls=1372 \
-    fine_mode_at_step=13586 presamples_filled=26324 presamples_consumed=4464 \
-    pool_publishes=0 pool_stalls=0 pool_deferrals=0 pool_attempts=0 claims_burned=0 \
-    prefetch_hits=0 prefetch_wasted=0 walkers_emigrated=0 walkers_immigrated=0 accepts=0 \
-    rejects=0 peak_memory=262141 trace=106:db3d3dded62e8fef";
+    "sim_ns=171091 stall_ns=4783 io_busy_ns=59976 steps=13612 steps_on_block=5839 \
+    steps_on_presample=4477 steps_on_raw=3296 edge_bytes_loaded=142704 edges_loaded=35676 \
+    io_ops=36 swap_bytes=0 coarse_loads=34 fine_loads=2 walkers_finished=2000 \
+    walkers_cancelled=0 fine_mode_at_step=13582 presamples_filled=26377 \
+    presamples_consumed=4477 pool_publishes=0 pool_stalls=374 pool_deferrals=0 \
+    pool_attempts=374 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
+    walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=262141 \
+    trace=105:187f394fb76baf34";
 const CELL_C: &str =
-    "sim_ns=656886 stall_ns=606701 io_busy_ns=654980 steps=475 steps_on_block=437 \
-    steps_on_presample=29 steps_on_raw=9 edge_bytes_loaded=1922748 edges_loaded=480687 \
-    io_ops=279 swap_bytes=0 coarse_loads=0 fine_loads=138 walkers_finished=50 \
-    walkers_cancelled=0 presample_stalls=2662 fine_mode_at_step=0 \
-    presamples_filled=22984 presamples_consumed=29 pool_publishes=0 pool_stalls=0 \
-    pool_deferrals=0 pool_attempts=0 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
-    walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=297346 \
-    trace=305:34640898da2029e2";
+    "sim_ns=653502 stall_ns=609499 io_busy_ns=653457 steps=467 steps_on_block=420 \
+    steps_on_presample=31 steps_on_raw=16 edge_bytes_loaded=1904352 edges_loaded=476088 \
+    io_ops=285 swap_bytes=0 coarse_loads=0 fine_loads=135 walkers_finished=50 \
+    walkers_cancelled=0 fine_mode_at_step=0 presamples_filled=19931 presamples_consumed=31 \
+    pool_publishes=0 pool_stalls=371 pool_deferrals=0 pool_attempts=371 claims_burned=0 \
+    prefetch_hits=0 prefetch_wasted=0 walkers_emigrated=0 walkers_immigrated=0 accepts=0 \
+    rejects=0 peak_memory=270314 trace=302:84aac6802e21a136";
 const CELL_D: &str =
     "sim_ns=613097 stall_ns=491759 io_busy_ns=613088 steps=13482 steps_on_block=13477 \
     steps_on_presample=0 steps_on_raw=5 edge_bytes_loaded=1469328 edges_loaded=367332 \
     io_ops=368 swap_bytes=0 coarse_loads=359 fine_loads=9 walkers_finished=2000 \
-    walkers_cancelled=0 presample_stalls=0 fine_mode_at_step=13471 presamples_filled=0 \
+    walkers_cancelled=0 fine_mode_at_step=13471 presamples_filled=0 \
     presamples_consumed=0 pool_publishes=0 pool_stalls=0 pool_deferrals=0 \
     pool_attempts=0 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
     walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=24564 \
     trace=1104:e65d51eb0246d78d";
 const CELL_E: &str =
-    "sim_ns=270691 stall_ns=178394 io_busy_ns=270682 steps=9783 steps_on_block=6797 \
-    steps_on_presample=2400 steps_on_raw=586 edge_bytes_loaded=618972 edges_loaded=51581 \
-    io_ops=161 swap_bytes=0 coarse_loads=152 fine_loads=9 walkers_finished=2000 \
-    walkers_cancelled=0 presample_stalls=37592 fine_mode_at_step=9770 \
-    presamples_filled=4525 presamples_consumed=2400 pool_publishes=0 pool_stalls=0 \
-    pool_deferrals=0 pool_attempts=0 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
-    walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=65534 \
-    trace=573:05866dbf3c93d2ed";
+    "sim_ns=267359 stall_ns=174689 io_busy_ns=267350 steps=9820 steps_on_block=6789 \
+    steps_on_presample=2447 steps_on_raw=584 edge_bytes_loaded=611364 edges_loaded=50947 \
+    io_ops=159 swap_bytes=0 coarse_loads=149 fine_loads=10 walkers_finished=2000 \
+    walkers_cancelled=0 fine_mode_at_step=9805 presamples_filled=4592 \
+    presamples_consumed=2447 pool_publishes=0 pool_stalls=3439 pool_deferrals=0 \
+    pool_attempts=3439 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
+    walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=65533 \
+    trace=566:438812d6d1115c3e";
 const CELL_F: &str =
-    "sim_ns=4940091 stall_ns=4781810 io_busy_ns=4939690 steps=12766 steps_on_block=12766 \
-    steps_on_presample=0 steps_on_raw=0 edge_bytes_loaded=8375860 edges_loaded=2093965 \
-    io_ops=2965 swap_bytes=0 coarse_loads=2948 fine_loads=17 walkers_finished=2048 \
-    walkers_cancelled=0 presample_stalls=818 fine_mode_at_step=12760 \
-    presamples_filled=185 presamples_consumed=57 pool_publishes=0 pool_stalls=0 \
-    pool_deferrals=0 pool_attempts=0 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
-    walkers_emigrated=0 walkers_immigrated=0 accepts=12766 rejects=4748 \
-    peak_memory=12067 trace=8907:c608c0f29928ae92";
+    "sim_ns=4930448 stall_ns=4772273 io_busy_ns=4929694 steps=12777 steps_on_block=12777 \
+    steps_on_presample=0 steps_on_raw=0 edge_bytes_loaded=8364248 edges_loaded=2091062 \
+    io_ops=2959 swap_bytes=0 coarse_loads=2951 fine_loads=8 walkers_finished=2048 \
+    walkers_cancelled=0 fine_mode_at_step=12774 presamples_filled=360 \
+    presamples_consumed=90 pool_publishes=0 pool_stalls=62 pool_deferrals=0 \
+    pool_attempts=62 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 walkers_emigrated=0 \
+    walkers_immigrated=0 accepts=12777 rejects=4668 peak_memory=12047 \
+    trace=8909:4102cacce41fe223";
 const CELL_G: [&str; 4] = [
     "q1 digest=13960382981112310547 latency=Some(35158)",
     "q2 digest=8347337876302802075 latency=Some(72067)",
@@ -329,18 +329,18 @@ const CELL_G: [&str; 4] = [
     "sim_ns=72067 stall_ns=22549 io_busy_ns=59976 steps=5502 steps_on_block=3128 \
      steps_on_presample=0 steps_on_raw=2374 edge_bytes_loaded=81920 edges_loaded=20480 \
      io_ops=36 swap_bytes=0 coarse_loads=36 fine_loads=0 walkers_finished=765 \
-     walkers_cancelled=335 presample_stalls=0 fine_mode_at_step=0 presamples_filled=0 \
+     walkers_cancelled=335 fine_mode_at_step=0 presamples_filled=0 \
      presamples_consumed=0 pool_publishes=0 pool_stalls=0 pool_deferrals=0 \
      pool_attempts=0 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
      walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=65472 \
      trace=5:94139cdbca236540",
 ];
 const CELL_H: &str =
-    "sim_ns=598156 stall_ns=524288 io_busy_ns=598094 steps=8132 steps_on_block=7348 \
-    steps_on_presample=777 steps_on_raw=7 edge_bytes_loaded=1425940 edges_loaded=356485 \
-    io_ops=359 swap_bytes=0 coarse_loads=349 fine_loads=10 walkers_finished=917 \
-    walkers_cancelled=1083 presample_stalls=21581 fine_mode_at_step=8118 \
-    presamples_filled=1117 presamples_consumed=777 pool_publishes=0 pool_stalls=0 \
-    pool_deferrals=0 pool_attempts=0 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
+    "sim_ns=573444 stall_ns=499349 io_busy_ns=573104 steps=8153 steps_on_block=7283 \
+    steps_on_presample=864 steps_on_raw=6 edge_bytes_loaded=1367072 edges_loaded=341768 \
+    io_ops=344 swap_bytes=0 coarse_loads=332 fine_loads=12 walkers_finished=916 \
+    walkers_cancelled=1084 fine_mode_at_step=8140 presamples_filled=1223 \
+    presamples_consumed=864 pool_publishes=0 pool_stalls=2419 pool_deferrals=0 \
+    pool_attempts=2419 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
     walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=24576 \
-    trace=1122:2349ee88a8052429";
+    trace=1077:8027b9a06ddc89d1";
