@@ -1,5 +1,6 @@
 //! Hand-rolled argument parsing for the `noswalker` binary.
 
+use noswalker_serve::Backend;
 use std::fmt;
 
 /// A parsed command line.
@@ -68,8 +69,8 @@ pub enum Command {
         budget_pct: u32,
         /// RNG seed.
         seed: u64,
-        /// Step-kernel backend: `seq`, `par`, or `auto`.
-        backend: String,
+        /// Step-kernel backend (`--backend seq|par`).
+        backend: Backend,
         /// Number of serve-plane shards (1 = the unsharded engine).
         shards: u32,
         /// Serving mode: `lockstep` (deterministic modeled-time replay)
@@ -105,7 +106,7 @@ USAGE:
                      [--length L] [--budget-pct P] [--seed S]
                      [--trace-out run.json|run.tsv]
   noswalker serve    <graph> --script <trace.txt> [--budget-pct P] [--seed S]
-                     [--backend seq|par|auto] [--shards N]
+                     [--backend seq|par] [--shards N]
                      [--mode lockstep|realtime] [--duration-ms D]
 
 APPS:     basic ppr rwr rwd graphlet deepwalk node2vec
@@ -204,7 +205,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, ParseError>
             let mut script = None;
             let mut budget_pct = 12u32;
             let mut seed = 42u64;
-            let mut backend = "seq".to_string();
+            let mut backend = Backend::Seq;
             let mut shards = 1u32;
             let mut mode = "lockstep".to_string();
             let mut duration_ms = 0u64;
@@ -216,12 +217,12 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, ParseError>
                     "--budget-pct" => budget_pct = parse_num("--budget-pct", it.next())?,
                     "--seed" => seed = parse_num("--seed", it.next())?,
                     "--backend" => {
-                        backend = it.next().ok_or_else(|| bad("--backend needs a value"))?;
-                        if !matches!(backend.as_str(), "seq" | "par" | "auto") {
-                            return Err(bad(format!(
-                                "invalid value {backend:?} for --backend (expected seq, par or auto)"
-                            )));
-                        }
+                        let v = it.next().ok_or_else(|| bad("--backend needs a value"))?;
+                        backend = Backend::parse(&v).ok_or_else(|| {
+                            bad(format!(
+                                "invalid value {v:?} for --backend (expected seq or par)"
+                            ))
+                        })?;
                     }
                     "--shards" => {
                         shards = parse_num("--shards", it.next())?;
@@ -363,7 +364,7 @@ mod tests {
                 script: "trace.txt".into(),
                 budget_pct: 25,
                 seed: 9,
-                backend: "seq".into(),
+                backend: Backend::Seq,
                 shards: 1,
                 mode: "lockstep".into(),
                 duration_ms: 0,
@@ -382,17 +383,24 @@ mod tests {
 
     #[test]
     fn parses_serve_backend() {
-        for b in ["seq", "par", "auto"] {
-            let cli = p(&format!("serve g.csr --script t.txt --backend {b}")).unwrap();
+        for b in [Backend::Seq, Backend::Par] {
+            let cli = p(&format!(
+                "serve g.csr --script t.txt --backend {}",
+                b.name()
+            ))
+            .unwrap();
             match cli.command {
                 Command::Serve { backend, .. } => assert_eq!(backend, b),
                 other => panic!("wrong command {other:?}"),
             }
         }
-        assert!(p("serve g.csr --script t.txt --backend threads")
-            .unwrap_err()
-            .0
-            .contains("--backend"));
+        for unknown in ["threads", "auto"] {
+            let e = p(&format!("serve g.csr --script t.txt --backend {unknown}")).unwrap_err();
+            assert!(
+                e.0.contains("invalid value") && e.0.contains("--backend"),
+                "{e}"
+            );
+        }
         assert!(p("serve g.csr --script t.txt --backend")
             .unwrap_err()
             .0

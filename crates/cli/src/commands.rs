@@ -343,13 +343,11 @@ pub fn run_serve(
     script_path: &str,
     budget_pct: u32,
     seed: u64,
-    backend: &str,
+    backend: Backend,
     shards: u32,
     mode: &str,
     duration_ms: u64,
 ) -> Result<String, String> {
-    let backend = Backend::parse(backend)
-        .ok_or_else(|| format!("unknown backend {backend:?} (expected seq, par or auto)"))?;
     let csr = load_graph(graph_path)?;
     if csr.num_vertices() == 0 {
         return Err("graph has no vertices".into());
@@ -577,10 +575,13 @@ mod tests {
         )
         .unwrap();
 
-        for backend in ["seq", "par", "auto"] {
+        for backend in [Backend::Seq, Backend::Par] {
             let report = run_serve(&path, &script, 25, 3, backend, 1, "lockstep", 0).unwrap();
             assert!(report.contains("3 queries"), "{report}");
-            assert!(report.contains(&format!("backend {backend}")), "{report}");
+            assert!(
+                report.contains(&format!("backend {}", backend.name())),
+                "{report}"
+            );
             assert!(report.contains("served 3"), "{report}");
             assert!(report.contains("ppr"), "{report}");
             assert!(report.contains("p99="), "{report}");
@@ -592,15 +593,12 @@ mod tests {
             );
         }
 
-        assert!(
-            run_serve(&path, &script, 25, 3, "threads", 1, "lockstep", 0)
-                .unwrap_err()
-                .contains("unknown backend")
-        );
         std::fs::write(&script, "0 node2vec:0 4 4 -\n").unwrap();
-        assert!(run_serve(&path, &script, 25, 3, "seq", 1, "lockstep", 0)
-            .unwrap_err()
-            .contains("node2vec"));
+        assert!(
+            run_serve(&path, &script, 25, 3, Backend::Seq, 1, "lockstep", 0)
+                .unwrap_err()
+                .contains("node2vec")
+        );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&script).ok();
     }
@@ -618,14 +616,14 @@ mod tests {
         .unwrap();
 
         // Uncapped: pace the whole trace, drain, serve everything.
-        let report = run_serve(&path, &script, 25, 3, "seq", 1, "realtime", 0).unwrap();
+        let report = run_serve(&path, &script, 25, 3, Backend::Seq, 1, "realtime", 0).unwrap();
         assert!(report.contains("mode realtime"), "{report}");
         assert!(report.contains("served 2"), "{report}");
         assert!(report.contains("2/2 submitted"), "{report}");
 
         // Capped: the run is cut off by wall time, but every submitted
         // query still reports exactly one outcome (possibly degraded).
-        let capped = run_serve(&path, &script, 25, 3, "seq", 1, "realtime", 50).unwrap();
+        let capped = run_serve(&path, &script, 25, 3, Backend::Seq, 1, "realtime", 50).unwrap();
         assert!(capped.contains("cap 50 ms"), "{capped}");
 
         std::fs::remove_file(&path).ok();
@@ -645,14 +643,14 @@ mod tests {
         )
         .unwrap();
 
-        let sharded = run_serve(&path, &script, 25, 3, "seq", 4, "lockstep", 0).unwrap();
+        let sharded = run_serve(&path, &script, 25, 3, Backend::Seq, 4, "lockstep", 0).unwrap();
         assert!(sharded.contains("4 shards"), "{sharded}");
         assert!(sharded.contains("served 3"), "{sharded}");
         assert!(sharded.contains("walkers emigrated"), "{sharded}");
         // Deterministic: replaying the same trace reproduces the report.
         assert_eq!(
             sharded,
-            run_serve(&path, &script, 25, 3, "seq", 4, "lockstep", 0).unwrap()
+            run_serve(&path, &script, 25, 3, Backend::Seq, 4, "lockstep", 0).unwrap()
         );
 
         std::fs::remove_file(&path).ok();

@@ -69,7 +69,7 @@ pub fn run(cli: Cli) -> Result<String, String> {
             &script,
             budget_pct,
             seed,
-            &backend,
+            backend,
             shards,
             &mode,
             duration_ms,

@@ -7,8 +7,8 @@
 //! the same helpers and time themselves on a [`crate::PipelineClock`].
 //!
 //! Callers that schedule *units* of walk work — the serving layer's
-//! rounds today, sharding later — program against [`StepKernel`] and pick
-//! a [`Backend`] per unit instead of hard-wiring one engine. The seam
+//! rounds — program against [`StepKernel`] and build the one kernel their
+//! configured [`Backend`] names instead of hard-wiring one engine. The seam
 //! deliberately returns a [`RoundOutcome`] rather than raw metrics: each
 //! kernel also reports a **deterministic** modeled duration
 //! (`advance_ns`) for the unit, because the two engines time work
@@ -42,19 +42,14 @@ pub enum Backend {
     Seq,
     /// The lock-free [`ParallelRunner`].
     Par,
-    /// Pick per unit: work that needs fully-deterministic timing (e.g.
-    /// deadline-constrained queries) runs sequentially, the rest runs on
-    /// the parallel kernel.
-    Auto,
 }
 
 impl Backend {
-    /// Parses `"seq"` / `"par"` / `"auto"`.
+    /// Parses `"seq"` / `"par"`.
     pub fn parse(s: &str) -> Option<Backend> {
         match s {
             "seq" => Some(Backend::Seq),
             "par" => Some(Backend::Par),
-            "auto" => Some(Backend::Auto),
             _ => None,
         }
     }
@@ -64,20 +59,6 @@ impl Backend {
         match self {
             Backend::Seq => "seq",
             Backend::Par => "par",
-            Backend::Auto => "auto",
-        }
-    }
-
-    /// Whether a unit of work with (`has_deadline`) runs on the parallel
-    /// kernel under this backend — the per-query routing rule every
-    /// serving driver shares. [`Backend::Auto`] keeps deadline-constrained
-    /// work on the sequential kernel, whose cancellation timing is
-    /// deterministic.
-    pub fn routes_to_par(self, has_deadline: bool) -> bool {
-        match self {
-            Backend::Seq => false,
-            Backend::Par => true,
-            Backend::Auto => !has_deadline,
         }
     }
 }
@@ -98,9 +79,6 @@ pub struct RoundOutcome {
 /// An execution strategy for one unit of walk work over a fixed graph,
 /// options and memory budget.
 pub trait StepKernel<A: Walk + 'static>: Send + Sync {
-    /// The kernel's [`Backend`]-style name (for reports).
-    fn name(&self) -> &'static str;
-
     /// Runs `app`'s full walker set to completion under `seed`.
     ///
     /// # Errors
@@ -130,10 +108,6 @@ impl SequentialKernel {
 }
 
 impl<A: Walk + 'static> StepKernel<A> for SequentialKernel {
-    fn name(&self) -> &'static str {
-        "seq"
-    }
-
     fn run_round(&self, app: Arc<A>, seed: u64) -> Result<RoundOutcome, EngineError> {
         let metrics = NosWalkerEngine::new(
             app,
@@ -177,10 +151,6 @@ impl ParallelKernel {
 }
 
 impl<A: Walk + 'static> StepKernel<A> for ParallelKernel {
-    fn name(&self) -> &'static str {
-        "par"
-    }
-
     fn run_round(&self, app: Arc<A>, seed: u64) -> Result<RoundOutcome, EngineError> {
         let metrics = ParallelRunner::new(
             app,
@@ -258,21 +228,11 @@ mod tests {
 
     #[test]
     fn backend_specs_round_trip() {
-        for b in [Backend::Seq, Backend::Par, Backend::Auto] {
+        for b in [Backend::Seq, Backend::Par] {
             assert_eq!(Backend::parse(b.name()), Some(b));
         }
         assert_eq!(Backend::parse("threads"), None);
         assert_eq!(Backend::default(), Backend::Seq);
-    }
-
-    #[test]
-    fn auto_routes_deadline_work_to_the_sequential_kernel() {
-        assert!(!Backend::Seq.routes_to_par(false));
-        assert!(!Backend::Seq.routes_to_par(true));
-        assert!(Backend::Par.routes_to_par(false));
-        assert!(Backend::Par.routes_to_par(true));
-        assert!(Backend::Auto.routes_to_par(false));
-        assert!(!Backend::Auto.routes_to_par(true));
     }
 
     #[test]
@@ -290,8 +250,6 @@ mod tests {
         let par = ParallelKernel::new(graph, opts, budget, 2);
         let a = seq.run_round(mk(), 7).expect("seq");
         let b = par.run_round(mk(), 7).expect("par");
-        assert_eq!(StepKernel::<Fixed>::name(&seq), "seq");
-        assert_eq!(StepKernel::<Fixed>::name(&par), "par");
         // Uniform degree-4 graph: no dead ends, every walker takes every
         // step on either kernel.
         assert_eq!(a.metrics.steps, 1000);

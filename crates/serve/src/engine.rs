@@ -4,14 +4,15 @@
 //! The round state machine itself — drain arrivals through admission,
 //! activate up to the walker-pool quota
 //! ([`EngineOptions::walker_pool_quota`]), expire deadlines, carve walker
-//! chunks per backend ([`Backend::Auto`] routes deadline-constrained
-//! queries to the sequential kernel and the rest to the parallel one),
-//! run each group on a `StepKernel`, and finalize — lives in
+//! chunks, run them on the lane's one `StepKernel` (the one
+//! [`ServeOptions::backend`] names), and finalize — lives in
 //! [`TickCore`](crate::tick::TickCore), shared with the shard plane and
 //! the realtime driver. [`ServeEngine`] is the *lockstep* shell around
-//! it: one single-lane core driven by a [`ModelClock`], advancing by the
-//! kernels' deterministic `advance_ns` charges and jumping idle gaps to
-//! the next arrival. Latency, deadlines, retry-after hints and the shed
+//! it: one single-lane core driven by
+//! [`TickCore::run_lockstep`](crate::tick::TickCore::run_lockstep) on a
+//! [`ModelClock`](noswalker_core::ModelClock), advancing by the kernel's
+//! deterministic `advance_ns` charges and jumping idle gaps to the next
+//! arrival. Latency, deadlines, retry-after hints and the shed
 //! decision all read that clock — never the host clock — so the same
 //! trace replays to an identical [`ServeReport`] on every backend: walker
 //! movement draws only walker-private randomness (see [`crate::app`]),
@@ -19,11 +20,11 @@
 //! ever consumes a pre-drawn slot whose value depends on refill
 //! scheduling.
 
-use crate::tick::{LaneConfig, SingleLane, Tick, TickCore};
-use noswalker_core::audit::{Trace, TraceSink};
+use crate::tick::{LaneConfig, SingleLane, TickCore};
+use noswalker_core::audit::TraceSink;
 use noswalker_core::{
-    Backend, EngineError, EngineOptions, LatencyHistogram, ModelClock, OnDiskGraph, QueryId,
-    QuerySource, QueryStats, RunMetrics, TickClock,
+    Backend, EngineError, EngineOptions, LatencyHistogram, OnDiskGraph, QueryId, QuerySource,
+    QueryStats, RunMetrics,
 };
 use noswalker_storage::MemoryBudget;
 use std::collections::BTreeMap;
@@ -48,10 +49,8 @@ pub struct ServeOptions {
     /// partial and the pending queue drains as shed, so each offered
     /// query still gets an outcome.
     pub max_rounds: u64,
-    /// Which [`StepKernel`] executes rounds. [`Backend::Auto`] selects
-    /// per query class: deadline-constrained queries run on the
-    /// sequential kernel (whose cancellation timing is deterministic),
-    /// best-effort queries on the parallel one.
+    /// Which `StepKernel` executes rounds: each lane builds this one
+    /// kernel and runs every round on it.
     pub backend: Backend,
     /// Worker threads for the parallel kernel. A fixed constant rather
     /// than a host-derived figure, so a trace replays identically on any
@@ -239,7 +238,7 @@ impl ServeEngine {
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<ServeReport, ServeError> {
         let nv = self.graph.num_vertices() as u32;
-        let mut core = TickCore::new(
+        let core = TickCore::new(
             vec![LaneConfig {
                 graph: Arc::clone(&self.graph),
                 budget: Arc::clone(&self.budget),
@@ -248,23 +247,7 @@ impl ServeEngine {
             Box::new(SingleLane),
             self.opts.clone(),
         );
-        let mut clock = ModelClock::new();
-        let mut trace = Trace::from_option(sink);
-        loop {
-            match core.tick(&mut clock, source, &mut trace)? {
-                Tick::Ran => {}
-                Tick::Exhausted => break,
-                Tick::Idle { next_arrival_ns } => match next_arrival_ns {
-                    // Nothing runnable: jump to the next arrival or stop.
-                    Some(t) if !source.is_exhausted() => {
-                        clock.advance_idle(t);
-                    }
-                    _ => break,
-                },
-            }
-        }
-        let end_ns = TickClock::now_ns(&mut clock);
-        Ok(core.finish(end_ns).report)
+        Ok(core.run_lockstep(source, sink)?.report)
     }
 }
 

@@ -30,15 +30,14 @@
 //! served, and `Shutdown` aborts: in-flight queries finalize as degraded
 //! partials, queued ones shed — **every accepted submit still gets
 //! exactly one outcome** (the ingress stress test pins this). Results
-//! stream back per tick through an epoch-swapped snapshot pool
+//! stream back per tick through one mutex-guarded snapshot slot
 //! ([`RealtimeHandle::snapshot`] / [`RealtimeHandle::take_outcomes`])
 //! that readers poll without ever blocking the tick thread for more than
 //! an [`Arc`] clone.
 
 #![expect(
     clippy::disallowed_types,
-    reason = "the egress epoch index is a Release/Acquire hand-off (see its ORDERING: comments), \
-              and `WallClock` is the serving crate's one WallTimer holder"
+    reason = "`WallClock` is the serving crate's one WallTimer holder"
 )]
 
 use crate::engine::{QueryOutcome, ServeError, ServeOptions};
@@ -48,7 +47,6 @@ use noswalker_core::{
     BufferedQuerySource, OnDiskGraph, QueryId, QuerySource, QuerySpec, TickClock, WallTimer,
 };
 use noswalker_storage::MemoryBudget;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -170,49 +168,13 @@ pub struct ServeSnapshot {
     pub now_ns: u64,
 }
 
-/// Two-slot epoch-swapped snapshot pool: the single writer (the tick
-/// thread) installs each new generation into the slot *not* currently
-/// published, then swings the epoch index; readers resolve the index and
-/// clone the [`Arc`] out from under a momentary lock. A reader can never
-/// block the writer for longer than one `Arc` clone, and a generation
-/// swap is safe under any number of concurrent readers.
-#[derive(Debug)]
-struct EgressPool {
-    slots: [Mutex<Arc<ServeSnapshot>>; 2],
-    epoch: AtomicUsize,
-}
+/// The egress slot: the latest published snapshot. The tick thread
+/// swaps in each new one under a momentary lock and drops the old one
+/// after unlocking; a reader holds the lock only for an [`Arc`] clone.
+type Egress = Mutex<Arc<ServeSnapshot>>;
 
-impl EgressPool {
-    fn new() -> Self {
-        EgressPool {
-            slots: [
-                Mutex::new(Arc::new(ServeSnapshot::default())),
-                Mutex::new(Arc::new(ServeSnapshot::default())),
-            ],
-            epoch: AtomicUsize::new(0),
-        }
-    }
-
-    /// Publishes the next generation. `cur` is the writer's private
-    /// record of the currently published slot (single-writer protocol —
-    /// the writer never needs to read the atomic back).
-    fn publish(&self, snap: ServeSnapshot, cur: &mut usize) {
-        let next = (*cur + 1) % 2;
-        *self.slots[next].lock().expect("egress slot poisoned") = Arc::new(snap);
-        // ORDERING: Release pairs with the Acquire load in `read`: a
-        // reader that observes the new epoch index also observes the
-        // fully written slot contents behind it.
-        self.epoch.store(next, Ordering::Release);
-        *cur = next;
-    }
-
-    fn read(&self) -> Arc<ServeSnapshot> {
-        // ORDERING: Acquire pairs with the Release store in `publish`, so
-        // the slot this index points at is fully initialized before we
-        // lock and clone it.
-        let cur = self.epoch.load(Ordering::Acquire);
-        Arc::clone(&self.slots[cur].lock().expect("egress slot poisoned"))
-    }
+fn read(egress: &Egress) -> Arc<ServeSnapshot> {
+    Arc::clone(&egress.lock().expect("egress slot poisoned"))
 }
 
 /// A configured-but-not-yet-started realtime server.
@@ -281,17 +243,17 @@ impl RealtimeServer {
     pub fn start_with_clock(self, clock: Box<dyn TickClock + Send>) -> RealtimeHandle {
         let core = TickCore::new(self.lanes, self.router, self.opts);
         let (tx, rx) = std::sync::mpsc::sync_channel(self.rt.ingress_capacity.max(1));
-        let pool = Arc::new(EgressPool::new());
-        let thread_pool = Arc::clone(&pool);
+        let egress: Arc<Egress> = Arc::default();
+        let thread_egress = Arc::clone(&egress);
         let mode = self.rt.mode;
         #[expect(clippy::disallowed_methods, reason = "sanctioned spawn: tick thread")]
         let join = std::thread::Builder::new()
             .name("nosw-serve-tick".into())
-            .spawn(move || serve_thread(core, clock, rx, &thread_pool, mode))
+            .spawn(move || serve_thread(core, clock, rx, &thread_egress, mode))
             .expect("spawn serve tick thread");
         RealtimeHandle {
-            tx,
-            pool,
+            ingress: IngressSender { tx },
+            egress,
             join,
             taken: 0,
         }
@@ -345,7 +307,7 @@ fn serve_thread(
     mut core: TickCore,
     mut clock: Box<dyn TickClock + Send>,
     rx: Receiver<Command>,
-    pool: &EgressPool,
+    egress: &Egress,
     mode: IngressMode,
 ) -> Result<TickReport, ServeError> {
     let wall = mode == IngressMode::Wall;
@@ -354,7 +316,6 @@ fn serve_thread(
         shutdown: false,
         accepted: 0,
     };
-    let mut cur_slot = 0usize;
     loop {
         // (a) Drain every immediately available command.
         loop {
@@ -407,10 +368,10 @@ fn serve_thread(
 
         // (c) One tick of the shared state machine.
         match core.tick(clock.as_mut(), &mut ing.source, &mut Trace::off())? {
-            Tick::Ran => publish(pool, &core, &mut clock, &mut cur_slot),
+            Tick::Ran => publish(egress, &core, clock.as_mut()),
             Tick::Exhausted => break,
             Tick::Idle { next_arrival_ns } => {
-                publish(pool, &core, &mut clock, &mut cur_slot);
+                publish(egress, &core, clock.as_mut());
                 if ing.source.is_exhausted() && next_arrival_ns.is_none() {
                     break; // drained and fully served
                 }
@@ -440,35 +401,30 @@ fn serve_thread(
             }
         }
     }
-    publish(pool, &core, &mut clock, &mut cur_slot);
+    publish(egress, &core, clock.as_mut());
     let end_ns = clock.now_ns();
     Ok(core.finish(end_ns))
 }
 
-fn publish(
-    pool: &EgressPool,
-    core: &TickCore,
-    clock: &mut Box<dyn TickClock + Send>,
-    cur_slot: &mut usize,
-) {
-    pool.publish(
-        ServeSnapshot {
-            rounds: core.rounds(),
-            active: core.active_len(),
-            pending: core.pending_len(),
-            outcomes: core.outcomes().to_vec(),
-            now_ns: clock.now_ns(),
-        },
-        cur_slot,
-    );
+fn publish(egress: &Egress, core: &TickCore, clock: &mut dyn TickClock) {
+    let snap = Arc::new(ServeSnapshot {
+        rounds: core.rounds(),
+        active: core.active_len(),
+        pending: core.pending_len(),
+        outcomes: core.outcomes().to_vec(),
+        now_ns: clock.now_ns(),
+    });
+    // The guard is a temporary of this statement, so it is released
+    // before `_stale` (the old snapshot) drops at the end of the scope.
+    let _stale = std::mem::replace(&mut *egress.lock().expect("egress slot poisoned"), snap);
 }
 
 /// The caller's side of a running realtime server: submit/cancel/drain/
 /// shutdown commands in, streamed snapshots and outcomes out.
 #[derive(Debug)]
 pub struct RealtimeHandle {
-    tx: SyncSender<Command>,
-    pool: Arc<EgressPool>,
+    ingress: IngressSender,
+    egress: Arc<Egress>,
     join: std::thread::JoinHandle<Result<TickReport, ServeError>>,
     taken: usize,
 }
@@ -498,75 +454,65 @@ impl IngressSender {
 
     /// Submits a query, blocking while the bounded ingress is full.
     pub fn submit_blocking(&self, q: QuerySpec) -> Result<(), IngressError> {
-        self.tx
-            .send(Command::Submit(q))
-            .map_err(|_| IngressError::Closed)
+        self.send(Command::Submit(q))
     }
 
-    /// Requests cancellation of a query wherever it currently is.
+    /// Requests cancellation of a query wherever it currently is
+    /// (ingress, admission queue, or active set).
     pub fn cancel(&self, id: QueryId) -> Result<(), IngressError> {
-        self.tx
-            .send(Command::Cancel(id))
-            .map_err(|_| IngressError::Closed)
+        self.send(Command::Cancel(id))
+    }
+
+    /// Sends `cmd`, blocking while the bounded ingress is full.
+    fn send(&self, cmd: Command) -> Result<(), IngressError> {
+        self.tx.send(cmd).map_err(|_| IngressError::Closed)
     }
 }
 
 impl RealtimeHandle {
     /// A clonable submit/cancel endpoint for worker threads.
     pub fn sender(&self) -> IngressSender {
-        IngressSender {
-            tx: self.tx.clone(),
-        }
+        self.ingress.clone()
     }
 
-    /// Submits a query; fails fast with backpressure when the bounded
-    /// ingress is full.
+    /// See [`IngressSender::submit`].
     pub fn submit(&self, q: QuerySpec) -> Result<(), IngressError> {
-        map_try_send(self.tx.try_send(Command::Submit(q)))
+        self.ingress.submit(q)
     }
 
-    /// Submits a query, blocking while the bounded ingress is full.
+    /// See [`IngressSender::submit_blocking`].
     pub fn submit_blocking(&self, q: QuerySpec) -> Result<(), IngressError> {
-        self.tx
-            .send(Command::Submit(q))
-            .map_err(|_| IngressError::Closed)
+        self.ingress.submit_blocking(q)
     }
 
-    /// Requests cancellation of a query wherever it currently is
-    /// (ingress, admission queue, or active set).
+    /// See [`IngressSender::cancel`].
     pub fn cancel(&self, id: QueryId) -> Result<(), IngressError> {
-        self.tx
-            .send(Command::Cancel(id))
-            .map_err(|_| IngressError::Closed)
+        self.ingress.cancel(id)
     }
 
     /// Closes the ingress: the server finishes everything queued, then
     /// stops. Join with [`join`](Self::join) afterwards.
     pub fn drain(&self) -> Result<(), IngressError> {
-        self.tx
-            .send(Command::Drain)
-            .map_err(|_| IngressError::Closed)
+        self.ingress.send(Command::Drain)
     }
 
     /// Requests an abort: in-flight queries finalize as degraded
     /// partials, queued ones shed; every accepted submit still gets an
     /// outcome.
     pub fn shutdown(&self) -> Result<(), IngressError> {
-        self.tx
-            .send(Command::Shutdown)
-            .map_err(|_| IngressError::Closed)
+        self.ingress.send(Command::Shutdown)
     }
 
     /// The latest published snapshot (never blocks the tick thread for
     /// more than an `Arc` clone).
     pub fn snapshot(&self) -> Arc<ServeSnapshot> {
-        self.pool.read()
+        read(&self.egress)
     }
 
     /// Outcomes newly published since the last call — the streamed
     /// partial-results view.
     pub fn take_outcomes(&mut self) -> Vec<QueryOutcome> {
-        let snap = self.pool.read();
+        let snap = read(&self.egress);
         let fresh = snap.outcomes.get(self.taken..).unwrap_or_default().to_vec();
         self.taken = snap.outcomes.len();
         fresh
@@ -575,13 +521,13 @@ impl RealtimeHandle {
     /// Closes the ingress and waits for the server to finish serving
     /// everything queued.
     pub fn drain_and_join(self) -> Result<TickReport, ServeError> {
-        let _ = self.tx.send(Command::Drain);
+        let _ = self.drain();
         self.join()
     }
 
     /// Aborts and waits for the server thread.
     pub fn shutdown_and_join(self) -> Result<TickReport, ServeError> {
-        let _ = self.tx.send(Command::Shutdown);
+        let _ = self.shutdown();
         self.join()
     }
 
@@ -592,8 +538,8 @@ impl RealtimeHandle {
     /// `join`, so callers keeping [`IngressSender`] clones alive must
     /// drop them for a shutdown join to complete.
     pub fn join(self) -> Result<TickReport, ServeError> {
-        let RealtimeHandle { tx, join, .. } = self;
-        drop(tx);
+        let RealtimeHandle { ingress, join, .. } = self;
+        drop(ingress);
         join.join().expect("serve tick thread panicked")
     }
 }

@@ -5,22 +5,21 @@
 //! case and `ShardPlane` (crates/shard) for the N-lane case. `TickCore`
 //! is that loop lifted out once: drain arrivals → admission → activate →
 //! boundary expiry → carve chunks → run on a
-//! [`StepKernel`](noswalker_core::StepKernel) → deadline check →
-//! finalize/handoff. A *driver* owns the loop around
-//! [`TickCore::tick`] and supplies the clock through the
+//! [`StepKernel`] → deadline check → finalize/handoff. A *driver* owns
+//! the loop around [`TickCore::tick`] and supplies the clock through the
 //! [`TickClock`] seam:
 //!
-//! * **lockstep** — a [`ModelClock`](noswalker_core::ModelClock); each
-//!   tick charges the kernels' deterministic `advance_ns`, idle gaps jump
-//!   to the next arrival, replays are bit-identical
-//!   ([`ServeEngine`](crate::ServeEngine), `ShardPlane`).
+//! * **lockstep** — [`TickCore::run_lockstep`], the one drive loop both
+//!   [`ServeEngine`](crate::ServeEngine) and `ShardPlane` delegate to: a
+//!   [`ModelClock`] charged with the kernels' deterministic `advance_ns`,
+//!   idle gaps jumped to the next arrival, replays bit-identical.
 //! * **realtime** — a wall clock confined to [`crate::realtime`]; an
 //!   autonomous background thread ticks the same state machine against
 //!   real time and streams partial results per tick.
 //!
 //! The core is *lane*-structured: one lane per shard (admission queue,
-//! walker-pool quota, sequential + parallel kernels, owned vertex
-//! range), with a [`LaneRouter`] deciding which lane admits a query and
+//! walker-pool quota, the one kernel [`ServeOptions::backend`] names,
+//! owned vertex range), with a [`LaneRouter`] deciding which lane admits a query and
 //! which lane owns a handed-off walker. With a single lane every phase
 //! degenerates to the unsharded engine's behavior bit-for-bit (the
 //! `shard_plane` N=1 test pins this), which is what lets both shells be
@@ -29,10 +28,11 @@
 use crate::admission::{Admission, AdmissionController};
 use crate::app::{query_stream_seed, QueryClass, QueryTable, RoundApp, ServeWalker};
 use crate::engine::{QueryOutcome, ServeError, ServeOptions, ServeReport};
-use noswalker_core::audit::{Trace, TraceEvent};
+use noswalker_core::audit::{Trace, TraceEvent, TraceSink};
 use noswalker_core::{
-    audit_handoffs, audit_queries, LatencyHistogram, OnDiskGraph, ParallelKernel, QueryId,
-    QuerySource, QuerySpec, QueryStats, RunMetrics, SequentialKernel, StepKernel, TickClock,
+    audit_handoffs, audit_queries, Backend, LatencyHistogram, ModelClock, OnDiskGraph,
+    ParallelKernel, QueryId, QuerySource, QuerySpec, QueryStats, RunMetrics, SequentialKernel,
+    StepKernel, TickClock,
 };
 use noswalker_graph::VertexId;
 use noswalker_storage::MemoryBudget;
@@ -121,7 +121,7 @@ impl ActiveQuery {
     }
 }
 
-/// Per-(lane, kernel) round-carve state.
+/// Per-lane round-carve state.
 #[derive(Default)]
 struct Group {
     entries: Vec<(QueryClass, u32, Option<u64>, u64)>,
@@ -132,7 +132,7 @@ struct Group {
     resumed: Vec<ServeWalker>,
     /// Slots to pre-cancel before the round runs (draining queries).
     precancel: Vec<u32>,
-    /// `query id → slot` for this group (linear scan; tiny and
+    /// `query id → slot` for this lane (linear scan; tiny and
     /// deterministic — `crates/clippy.toml` bans hash maps, rule L9).
     slot_of_query: Vec<(u64, u32)>,
 }
@@ -175,8 +175,7 @@ impl Group {
 
 /// One lane's mutable serving machinery.
 struct Lane {
-    seq: SequentialKernel,
-    par: ParallelKernel,
+    kernel: Box<dyn StepKernel<RoundApp>>,
     admission: AdmissionController,
     quota: u64,
     owned: Range<VertexId>,
@@ -238,9 +237,6 @@ pub struct TickCore {
     rounds: u64,
     total_emigrated: u64,
     total_immigrated: u64,
-    /// Watermark for [`take_new_outcomes`](Self::take_new_outcomes): how
-    /// many of `outcomes` the egress side has already seen.
-    streamed: usize,
 }
 
 impl std::fmt::Debug for TickCore {
@@ -288,17 +284,19 @@ impl TickCore {
                     std::mem::size_of::<ServeWalker>(),
                     u64::MAX,
                 ),
-                seq: SequentialKernel::new(
-                    Arc::clone(&cfg.graph),
-                    round_opts.clone(),
-                    Arc::clone(&cfg.budget),
-                ),
-                par: ParallelKernel::new(
-                    Arc::clone(&cfg.graph),
-                    round_opts.clone(),
-                    Arc::clone(&cfg.budget),
-                    opts.par_workers,
-                ),
+                kernel: match opts.backend {
+                    Backend::Seq => Box::new(SequentialKernel::new(
+                        Arc::clone(&cfg.graph),
+                        round_opts.clone(),
+                        Arc::clone(&cfg.budget),
+                    )),
+                    Backend::Par => Box::new(ParallelKernel::new(
+                        Arc::clone(&cfg.graph),
+                        round_opts.clone(),
+                        Arc::clone(&cfg.budget),
+                        opts.par_workers,
+                    )),
+                },
                 admission: AdmissionController::new(opts.admission.clone()),
                 owned: cfg.owned,
             })
@@ -317,7 +315,6 @@ impl TickCore {
             rounds: 0,
             total_emigrated: 0,
             total_immigrated: 0,
-            streamed: 0,
         }
     }
 
@@ -339,15 +336,6 @@ impl TickCore {
     /// Every outcome recorded so far, in termination order.
     pub fn outcomes(&self) -> &[QueryOutcome] {
         &self.outcomes
-    }
-
-    /// Outcomes recorded since the last call — the realtime driver's
-    /// per-tick partial-result stream. Lockstep shells never call this,
-    /// so `finish` still reports every outcome.
-    pub fn take_new_outcomes(&mut self) -> Vec<QueryOutcome> {
-        let fresh = self.outcomes[self.streamed..].to_vec();
-        self.streamed = self.outcomes.len();
-        fresh
     }
 
     /// The per-class completion-latency histograms, merged across lanes.
@@ -638,9 +626,8 @@ impl TickCore {
         });
 
         // (4) Carve fresh walker chunks per lane, EDF order first, under
-        // each lane's per-round cap. Group membership follows the
-        // configured backend ([`Backend::routes_to_par`]).
-        let mut groups: Vec<[Group; 2]> = (0..n).map(|_| Default::default()).collect();
+        // each lane's per-round cap.
+        let mut groups: Vec<Group> = (0..n).map(|_| Group::default()).collect();
         let mut caps: Vec<u64> = self
             .lanes
             .iter()
@@ -656,19 +643,13 @@ impl TickCore {
                 continue;
             }
             caps[s] -= count;
-            let on_par = self
-                .opts
-                .backend
-                .routes_to_par(q.spec.deadline_ns.is_some());
-            let g = &mut groups[s][usize::from(on_par)];
+            let g = &mut groups[s];
             let slot = g.slot(idx, q, count, now, self.step_cost, self.opts.seed);
             g.chunks.push((slot, q.stats.issued, count));
         }
 
-        let idle = groups
-            .iter()
-            .all(|gs| gs.iter().all(|g| g.entries.is_empty()))
-            && self.inbox.iter().all(|b| b.is_empty());
+        let idle =
+            groups.iter().all(|g| g.entries.is_empty()) && self.inbox.iter().all(|b| b.is_empty());
         if idle {
             // Nothing runnable anywhere: the driver decides whether to
             // jump to the next arrival, wait, or stop.
@@ -689,7 +670,7 @@ impl TickCore {
         // resumes ahead of the fresh chunks with vertex, step count, and
         // private RNG stream intact. Draining queries get pre-cancelled
         // slots so their walkers retire on contact.
-        for (s, group_pair) in groups.iter_mut().enumerate() {
+        for (s, g) in groups.iter_mut().enumerate() {
             let arrivals = std::mem::take(&mut self.inbox[s]);
             if arrivals.is_empty() {
                 continue;
@@ -703,13 +684,14 @@ impl TickCore {
                     .iter()
                     .position(|q| q.spec.id == qid)
                     .expect("in-flight walker's query stays active");
-                let q = &self.active[idx];
-                let on_par = self
-                    .opts
-                    .backend
-                    .routes_to_par(q.spec.deadline_ns.is_some());
-                let g = &mut group_pair[usize::from(on_par)];
-                w.slot = g.slot(idx, q, 0, now, self.step_cost, self.opts.seed);
+                w.slot = g.slot(
+                    idx,
+                    &self.active[idx],
+                    0,
+                    now,
+                    self.step_cost,
+                    self.opts.seed,
+                );
                 g.resumed.push(w);
             }
         }
@@ -732,35 +714,27 @@ impl TickCore {
             Arc<RoundApp>,
         );
         let mut ran: Vec<Ran> = Vec::new();
-        for (s, lane_groups) in groups.into_iter().enumerate() {
-            let mut lane_advance = 0u64;
-            for (par, g) in lane_groups.into_iter().enumerate() {
-                if g.entries.is_empty() {
-                    continue;
-                }
-                let table = Arc::new(QueryTable::new(g.entries));
-                for &slot in &g.precancel {
-                    table.cancel(slot);
-                }
-                let app = Arc::new(RoundApp::sharded(
-                    Arc::clone(&table),
-                    g.chunks,
-                    self.nv,
-                    self.lanes[s].owned.clone(),
-                    g.resumed,
-                ));
-                let out = if par == 1 {
-                    self.lanes[s].par.run_round(Arc::clone(&app), seed)?
-                } else {
-                    self.lanes[s].seq.run_round(Arc::clone(&app), seed)?
-                };
-                lane_advance += out.advance_ns;
-                round_stalls += out.metrics.pool_stalls;
-                round_steps += out.metrics.steps;
-                self.metrics.merge(&out.metrics);
-                ran.push((s, table, g.charged, app));
+        for (s, g) in groups.into_iter().enumerate() {
+            if g.entries.is_empty() {
+                continue;
             }
-            max_advance = max_advance.max(lane_advance);
+            let table = Arc::new(QueryTable::new(g.entries));
+            for &slot in &g.precancel {
+                table.cancel(slot);
+            }
+            let app = Arc::new(RoundApp::sharded(
+                Arc::clone(&table),
+                g.chunks,
+                self.nv,
+                self.lanes[s].owned.clone(),
+                g.resumed,
+            ));
+            let out = self.lanes[s].kernel.run_round(Arc::clone(&app), seed)?;
+            max_advance = max_advance.max(out.advance_ns);
+            round_stalls += out.metrics.pool_stalls;
+            round_steps += out.metrics.steps;
+            self.metrics.merge(&out.metrics);
+            ran.push((s, table, g.charged, app));
         }
         clock.advance_round(max_advance);
         for lane in &mut self.lanes {
@@ -851,6 +825,37 @@ impl TickCore {
         }
 
         Ok(Tick::Ran)
+    }
+
+    /// The lockstep drive loop: ticks against a fresh [`ModelClock`]
+    /// until `source` is exhausted (idle gaps jump to the next arrival)
+    /// or the `max_rounds` backstop trips, then [`finish`](Self::finish)es
+    /// at the clock's final reading.
+    ///
+    /// # Errors
+    ///
+    /// As for [`tick`](Self::tick).
+    pub fn run_lockstep(
+        mut self,
+        source: &mut dyn QuerySource,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> Result<TickReport, ServeError> {
+        let mut clock = ModelClock::new();
+        let mut trace = Trace::from_option(sink);
+        loop {
+            match self.tick(&mut clock, source, &mut trace)? {
+                Tick::Ran => {}
+                Tick::Exhausted => break,
+                Tick::Idle {
+                    next_arrival_ns: Some(t),
+                } if !source.is_exhausted() => {
+                    clock.advance_idle(t);
+                }
+                Tick::Idle { .. } => break,
+            }
+        }
+        let end_ns = TickClock::now_ns(&mut clock);
+        Ok(self.finish(end_ns))
     }
 
     /// Closes the run and builds the merged report. `end_ns` is the

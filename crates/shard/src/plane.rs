@@ -10,8 +10,9 @@
 //! in [`noswalker_serve::TickCore`], shared with the unsharded engine
 //! and the realtime driver. [`ShardPlane`] is the N-lane *lockstep*
 //! shell: it builds one [`LaneConfig`] per shard, injects a
-//! [`LaneRouter`] backed by the range-lookup [`ShardRouter`], and drives
-//! ticks with a [`ModelClock`]. A query whose deadline fires while
+//! [`LaneRouter`] backed by the range-lookup [`ShardRouter`], and hands
+//! the core to [`TickCore::run_lockstep`] — the same drive loop the
+//! unsharded engine uses. A query whose deadline fires while
 //! walkers are in flight *drains* (its handed-off walkers retire through
 //! pre-cancelled slots) instead of finalizing early, keeping the
 //! query-conservation law exact. The clock advances by the **maximum**
@@ -21,16 +22,11 @@
 
 use crate::router::ShardRouter;
 use crate::subgraph::shard_subgraph;
-use noswalker_core::audit::{Trace, TraceSink};
-use noswalker_core::{
-    LatencyHistogram, ModelClock, OnDiskGraph, QuerySource, QuerySpec, StoreError, TickClock,
-};
+use noswalker_core::audit::TraceSink;
+use noswalker_core::{OnDiskGraph, QuerySource, QuerySpec, StoreError};
 use noswalker_graph::{Csr, Partition, VertexId};
-use noswalker_serve::{
-    LaneConfig, LaneRouter, QueryClass, ServeError, ServeOptions, ServeReport, Tick, TickCore,
-};
+use noswalker_serve::{LaneConfig, LaneRouter, QueryClass, ServeError, ServeOptions, TickCore};
 use noswalker_storage::{Device, MemoryBudget};
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -64,22 +60,9 @@ impl LaneRouter for PlaneRouter {
     }
 }
 
-/// Everything a sharded serving run produced: the merged [`ServeReport`]
-/// plus the shard-plane extras.
-#[derive(Debug)]
-pub struct ShardReport {
-    /// The merged report — outcomes, global histograms, merged metrics —
-    /// directly comparable to an unsharded [`ServeReport`].
-    pub report: ServeReport,
-    /// Per-shard completion-latency histograms (what the global
-    /// `report.histograms` were merged from).
-    pub shard_histograms: Vec<BTreeMap<String, LatencyHistogram>>,
-    /// Total cross-shard handoff hops (emigrations).
-    pub walkers_emigrated: u64,
-    /// Total handed-off walkers re-admitted (equals `walkers_emigrated`
-    /// at run end — the conservation law with zero in flight).
-    pub walkers_immigrated: u64,
-}
+/// Everything a sharded serving run produced: the merged report plus
+/// per-shard histograms and handoff totals (one lane per shard).
+pub use noswalker_serve::TickReport as ShardReport;
 
 /// The N-shard serve plane (see module docs).
 pub struct ShardPlane {
@@ -187,38 +170,15 @@ impl ShardPlane {
                 owned: sh.owned.clone(),
             })
             .collect();
-        let mut core = TickCore::new(
+        TickCore::new(
             lanes,
             Box::new(PlaneRouter {
                 router: self.router.clone(),
                 nv: self.nv,
             }),
             self.opts.clone(),
-        );
-        let mut clock = ModelClock::new();
-        let mut trace = Trace::from_option(sink);
-        loop {
-            match core.tick(&mut clock, source, &mut trace)? {
-                Tick::Ran => {}
-                Tick::Exhausted => break,
-                Tick::Idle { next_arrival_ns } => match next_arrival_ns {
-                    // Nothing runnable anywhere: jump to the next arrival
-                    // or stop.
-                    Some(t) if !source.is_exhausted() => {
-                        clock.advance_idle(t);
-                    }
-                    _ => break,
-                },
-            }
-        }
-        let end_ns = TickClock::now_ns(&mut clock);
-        let t = core.finish(end_ns);
-        Ok(ShardReport {
-            report: t.report,
-            shard_histograms: t.lane_histograms,
-            walkers_emigrated: t.walkers_emigrated,
-            walkers_immigrated: t.walkers_immigrated,
-        })
+        )
+        .run_lockstep(source, sink)
     }
 }
 
