@@ -67,7 +67,9 @@ impl BasicRw {
         }
     }
 
-    /// Steps executed so far (across all engines/runs of this instance).
+    /// Steps of the walks finished so far (across all engines/runs of
+    /// this instance). Each walker adds its steps once, at termination,
+    /// so concurrent workers share no counter while stepping.
     pub fn steps_taken(&self) -> u64 {
         self.steps_taken.load(Ordering::Relaxed)
     }
@@ -108,8 +110,12 @@ impl Walk for BasicRw {
     fn action(&self, w: &mut BasicWalker, next: VertexId, _rng: &mut WalkRng) -> bool {
         w.at = next;
         w.step += 1;
-        self.steps_taken.fetch_add(1, Ordering::Relaxed);
         true
+    }
+
+    fn on_terminate(&self, w: &BasicWalker) {
+        self.steps_taken
+            .fetch_add(u64::from(w.step), Ordering::Relaxed);
     }
 }
 
@@ -148,6 +154,7 @@ mod tests {
             app.action(&mut w, 1, &mut rng);
         }
         assert!(!app.is_active(&w));
+        app.on_terminate(&w);
         assert_eq!(app.steps_taken(), 3);
     }
 }

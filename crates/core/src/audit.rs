@@ -684,12 +684,12 @@ impl RunAudit {
     /// 8. **second-order-balance** — `accepts <= steps_on_block` (every
     ///    accepted candidate is recorded as a resident-block step), and
     ///    any rejection-sampling activity implies edge data was loaded.
-    /// 9. **prefetch-accounting** — `prefetch_hits <= coarse_loads`, and
-    ///    any prefetch outcome (hit or wasted) implies at least one
-    ///    coarse load (the first load is always a demand load).
+    /// 9. **prefetch-accounting** — `prefetch_hits <= coarse_loads +
+    ///    fine_loads`, and any prefetch outcome (hit or wasted) implies at
+    ///    least one load (the first load is always a demand load).
     /// 10. **pool-accounting** — a published pre-sample buffer
-    ///     (`pool_publishes`) is built from loaded block data, so it
-    ///     implies a coarse load.
+    ///     (`pool_publishes`) is built from loaded edge data, so it
+    ///     implies a coarse or fine load.
     /// 11. **stall-accounting** — a stalled or deferred walker survives
     ///     and eventually steps (or is cancelled), so stalls or
     ///     deferrals (`pool_deferrals` — visits that found no published
@@ -849,30 +849,30 @@ impl RunAudit {
                 ),
             );
         }
-        if prefetch_hits > coarse_loads {
+        if prefetch_hits > loads {
             fail(
                 "prefetch-accounting",
                 format!(
-                    "prefetch_hits {prefetch_hits} > coarse_loads {coarse_loads} (every hit \
-                     is a coarse load served early)"
+                    "prefetch_hits {prefetch_hits} > {loads} loads (every hit is a load \
+                     served early)"
                 ),
             );
         }
-        if prefetch_hits + prefetch_wasted > 0 && coarse_loads == 0 {
+        if prefetch_hits + prefetch_wasted > 0 && loads == 0 {
             fail(
                 "prefetch-accounting",
                 format!(
                     "prefetch outcomes recorded ({prefetch_hits} hits, {prefetch_wasted} \
-                     wasted) with no coarse loads — the first load is always a demand load"
+                     wasted) with no loads — the first load is always a demand load"
                 ),
             );
         }
-        if pool_publishes > 0 && coarse_loads == 0 {
+        if pool_publishes > 0 && loads == 0 {
             fail(
                 "pool-accounting",
                 format!(
-                    "pool_publishes {pool_publishes} with no coarse loads — published \
-                     buffers are built from loaded block data"
+                    "pool_publishes {pool_publishes} with no loads — published buffers are \
+                     built from loaded edge data"
                 ),
             );
         }
@@ -1113,9 +1113,26 @@ mod tests {
             "prefetch-accounting"
         );
 
+        // Fine page batches are loads too: prefetched and published from.
+        let mut m = RunMetrics {
+            coarse_loads: 0,
+            fine_loads: 3,
+            prefetch_hits: 3,
+            pool_publishes: 1,
+            ..conserving_metrics()
+        };
+        let report = audit.verify_metrics(&m);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        m.prefetch_hits += 1;
+        assert_eq!(
+            audit.verify_metrics(&m).violations[0].law,
+            "prefetch-accounting"
+        );
+
         let mut m = conserving_metrics();
         m.coarse_loads = 0;
-        m.fine_loads = 1; // keep load-byte-consistency satisfied
+        m.edge_bytes_loaded = 0;
+        m.io_ops = 0;
         m.prefetch_wasted = 2;
         let laws: Vec<_> = audit
             .verify_metrics(&m)
@@ -1127,7 +1144,8 @@ mod tests {
 
         let mut m = conserving_metrics();
         m.coarse_loads = 0;
-        m.fine_loads = 1;
+        m.edge_bytes_loaded = 0;
+        m.io_ops = 0;
         m.pool_publishes = 1;
         let laws: Vec<_> = audit
             .verify_metrics(&m)

@@ -23,6 +23,7 @@ use crate::disk_graph::{LoadError, OnDiskGraph};
 use crate::metrics::{RunMetrics, StepSource};
 use crate::options::EngineOptions;
 use crate::presample::{plan_quotas, Peek, PreSampleBuffer};
+use crate::threaded::Edges;
 use crate::walk::{SecondOrderWalk, Walk, WalkRng};
 use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::partition::{BlockId, BlockInfo};
@@ -87,6 +88,12 @@ impl EdgeSource for FineLoad {
     }
 }
 
+impl EdgeSource for Edges {
+    fn edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
+        self.vertex_edges(graph, v)
+    }
+}
+
 // ----------------------------------------------------------------------
 // Shared with the real-thread runner (`crate::parallel`)
 // ----------------------------------------------------------------------
@@ -136,6 +143,78 @@ pub(crate) fn stall_on(
             until_ns: t,
         });
     }
+}
+
+/// The fine-mode switch `α·|Wa|·4KiB < S_G` (§3.3.1): whether loads are
+/// 4 KiB page batches once `remaining` walkers are left. Sticky: the first
+/// `true` marks the switch in `metrics` (`fine_mode_at_step`) and the trace.
+pub(crate) fn check_fine_mode(
+    opts: &EngineOptions,
+    graph: &OnDiskGraph,
+    remaining: u64,
+    metrics: &mut RunMetrics,
+    trace: &mut Trace<'_>,
+    at_ns: u64,
+) -> bool {
+    if metrics.fine_mode_at_step.is_some() {
+        return true;
+    }
+    let lhs = opts.alpha * remaining * noswalker_graph::FINE_PAGE_BYTES;
+    if !opts.enable_shrink_block || lhs >= graph.edge_region_bytes() {
+        return false;
+    }
+    metrics.mark_fine_mode_switch();
+    let at_step = metrics.steps;
+    trace.emit(|| TraceEvent::FineModeSwitch { at_step, at_ns });
+    true
+}
+
+/// Plans one fine batch from the vertices walkers wait on in one block:
+/// distinct and in id order, cut where their pages would pass a quarter of
+/// the budget so the batch fits comfortably in memory (the first vertex is
+/// always kept; later batches serve the rest). Returns the batch and the
+/// bytes to make room for.
+pub(crate) fn plan_fine_batch(
+    graph: &OnDiskGraph,
+    budget: &MemoryBudget,
+    waiting: impl Iterator<Item = VertexId>,
+) -> (Vec<VertexId>, u64) {
+    let mut verts: Vec<VertexId> = waiting.collect();
+    verts.sort_unstable();
+    verts.dedup();
+    let cap = (budget.limit() / 4).max(noswalker_graph::FINE_PAGE_BYTES * 4);
+    let mut estimate = 0u64;
+    let mut keep = verts.len();
+    for (i, &v) in verts.iter().enumerate() {
+        let r = graph.vertex_byte_range(v);
+        estimate += (r.end - r.start) + 2 * noswalker_graph::FINE_PAGE_BYTES;
+        if estimate > cap {
+            keep = i.max(1);
+            break;
+        }
+    }
+    verts.truncate(keep);
+    (verts, estimate.min(cap))
+}
+
+/// Accounts one fine batch read for `vertices` waiting vertices, issued at
+/// `at_ns`: its device runs and bytes, and a `FineLoad` trace event.
+pub(crate) fn record_fine_load(
+    metrics: &mut RunMetrics,
+    trace: &mut Trace<'_>,
+    vertices: usize,
+    load: &FineLoad,
+    at_ns: u64,
+) {
+    let (block, runs, bytes) = (load.info().id, load.num_runs() as u64, load.loaded_bytes());
+    metrics.record_fine_load(runs, bytes);
+    trace.emit(|| TraceEvent::FineLoad {
+        block,
+        vertices: vertices as u64,
+        runs,
+        bytes,
+        at_ns,
+    });
 }
 
 /// What one pre-sample generation is built against: the application's
@@ -432,7 +511,6 @@ struct Run<'e, A: Walk> {
     total: u64,
     presample: Vec<Option<PreSampleBuffer>>,
     pool_reservation: Option<Reservation>,
-    fine_mode: bool,
     /// Page-cache stand-in for coarse blocks (the cgroups budget covers
     /// the OS page cache for every system, §4.1).
     cache: BlockCache,
@@ -508,7 +586,6 @@ impl<'e, A: Walk> Run<'e, A> {
             total,
             presample: (0..num_blocks).map(|_| None).collect(),
             pool_reservation: Some(pool_reservation),
-            fine_mode: false,
             cache: BlockCache::new(num_blocks),
             swap_base: engine.graph.edge_region_bytes(),
             max_block_bytes: engine.graph.max_block_bytes(),
@@ -847,22 +924,6 @@ impl<'e, A: Walk> Run<'e, A> {
             .map(|(i, _)| i as BlockId)
     }
 
-    /// Fine-mode switch `α·|Wa|·4KiB < S_G` (§3.3.1); sticky once taken.
-    fn check_fine_mode(&mut self) {
-        if self.fine_mode || !self.opts.enable_shrink_block {
-            return;
-        }
-        let lhs = self.opts.alpha * self.remaining() * noswalker_graph::FINE_PAGE_BYTES;
-        if lhs < self.graph.edge_region_bytes() {
-            self.fine_mode = true;
-            self.metrics.mark_fine_mode_switch();
-            let at_step = self.metrics.steps;
-            let at = self.clock.now();
-            self.trace
-                .emit(|| TraceEvent::FineModeSwitch { at_step, at_ns: at });
-        }
-    }
-
     /// Like [`Run::issue_load`], but tolerates a tight budget by skipping
     /// the prefetch (used while the previous block buffer is still alive).
     fn try_prefetch(&mut self, skip: Option<BlockId>) -> Result<Option<Pending>, EngineError> {
@@ -879,47 +940,23 @@ impl<'e, A: Walk> Run<'e, A> {
         let Some(b) = self.hottest_block(skip) else {
             return Ok(None);
         };
-        self.check_fine_mode();
-        if self.fine_mode {
-            let mut verts: Vec<VertexId> = self.buckets[b as usize]
-                .entries
-                .iter()
-                .map(|e| e.v)
-                .collect();
-            verts.sort_unstable();
-            verts.dedup();
-            // Bound the batch so its pages fit comfortably in memory; the
-            // remaining stalled vertices are served by later batches.
-            let cap = (self.budget.limit() / 4).max(noswalker_graph::FINE_PAGE_BYTES * 4);
-            let mut estimate = 0u64;
-            let mut keep = verts.len();
-            for (i, &v) in verts.iter().enumerate() {
-                let r = self.graph.vertex_byte_range(v);
-                estimate += (r.end - r.start) + 2 * noswalker_graph::FINE_PAGE_BYTES;
-                if estimate > cap {
-                    keep = i.max(1);
-                    break;
-                }
-            }
-            verts.truncate(keep);
-            self.make_room(estimate.min(cap))?;
+        let remaining = self.remaining();
+        let at = self.clock.now();
+        let fine = check_fine_mode(
+            self.opts,
+            self.graph,
+            remaining,
+            &mut self.metrics,
+            &mut self.trace,
+            at,
+        );
+        if fine {
+            let waiting = self.buckets[b as usize].entries.iter().map(|e| e.v);
+            let (verts, room) = plan_fine_batch(self.graph, self.budget, waiting);
+            self.make_room(room)?;
             let (load, ns) = self.graph.load_fine(b, &verts, self.budget)?;
-            let at = self.clock.now();
             let ready_at = self.clock.issue_io(ns);
-            self.metrics
-                .record_fine_load(load.num_runs() as u64, load.loaded_bytes());
-            let (vertices, runs, bytes) = (
-                verts.len() as u64,
-                load.num_runs() as u64,
-                load.loaded_bytes(),
-            );
-            self.trace.emit(|| TraceEvent::FineLoad {
-                block: b,
-                vertices,
-                runs,
-                bytes,
-                at_ns: at,
-            });
+            record_fine_load(&mut self.metrics, &mut self.trace, verts.len(), &load, at);
             Ok(Some(Pending::Fine { load, ready_at }))
         } else {
             self.issue_coarse(b)

@@ -20,12 +20,14 @@ pub struct EngineOptions {
     /// charges swap I/O for their states, like GraphWalker's fixed-length
     /// walker buffer.
     pub enable_walker_management: bool,
-    /// Adaptive coarse→fine block granularity (§3.3.1).
+    /// Adaptive coarse→fine block granularity (§3.3.1): once walkers are
+    /// sparse, both the sequential engine and the parallel runner load
+    /// 4 KiB page batches instead of whole blocks.
     pub enable_shrink_block: bool,
     /// Pre-sampled edge buffers (§2.4.1, §3.3.2–3.3.5).
     pub enable_presample: bool,
     /// Unevenness factor α in the fine-mode switch condition
-    /// `α·|Wa|·4KiB < S_G` (default 4, §3.3.1).
+    /// `α·|Wa|·4KiB < S_G` both engines share (default 4, §3.3.1).
     pub alpha: u64,
     /// Retain raw edges instead of samples for vertices with degree ≤ this
     /// (§3.3.4; the paper uses 1–4 depending on graph size).
@@ -57,8 +59,9 @@ pub struct EngineOptions {
     /// Per-walker swap record bytes when walker management is off (walker
     /// state as serialized by GraphWalker-style buffers).
     pub swap_record_bytes: u64,
-    /// Coarse blocks the parallel runner's loader queue keeps in flight
-    /// beyond the demand load (next-hottest prefetching; 0 disables it).
+    /// Loads (coarse blocks or fine page batches) the parallel runner's
+    /// loader queue keeps in flight beyond the demand load (next-hottest
+    /// prefetching; 0 disables it).
     pub prefetch_depth: u32,
     /// Ablation: allocate pre-sample slots uniformly instead of
     /// proportionally to the carried visit counters (§3.3.2). Off by

@@ -14,10 +14,14 @@
 //! * **coordinator** (caller thread): walker generation ②, bucket
 //!   bookkeeping, hottest-block scheduling and prefetch top-up, refill
 //!   dispatch ④;
-//! * **loader thread** ①: block reads, up to `prefetch_depth` in flight
-//!   beyond the demand load;
-//! * **workers** ③: run the batched step kernel — resident-block walking,
-//!   then per-bucket draining of the published pre-sample pool.
+//! * **loader thread** ①: whole-block reads, or 4 KiB page batches for
+//!   the waiting walkers' vertices once the fine-mode switch the
+//!   sequential engine uses fires (ShrinkBlock, §3.3.1); up to
+//!   `prefetch_depth` loads in flight beyond the demand load;
+//! * **workers** ③: run the batched step kernel — walking on the resident
+//!   edges, then per-bucket draining of the published pre-sample pool. A
+//!   walker at a vertex a fine batch did not cover tries the pool and
+//!   otherwise goes back to its bucket for the next load.
 //!
 //! # The published pre-sample pool
 //!
@@ -74,14 +78,16 @@
 )]
 
 use crate::audit::{RunAudit, Trace, TraceEvent, TraceSink};
-use crate::block::LoadedBlock;
 use crate::clock::{PipelineClock, WallTimer};
 use crate::disk_graph::{LoadError, OnDiskGraph};
-use crate::engine::{retire_walker, spawn_walker, stall_on, EngineError, Generation};
+use crate::engine::{
+    check_fine_mode, plan_fine_batch, record_fine_load, retire_walker, spawn_walker, stall_on,
+    EngineError, Generation,
+};
 use crate::metrics::{RunMetrics, StepSource};
 use crate::options::EngineOptions;
 use crate::presample::{BatchClaim, BlockDemand, PreSampleBuffer};
-use crate::threaded::{BackgroundLoader, Loaded, LoaderError};
+use crate::threaded::{BackgroundLoader, Edges, LoadRequest, Loaded, LoaderError};
 use crate::walk::{Walk, WalkRng};
 use crossbeam::channel::{Receiver, Sender};
 use noswalker_graph::partition::BlockId;
@@ -261,11 +267,11 @@ impl SharedPool {
 
 /// Work handed to the persistent worker threads.
 enum Job<W> {
-    /// Step an owned chunk of walkers against the resident block.
-    Walk(Arc<LoadedBlock>, Vec<W>),
+    /// Step an owned chunk of walkers against the resident edges.
+    Walk(Arc<Edges>, Vec<W>),
     /// Regenerate the block's published pre-sample buffer asynchronously
     /// (the paper's background pre-sampling ④).
-    Refill(Arc<LoadedBlock>),
+    Refill(Arc<Edges>),
 }
 
 /// What a finished walk job hands back to the coordinator.
@@ -307,18 +313,26 @@ struct Ledger<'t> {
 }
 
 impl Ledger<'_> {
-    /// Accounts a delivered (or failed, `bytes == 0`) load at `at_ns`:
-    /// the coarse read, and for a prefetch whether a bucket still wanted
-    /// it (`Some(true)`) or it was wasted.
-    fn load(&mut self, block: BlockId, bytes: u64, prefetch: Option<bool>, at_ns: u64) {
-        if bytes > 0 {
-            self.metrics.record_coarse_load(bytes);
-            self.trace.emit(|| TraceEvent::CoarseLoad {
-                block,
-                bytes,
-                cache_hit: false,
-                at_ns,
-            });
+    /// Accounts a delivered (or failed, `None`) load at `at_ns`: the read
+    /// (a zero-byte one is no I/O), and for a prefetch whether a bucket
+    /// still wanted it (`Some(true)`) or it was wasted.
+    fn load(&mut self, block: BlockId, edges: Option<&Edges>, prefetch: Option<bool>, at_ns: u64) {
+        match edges {
+            Some(e) if e.bytes() == 0 => {}
+            Some(Edges::Coarse(b)) => {
+                let bytes = b.info().byte_len();
+                self.metrics.record_coarse_load(bytes);
+                self.trace.emit(|| TraceEvent::CoarseLoad {
+                    block,
+                    bytes,
+                    cache_hit: false,
+                    at_ns,
+                });
+            }
+            Some(Edges::Fine(load, verts)) => {
+                record_fine_load(&mut self.metrics, &mut self.trace, verts.len(), load, at_ns);
+            }
+            None => {}
         }
         if let Some(hit) = prefetch {
             if hit {
@@ -595,6 +609,28 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             .map(|(i, _)| i as BlockId)
     }
 
+    /// The load for block `b`: the whole block, or once the fine-mode
+    /// switch has fired, a fine batch of its waiting walkers' vertices.
+    fn plan_request(&mut self, b: BlockId) -> LoadRequest {
+        let (
+            shared,
+            Ledger {
+                clock,
+                metrics,
+                trace,
+            },
+        ) = (&self.shared, &mut self.ledger);
+        let remaining = self.total - metrics.walkers_finished - metrics.walkers_cancelled;
+        let now = clock.now();
+        if !check_fine_mode(&shared.opts, &shared.graph, remaining, metrics, trace, now) {
+            return LoadRequest::Coarse(b);
+        }
+        let waiting = self.buckets[b as usize]
+            .iter()
+            .map(|w| shared.app.location(w));
+        LoadRequest::Fine(b, plan_fine_batch(&shared.graph, &shared.budget, waiting).0)
+    }
+
     /// The scheduling loop: demand-load the hottest block whenever nothing
     /// is in flight, take loads in FIFO order, dispatch each to the
     /// workers; then drain what is still in flight.
@@ -611,7 +647,8 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
                 let Some(b) = self.hottest_block() else {
                     break;
                 };
-                self.loader.request(b).map_err(loader_err)?;
+                let req = self.plan_request(b);
+                self.loader.request(req).map_err(loader_err)?;
                 self.inflight.push_back((b, false, self.ledger.clock.now()));
             }
             let Some((target, was_prefetch, issued_ns)) = self.inflight.pop_front() else {
@@ -622,13 +659,14 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
                     retries_left = evict_retries;
                     self.deliver(target, was_prefetch, issued_ns, loaded)?;
                 }
-                // Budget pressure: make room, then re-queue the failed
-                // load behind the in-flight window so result order stays
-                // FIFO.
+                // Budget pressure: make room, then re-plan the failed load
+                // and queue it behind the in-flight window so result order
+                // stays FIFO.
                 Err(LoaderError::Load(LoadError::Budget(_))) if retries_left > 0 => {
                     self.evict_pool(retries_left == evict_retries);
                     retries_left -= 1;
-                    self.loader.request(target).map_err(loader_err)?;
+                    let req = self.plan_request(target);
+                    self.loader.request(req).map_err(loader_err)?;
                     let now = self.ledger.clock.now();
                     self.inflight.push_back((target, was_prefetch, now));
                 }
@@ -670,8 +708,8 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         }
     }
 
-    /// Takes delivery of a loaded block: push it through the device
-    /// timeline, wait for it if walkers need it, and dispatch them.
+    /// Takes delivery of a load: push it through the device timeline, wait
+    /// for it if walkers need it, and dispatch them.
     fn deliver(
         &mut self,
         target: BlockId,
@@ -680,14 +718,13 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         loaded: Loaded,
     ) -> Result<(), EngineError> {
         let done_ns = self.ledger.clock.issue_io_at(issued_ns, loaded.service_ns);
-        let block = Arc::new(loaded.block);
-        debug_assert_eq!(block.info().id, target);
-        let bytes = block.info().byte_len();
+        let edges = Arc::new(loaded.edges);
+        debug_assert_eq!(edges.info().id, target);
         if self.buckets[target as usize].is_empty() {
             // Nobody wants this block any more: account the I/O and move
             // on (only prefetches can end up here).
             let wasted = was_prefetch.then_some(false);
-            self.ledger.load(target, bytes, wasted, done_ns);
+            self.ledger.load(target, Some(&edges), wasted, done_ns);
             return Ok(());
         }
         stall_on(
@@ -697,16 +734,16 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             done_ns,
         );
         let now = self.ledger.clock.now();
-        self.ledger
-            .load(target, bytes, was_prefetch.then_some(true), now);
-        self.dispatch(&block)
+        let hit = was_prefetch.then_some(true);
+        self.ledger.load(target, Some(&edges), hit, now);
+        self.dispatch(&edges)
     }
 
-    /// One round on a resident block: warm its pool slot, fan its walkers
-    /// out to the workers, keep the loader and the refills busy meanwhile,
-    /// then collect, bill and re-bucket.
-    fn dispatch(&mut self, block: &Arc<LoadedBlock>) -> Result<(), EngineError> {
-        let target = block.info().id;
+    /// One round on resident edges: warm their block's pool slot, fan its
+    /// walkers out to the workers, keep the loader and the refills busy
+    /// meanwhile, then collect, bill and re-bucket.
+    fn dispatch(&mut self, edges: &Arc<Edges>) -> Result<(), EngineError> {
+        let target = edges.info().id;
         let pool = &self.shared.pool;
         let mut job_costs: Vec<u64> = Vec::new();
         let sample_cost = self.shared.opts.sample_cost();
@@ -720,7 +757,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             && pool.acquire(target).is_none()
             && pool.try_begin_refill(target)
         {
-            let warm = refill_block(&self.shared, block, &mut self.warm_rng);
+            let warm = refill_block(&self.shared, edges, &mut self.warm_rng);
             pool.end_refill(target);
             if let Some(rep) = warm {
                 job_costs.push(self.ledger.publish(rep) * sample_cost);
@@ -736,7 +773,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         let mut jobs = 0;
         while !batch.is_empty() {
             let tail = batch.split_off(batch.len().saturating_sub(chunk));
-            self.send(Job::Walk(Arc::clone(block), tail))?;
+            self.send(Job::Walk(Arc::clone(edges), tail))?;
             jobs += 1;
         }
 
@@ -747,7 +784,8 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             let Some(nb) = self.hottest_block() else {
                 break;
             };
-            if !self.loader.try_request(nb).map_err(loader_err)? {
+            let req = self.plan_request(nb);
+            if !self.loader.try_request(req).map_err(loader_err)? {
                 break;
             }
             self.inflight.push_back((nb, true, self.ledger.clock.now()));
@@ -755,7 +793,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         // Proactive refill (④): if the block's buffer is already under
         // its demand watermark, schedule the rebuild while the workers
         // still chew on this round's walkers.
-        self.schedule_refill(block)?;
+        self.schedule_refill(edges)?;
 
         let mut survivors = Vec::new();
         for _ in 0..jobs {
@@ -782,7 +820,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         // This round's phase-B claims may have pushed the buffer under
         // its watermark; schedule the rebuild before the block leaves
         // memory (the Arc keeps the data alive until the refill job runs).
-        self.schedule_refill(block)?;
+        self.schedule_refill(edges)?;
         self.generate();
         Ok(())
     }
@@ -794,10 +832,10 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
     /// Queues a refill job for `block` if its pool slot is under the
     /// demand watermark. The pending flag keeps refills single-flight per
     /// block.
-    fn schedule_refill(&self, block: &Arc<LoadedBlock>) -> Result<(), EngineError> {
-        let (pool, b) = (&self.shared.pool, block.info().id);
+    fn schedule_refill(&self, edges: &Arc<Edges>) -> Result<(), EngineError> {
+        let (pool, b) = (&self.shared.pool, edges.info().id);
         if self.shared.opts.enable_presample && pool.needs_refill(b) && pool.try_begin_refill(b) {
-            self.send(Job::Refill(Arc::clone(block)))?;
+            self.send(Job::Refill(Arc::clone(edges)))?;
         }
         Ok(())
     }
@@ -810,15 +848,14 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             match self.loader.recv() {
                 Ok(loaded) => {
                     let done_ns = self.ledger.clock.issue_io_at(issued_ns, loaded.service_ns);
-                    let bytes = loaded.block.info().byte_len();
-                    self.ledger.load(b, bytes, wasted, done_ns);
+                    self.ledger.load(b, Some(&loaded.edges), wasted, done_ns);
                 }
                 // A prefetch that lost the budget race delivered nothing:
                 // no walker is waiting (the run is over), so it is just a
                 // wasted prefetch, not a run failure.
                 Err(LoaderError::Load(LoadError::Budget(_))) => {
                     let now = self.ledger.clock.now();
-                    self.ledger.load(b, 0, wasted, now);
+                    self.ledger.load(b, None, wasted, now);
                 }
                 Err(e) => return Err(loader_err(e)),
             }
@@ -860,20 +897,20 @@ fn worker_loop<A: Walk>(
 ) {
     while let Ok(job) = jobs.recv() {
         match job {
-            Job::Walk(block, walkers) => {
+            Job::Walk(edges, walkers) => {
                 let mut metrics = RunMetrics::default();
-                let survivors = drive_batch(shared, &block, &mut metrics, &mut rng, walkers);
+                let survivors = drive_batch(shared, &edges, &mut metrics, &mut rng, walkers);
                 if outcomes.send(WalkOutcome { survivors, metrics }).is_err() {
                     break;
                 }
             }
-            Job::Refill(block) => {
-                if let Some(rep) = refill_block(shared, &block, &mut rng) {
+            Job::Refill(edges) => {
+                if let Some(rep) = refill_block(shared, &edges, &mut rng) {
                     let _ = refills.send(rep);
                 }
                 // Re-arm scheduling even when nothing was published (above
                 // the watermark, or out of budget).
-                shared.pool.end_refill(block.info().id);
+                shared.pool.end_refill(edges.info().id);
             }
         }
     }
@@ -886,16 +923,18 @@ fn worker_loop<A: Walk>(
 /// The build happens entirely on private data; readers of the previous
 /// generation are never blocked.
 ///
+/// A fine batch plans slots only for the vertices it was read for.
+///
 /// Returns `None` when nothing was published (remaining slots still above
 /// the demand watermark, or no budget even after retiring the old
 /// generation).
 fn refill_block<A: Walk>(
     shared: &Shared<A>,
-    block: &LoadedBlock,
+    edges: &Edges,
     rng: &mut WalkRng,
 ) -> Option<RefillReport> {
     let (graph, pool, budget) = (&shared.graph, &shared.pool, &shared.budget);
-    let info = *block.info();
+    let info = *edges.info();
     let b = info.id;
     let nv = info.num_vertices() as usize;
     if nv == 0 {
@@ -973,7 +1012,7 @@ fn refill_block<A: Walk>(
         app: &*shared.app,
         graph,
         opts: &shared.opts,
-        src: block,
+        src: edges,
     };
     // No room for the plan: retire the old generation to free its
     // reservation (readers holding an Arc keep it alive until they finish
@@ -984,8 +1023,12 @@ fn refill_block<A: Walk>(
             budget.try_reserve(bytes).ok()
         }))
     };
+    let only = match edges {
+        Edges::Coarse(_) => None,
+        Edges::Fine(_, verts) => Some(verts.as_slice()),
+    };
     let (buf, slots, draws) =
-        generation.build(&info, None, &weights, (avail - meta) / 4, rng, reserve)?;
+        generation.build(&info, only, &weights, (avail - meta) / 4, rng, reserve)?;
     drop(pool.publish(b, Arc::new(buf.into_published())));
     // A fresh generation starts with a clean demand tally: the watermark
     // should reflect pressure against *this* buffer, not its ancestors.
@@ -1020,15 +1063,15 @@ fn worker_died() -> EngineError {
 enum OnBlock {
     /// The walk ended (length reached or dead end); already finalized.
     Terminated,
-    /// The walker stepped off the resident block (still active, not at a
-    /// dead end).
+    /// The walker reached a vertex the resident edges do not hold (still
+    /// active, not at a dead end).
     Left,
 }
 
-/// Moves one walker as far as the resident block carries it.
+/// Moves one walker as far as the resident edges carry it.
 fn drive_on_block<A: Walk>(
     shared: &Shared<A>,
-    block: &LoadedBlock,
+    block: &Edges,
     local: &mut RunMetrics,
     rng: &mut WalkRng,
     w: &mut A::Walker,
@@ -1109,7 +1152,7 @@ impl Cached<'_> {
 /// demand signal either way.
 fn drive_batch<A: Walk>(
     shared: &Shared<A>,
-    block: &LoadedBlock,
+    block: &Edges,
     local: &mut RunMetrics,
     rng: &mut WalkRng,
     walkers: Vec<A::Walker>,
@@ -1564,6 +1607,53 @@ mod tests {
                 loads.get(&b).is_some_and(|ts| ts.contains(&at)),
                 "block {b}: first publish at {at} ns must coincide with its load delivery"
             );
+        }
+    }
+
+    /// ShrinkBlock (§3.3.1) on the parallel runner: the switch the
+    /// sequential engine uses fires for few walkers, loads become 4 KiB
+    /// page batches, and the run conserves. With the knob off every load
+    /// stays coarse.
+    #[test]
+    fn fine_mode_engages_for_sparse_walkers() {
+        let csr = generators::rmat(15, 16, generators::RmatParams::default(), 5);
+        for shrink in [true, false] {
+            let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
+            let graph = Arc::new(OnDiskGraph::store(&csr, device, 64 << 10).unwrap());
+            let app = Arc::new(Basic {
+                walkers: 50,
+                length: 10,
+                n: csr.num_vertices() as u32,
+                visits: A64::new(0),
+            });
+            let opts = EngineOptions {
+                enable_shrink_block: shrink,
+                ..EngineOptions::default()
+            };
+            let budget = MemoryBudget::new(512 << 10);
+            let audit = RunAudit::begin(50, &budget);
+            let mut sink = MemorySink::new();
+            let m = ParallelRunner::new(app, graph, opts, Arc::clone(&budget))
+                .run_with_sink(9, 2, Some(&mut sink))
+                .unwrap();
+            audit.verify(&m, &budget).assert_clean();
+            assert_eq!(m.walkers_finished, 50);
+            let count = |f: fn(&TraceEvent) -> bool| sink.events.iter().filter(|e| f(e)).count();
+            let fine = count(|e| matches!(e, TraceEvent::FineLoad { .. })) as u64;
+            let switches = count(|e| matches!(e, TraceEvent::FineModeSwitch { .. }));
+            assert_eq!(fine, m.fine_loads);
+            if shrink {
+                // α·|Wa|·4KiB = 4·50·4096 ≈ 0.8 MB < S_G = 2 MB: fine mode
+                // engages before the first load.
+                assert_eq!(m.fine_mode_at_step, Some(0));
+                assert_eq!(switches, 1);
+                assert!(m.fine_loads > 0);
+                assert_eq!(m.coarse_loads, 0);
+            } else {
+                assert_eq!(m.fine_mode_at_step, None);
+                assert_eq!((m.fine_loads, switches), (0, 0));
+                assert!(m.coarse_loads > 0);
+            }
         }
     }
 

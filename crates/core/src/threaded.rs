@@ -3,15 +3,16 @@
 //! The simulation engines model the paper's background I/O thread with the
 //! deterministic [`crate::PipelineClock`]; when running against *real*
 //! storage (a [`noswalker_storage::FileDevice`]), this module provides the
-//! genuine article: a dedicated thread that services block-load requests
+//! genuine article: a dedicated thread that services load requests — whole
+//! coarse blocks, or 4 KiB page batches once walkers are sparse (§3.3.1) —
 //! through a bounded channel, overlapping actual disk reads with walker
-//! processing (paper Fig. 6, ①).
+//! processing (paper Fig. 6, ①). Results come back in request order.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
-//! use noswalker_core::threaded::BackgroundLoader;
+//! use noswalker_core::threaded::{BackgroundLoader, LoadRequest};
 //! use noswalker_core::OnDiskGraph;
 //! use noswalker_graph::generators;
 //! use noswalker_storage::{MemDevice, MemoryBudget};
@@ -20,25 +21,73 @@
 //! let graph = Arc::new(OnDiskGraph::store(&csr, Arc::new(MemDevice::new()), 256)?);
 //! let budget = MemoryBudget::new(1 << 20);
 //! let loader = BackgroundLoader::spawn(Arc::clone(&graph), budget, 2);
-//! loader.request(0)?;
-//! let block = loader.recv()?.block;
-//! assert_eq!(block.info().id, 0);
+//! loader.request(LoadRequest::Coarse(0))?;
+//! loader.request(LoadRequest::Fine(1, vec![20]))?;
+//! assert_eq!(loader.recv()?.edges.info().id, 0);
+//! let fine = loader.recv()?.edges;
+//! assert!(fine.vertex_edges(&graph, 20).is_some());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::block::LoadedBlock;
+use crate::block::{FineLoad, LoadedBlock};
 use crate::disk_graph::{LoadError, OnDiskGraph};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use noswalker_graph::partition::BlockId;
+use noswalker_graph::layout::VertexEdges;
+use noswalker_graph::partition::{BlockId, BlockInfo};
+use noswalker_graph::VertexId;
 use noswalker_storage::MemoryBudget;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// What to read.
+#[derive(Debug, Clone)]
+pub enum LoadRequest {
+    /// A whole coarse block.
+    Coarse(BlockId),
+    /// The 4 KiB pages holding the listed vertices of one block.
+    Fine(BlockId, Vec<VertexId>),
+}
+
+/// Edge data the loader delivered for one [`LoadRequest`].
+#[derive(Debug)]
+pub enum Edges {
+    /// A whole coarse block.
+    Coarse(LoadedBlock),
+    /// A fine page batch and the vertices it was read for.
+    Fine(FineLoad, Vec<VertexId>),
+}
+
+impl Edges {
+    /// The block descriptor.
+    pub fn info(&self) -> &BlockInfo {
+        match self {
+            Edges::Coarse(b) => b.info(),
+            Edges::Fine(f, _) => f.info(),
+        }
+    }
+
+    /// Decodes vertex `v`'s out-edges, or `None` if they were not loaded.
+    pub fn vertex_edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
+        match self {
+            Edges::Coarse(b) => b.vertex_edges(graph, v),
+            Edges::Fine(f, _) => f.vertex_edges(graph, v),
+        }
+    }
+
+    /// Bytes read from the device.
+    pub fn bytes(&self) -> u64 {
+        match self {
+            Edges::Coarse(b) => b.info().byte_len(),
+            Edges::Fine(f, _) => f.loaded_bytes(),
+        }
+    }
+}
+
 /// A completed background load.
 #[derive(Debug)]
 pub struct Loaded {
-    /// The loaded coarse block.
-    pub block: LoadedBlock,
+    /// The loaded edges.
+    pub edges: Edges,
     /// Device service time reported for the read, in nanoseconds.
     pub service_ns: u64,
 }
@@ -71,7 +120,7 @@ impl std::error::Error for LoaderError {}
 /// back-pressure a small block-buffer set implies.
 #[derive(Debug)]
 pub struct BackgroundLoader {
-    requests: Sender<BlockId>,
+    requests: Sender<LoadRequest>,
     results: Receiver<Result<Loaded, LoadError>>,
     handle: Option<JoinHandle<()>>,
 }
@@ -84,17 +133,23 @@ impl BackgroundLoader {
     /// Panics if `queue_depth` is zero.
     pub fn spawn(graph: Arc<OnDiskGraph>, budget: Arc<MemoryBudget>, queue_depth: usize) -> Self {
         assert!(queue_depth > 0, "queue depth must be positive");
-        let (req_tx, req_rx) = bounded::<BlockId>(queue_depth);
+        let (req_tx, req_rx) = bounded::<LoadRequest>(queue_depth);
         let (res_tx, res_rx) = bounded::<Result<Loaded, LoadError>>(queue_depth);
         #[expect(clippy::disallowed_methods, reason = "sanctioned spawn: block loader")]
         #[expect(clippy::expect_used, reason = "spawn fails only on OS exhaustion")]
         let handle = std::thread::Builder::new()
             .name("noswalker-loader".into())
             .spawn(move || {
-                while let Ok(b) = req_rx.recv() {
-                    let out = graph
-                        .load_block(b, &budget)
-                        .map(|(block, service_ns)| Loaded { block, service_ns });
+                while let Ok(req) = req_rx.recv() {
+                    let out = match req {
+                        LoadRequest::Coarse(b) => graph
+                            .load_block(b, &budget)
+                            .map(|(block, ns)| (Edges::Coarse(block), ns)),
+                        LoadRequest::Fine(b, verts) => graph
+                            .load_fine(b, &verts, &budget)
+                            .map(|(load, ns)| (Edges::Fine(load, verts), ns)),
+                    }
+                    .map(|(edges, service_ns)| Loaded { edges, service_ns });
                     if res_tx.send(out).is_err() {
                         break; // receiver gone: shut down
                     }
@@ -108,16 +163,18 @@ impl BackgroundLoader {
         }
     }
 
-    /// Enqueues a block load; blocks when the queue is full.
+    /// Enqueues a load; blocks when the queue is full.
     ///
     /// # Errors
     ///
     /// [`LoaderError::Disconnected`] if the thread has exited.
-    pub fn request(&self, b: BlockId) -> Result<(), LoaderError> {
-        self.requests.send(b).map_err(|_| LoaderError::Disconnected)
+    pub fn request(&self, req: LoadRequest) -> Result<(), LoaderError> {
+        self.requests
+            .send(req)
+            .map_err(|_| LoaderError::Disconnected)
     }
 
-    /// Enqueues a block load only if the queue has space right now.
+    /// Enqueues a load only if the queue has space right now.
     ///
     /// Returns `Ok(true)` when the request was enqueued and `Ok(false)`
     /// when the queue is full — the caller should retry later rather than
@@ -127,8 +184,8 @@ impl BackgroundLoader {
     /// # Errors
     ///
     /// [`LoaderError::Disconnected`] if the thread has exited.
-    pub fn try_request(&self, b: BlockId) -> Result<bool, LoaderError> {
-        match self.requests.try_send(b) {
+    pub fn try_request(&self, req: LoadRequest) -> Result<bool, LoaderError> {
+        match self.requests.try_send(req) {
             Ok(()) => Ok(true),
             Err(crossbeam::channel::TrySendError::Full(_)) => Ok(false),
             Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
@@ -170,7 +227,7 @@ impl Drop for BackgroundLoader {
     fn drop(&mut self) {
         // Close the request channel so the thread's recv() loop ends, then
         // drain any in-flight results so its send() cannot block forever.
-        let (tx, _) = bounded::<BlockId>(1);
+        let (tx, _) = bounded::<LoadRequest>(1);
         let _ = std::mem::replace(&mut self.requests, tx);
         while let Ok(Some(_)) = self.try_recv() {}
         if let Some(h) = self.handle.take() {
@@ -197,11 +254,11 @@ mod tests {
         let (graph, budget) = setup();
         let loader = BackgroundLoader::spawn(Arc::clone(&graph), budget, 4);
         for b in 0..4u32 {
-            loader.request(b).unwrap();
+            loader.request(LoadRequest::Coarse(b)).unwrap();
         }
         for b in 0..4u32 {
             let loaded = loader.recv().unwrap();
-            assert_eq!(loaded.block.info().id, b);
+            assert_eq!(loaded.edges.info().id, b);
             assert!(loaded.service_ns > 0);
         }
     }
@@ -212,13 +269,13 @@ mod tests {
         let loader = BackgroundLoader::spawn(graph, budget, 2);
         // Nothing requested yet: either empty or, never, an error.
         assert!(matches!(loader.try_recv(), Ok(None)));
-        loader.request(1).unwrap();
+        loader.request(LoadRequest::Coarse(1)).unwrap();
         // Eventually the result arrives.
         let mut spins = 0;
         loop {
             match loader.try_recv().unwrap() {
                 Some(l) => {
-                    assert_eq!(l.block.info().id, 1);
+                    assert_eq!(l.edges.info().id, 1);
                     break;
                 }
                 None => {
@@ -239,7 +296,7 @@ mod tests {
         // also succeed — keep pushing until one reports Full.
         let mut accepted = 0;
         loop {
-            match loader.try_request(0).unwrap() {
+            match loader.try_request(LoadRequest::Coarse(0)).unwrap() {
                 true => {
                     accepted += 1;
                     assert!(accepted < 1_000, "queue never filled");
@@ -260,7 +317,56 @@ mod tests {
         let graph = Arc::new(OnDiskGraph::store(&csr, Arc::new(MemDevice::new()), 2048).unwrap());
         let budget = MemoryBudget::new(16); // cannot hold any block
         let loader = BackgroundLoader::spawn(graph, budget, 1);
-        loader.request(0).unwrap();
+        loader.request(LoadRequest::Coarse(0)).unwrap();
+        assert!(matches!(loader.recv(), Err(LoaderError::Load(_))));
+    }
+
+    #[test]
+    fn coarse_and_fine_requests_come_back_in_fifo_order() {
+        // 16 KiB blocks, so a two-vertex batch reads a fraction of one.
+        let csr = generators::uniform_degree(1024, 8, 3);
+        let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
+        let graph = Arc::new(OnDiskGraph::store(&csr, device, 16 << 10).unwrap());
+        let loader = BackgroundLoader::spawn(Arc::clone(&graph), MemoryBudget::new(1 << 20), 4);
+        let fine = |b: BlockId| {
+            let start = graph.partition().block(b).vertex_start;
+            LoadRequest::Fine(b, vec![start, start + 3])
+        };
+        let reqs = [
+            LoadRequest::Coarse(0),
+            fine(1),
+            LoadRequest::Coarse(1),
+            fine(0),
+        ];
+        for r in &reqs {
+            loader.request(r.clone()).unwrap();
+        }
+        for r in &reqs {
+            let loaded = loader.recv().unwrap();
+            let id = loaded.edges.info().id;
+            match (r, &loaded.edges) {
+                (LoadRequest::Coarse(b), Edges::Coarse(_)) => assert_eq!(*b, id),
+                (LoadRequest::Fine(b, want), Edges::Fine(load, got)) => {
+                    assert_eq!(*b, id);
+                    assert_eq!(want, got);
+                    assert!(load.loaded_bytes() < loaded.edges.info().byte_len());
+                    for &v in want {
+                        assert!(loaded.edges.vertex_edges(&graph, v).is_some());
+                    }
+                }
+                (r, e) => panic!("{r:?} answered with {e:?}"),
+            }
+            assert!(loaded.service_ns > 0);
+        }
+    }
+
+    #[test]
+    fn fine_request_over_budget_surfaces_as_load_error() {
+        let csr = generators::uniform_degree(1024, 8, 3);
+        let graph = Arc::new(OnDiskGraph::store(&csr, Arc::new(MemDevice::new()), 2048).unwrap());
+        let budget = MemoryBudget::new(16); // cannot hold one 4 KiB page
+        let loader = BackgroundLoader::spawn(graph, budget, 1);
+        loader.request(LoadRequest::Fine(0, vec![0])).unwrap();
         assert!(matches!(loader.recv(), Err(LoaderError::Load(_))));
     }
 
@@ -268,7 +374,7 @@ mod tests {
     fn drop_shuts_the_thread_down() {
         let (graph, budget) = setup();
         let loader = BackgroundLoader::spawn(graph, budget, 2);
-        loader.request(0).unwrap();
+        loader.request(LoadRequest::Coarse(0)).unwrap();
         drop(loader); // must not hang
     }
 
@@ -276,7 +382,7 @@ mod tests {
     fn overlaps_with_foreground_work() {
         let (graph, budget) = setup();
         let loader = BackgroundLoader::spawn(Arc::clone(&graph), budget, 2);
-        loader.request(2).unwrap();
+        loader.request(LoadRequest::Coarse(2)).unwrap();
         // Foreground "compute" while the loader works.
         let mut acc = 0u64;
         for i in 0..10_000u64 {
@@ -285,8 +391,8 @@ mod tests {
         assert!(acc > 0);
         let loaded = loader.recv().unwrap();
         let view = loaded
-            .block
-            .vertex_edges(&graph, loaded.block.info().vertex_start);
+            .edges
+            .vertex_edges(&graph, loaded.edges.info().vertex_start);
         assert!(view.is_some());
     }
 }

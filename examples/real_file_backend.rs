@@ -56,12 +56,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         4,
     );
     for b in 0..4u32 {
-        loader.request(b)?;
+        loader.request(noswalker::core::threaded::LoadRequest::Coarse(b))?;
     }
     let mut prefetched = 0u64;
     for _ in 0..4 {
         let loaded = loader.recv()?;
-        prefetched += loaded.block.info().byte_len();
+        prefetched += loaded.edges.bytes();
     }
     println!(
         "background loader prefetched {} KiB over 4 blocks",

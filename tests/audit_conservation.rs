@@ -136,13 +136,34 @@ fn budgeted_engines_conserve_under_every_option_set() {
 fn parallel_runner_conserves_under_every_option_set() {
     let csr = graph();
     let n = csr.num_vertices();
-    for (opt_name, opts) in option_sets() {
-        let budget = MemoryBudget::new(1 << 20);
-        let app = Arc::new(BasicRw::new(WALKERS, LENGTH, n));
+    // Every option set on the shared cell, plus two long walkers at a
+    // quarter of the edge region: α·|Wa|·4KiB is under the edge region, so
+    // the runner reads only 4 KiB page batches.
+    let cells = option_sets()
+        .into_iter()
+        .map(|(name, opts)| (name, opts, WALKERS, LENGTH, 1 << 20))
+        .chain([(
+            "sparse",
+            EngineOptions::default(),
+            2,
+            400,
+            csr.edge_region_bytes() / 4,
+        )]);
+    for (opt_name, opts, walkers, length, budget) in cells {
+        let budget = MemoryBudget::new(budget);
+        let app = Arc::new(BasicRw::new(walkers, length, n));
         let runner = ParallelRunner::new(app, on_device(&csr), opts, Arc::clone(&budget));
         let mut sink = MemorySink::new();
         let m = runner.run_with_sink(SEED, 3, Some(&mut sink)).unwrap();
-        let audit = RunAudit::with_floor(WALKERS, 0);
+        if opt_name == "sparse" {
+            assert_eq!(
+                m.fine_mode_at_step,
+                Some(0),
+                "sparse: fine from the first load"
+            );
+            assert!(m.fine_loads > 0 && m.coarse_loads == 0, "sparse: {m:?}");
+        }
+        let audit = RunAudit::with_floor(walkers, 0);
         let report = audit.verify(&m, &budget);
         assert!(
             report.is_clean(),
