@@ -15,10 +15,10 @@
 //! | [`weighted`] | Weighted random walk over alias-table edge data (K30W) |
 //! | [`node2vec`] | Node2Vec second-order walk via rejection sampling (Appendix A) |
 
+#![warn(unused_crate_dependencies)]
 #![allow(
     clippy::disallowed_types,
-    reason = "applications keep per-vertex atomic tallies that any worker thread may bump, \
-              and ppr's report-only per-source map never reaches a digest or a trace"
+    reason = "applications keep per-vertex atomic tallies that any worker thread may bump"
 )]
 
 pub mod basic;

@@ -2,7 +2,6 @@
 //! random walks with length 10 ... starting from each query source").
 
 use noswalker_core::apps_prelude::*;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monte-Carlo PPR: for each query source, `walks_per_source` fixed-length
@@ -76,17 +75,6 @@ impl Ppr {
         all.sort_by_key(|&(v, c)| (std::cmp::Reverse(c), v));
         all.truncate(k);
         all
-    }
-
-    /// Per-source visit totals, for checking that every source got its
-    /// walks.
-    pub fn visits_by_source(&self) -> HashMap<VertexId, u64> {
-        // Source attribution is not tracked per walk (the paper's PPR also
-        // aggregates); report the sources with their issued walk counts.
-        self.sources
-            .iter()
-            .map(|&s| (s, self.walks_per_source))
-            .collect()
     }
 }
 

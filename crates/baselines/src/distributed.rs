@@ -167,7 +167,7 @@ impl<A: Walk> DistributedSim<A> {
                     cross_messages += 1;
                 }
                 self.app.action(&mut w, dst, &mut rng);
-                compute_ns_serial += self.opts.step_ns + self.opts.sample_ns;
+                compute_ns_serial += EngineOptions::STEP_NS + EngineOptions::SAMPLE_NS;
                 metrics.record_step(StepSource::Block);
             }
             self.app.on_terminate(&w);

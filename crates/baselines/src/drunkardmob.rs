@@ -104,7 +104,7 @@ impl<A: Walk> DrunkardMob<A> {
         let mut rng = WalkRng::seed_from_u64(seed);
         // GraphChi-heritage buffered I/O runs at 20-30 % of the device's
         // bandwidth (paper §4.4); de-rate accordingly.
-        let penalty = |ns: u64| (ns as f64 * self.opts.buffered_io_penalty) as u64;
+        let penalty = |ns: u64| (ns as f64 * EngineOptions::BUFFERED_IO_PENALTY) as u64;
 
         // All walker states live in memory for the whole run.
         let state_bytes = self.app.total_walkers() * self.app.state_bytes() as u64;

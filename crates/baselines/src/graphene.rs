@@ -98,7 +98,7 @@ impl<A: Walk> Graphene<A> {
         let mut clock = PipelineClock::new();
         let mut metrics = RunMetrics::default();
         let mut rng = WalkRng::seed_from_u64(seed);
-        let penalty = |ns: u64| (ns as f64 * self.opts.buffered_io_penalty) as u64;
+        let penalty = |ns: u64| (ns as f64 * EngineOptions::BUFFERED_IO_PENALTY) as u64;
 
         let state_bytes = self.app.total_walkers() * self.app.state_bytes() as u64;
         let _states = self

@@ -82,7 +82,7 @@ pub struct TracedRun {
 
 impl<A: Walk> GraphWalker<A> {
     /// Creates the engine. `opts.walker_pool_size` sizes the in-memory
-    /// walker buffer; `opts.swap_record_bytes` sizes swap records.
+    /// walker buffer; `EngineOptions::SWAP_RECORD_BYTES` sizes swap records.
     pub fn new(
         app: Arc<A>,
         graph: Arc<OnDiskGraph>,
@@ -153,7 +153,7 @@ impl<A: Walk> GraphWalker<A> {
         let mut rng = WalkRng::seed_from_u64(seed);
         // GraphChi-heritage buffered I/O runs at 20-30 % of the device's
         // bandwidth (paper §4.4); de-rate accordingly.
-        let penalty = |ns: u64| (ns as f64 * self.opts.buffered_io_penalty) as u64;
+        let penalty = |ns: u64| (ns as f64 * EngineOptions::BUFFERED_IO_PENALTY) as u64;
 
         // Fixed-length in-memory walker buffer; the rest is swapped. The
         // buffer may take at most an eighth of the budget.
@@ -193,7 +193,7 @@ impl<A: Walk> GraphWalker<A> {
             // swap region so cost model and stats agree).
             let in_block = set.buckets[b as usize].len() as u64;
             let swapped = in_block.saturating_sub(buffer_walkers / 2);
-            let swap_bytes = 2 * swapped * self.opts.swap_record_bytes;
+            let swap_bytes = 2 * swapped * EngineOptions::SWAP_RECORD_BYTES;
             if swap_bytes > 0 {
                 let mut buf = vec![0u8; swap_bytes.min(16 << 20) as usize];
                 let mut left = swap_bytes;

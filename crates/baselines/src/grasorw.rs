@@ -80,7 +80,7 @@ impl<A: SecondOrderWalk> GraSorw<A> {
         let mut clock = PipelineClock::new();
         let mut metrics = RunMetrics::default();
         let mut rng = WalkRng::seed_from_u64(seed);
-        let penalty = |ns: u64| (ns as f64 * self.opts.buffered_io_penalty) as u64;
+        let penalty = |ns: u64| (ns as f64 * EngineOptions::BUFFERED_IO_PENALTY) as u64;
         let nb = self.graph.num_blocks();
 
         let mut slab: Vec<Option<A::Walker>> = Vec::new();
@@ -180,7 +180,7 @@ impl<A: SecondOrderWalk> GraSorw<A> {
             // Bucket-based walker management: the pair's bucket is read
             // from and written back to disk.
             let bucket = std::mem::take(&mut pairs[k]);
-            let swap_bytes = 2 * bucket.len() as u64 * self.opts.swap_record_bytes;
+            let swap_bytes = 2 * bucket.len() as u64 * EngineOptions::SWAP_RECORD_BYTES;
             if swap_bytes > 0 {
                 let mut buf = vec![0u8; swap_bytes.min(16 << 20) as usize];
                 let mut left = swap_bytes;

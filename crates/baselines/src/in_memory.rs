@@ -39,12 +39,12 @@ pub struct InMemory<A: Walk> {
     opts: EngineOptions,
     /// Device profile used to charge the one-time sequential graph load.
     profile: SsdProfile,
-    /// Multiplier on the raw read time for parsing + CSR construction.
-    /// The paper measures ~75 % of ThunderRW's end-to-end time as graph
-    /// loading, well above the raw read time of the bytes — ingest is
-    /// parse-bound.
-    ingest_factor: f64,
 }
+
+/// Multiplier on the raw read time for parsing + CSR construction. The
+/// paper measures ~75 % of ThunderRW's end-to-end time as graph loading,
+/// well above the raw read time of the bytes — ingest is parse-bound.
+const INGEST_FACTOR: f64 = 2.5;
 
 impl<A: Walk> InMemory<A> {
     /// Creates the engine over an in-memory CSR; `profile` prices the
@@ -55,14 +55,7 @@ impl<A: Walk> InMemory<A> {
             csr,
             opts,
             profile,
-            ingest_factor: 2.5,
         }
-    }
-
-    /// Overrides the ingest (parse + build) multiplier on load time.
-    pub fn with_ingest_factor(mut self, f: f64) -> Self {
-        self.ingest_factor = f;
-        self
     }
 
     /// Runs to completion. In the returned metrics, `stall_ns` is exactly
@@ -95,7 +88,7 @@ impl<A: Walk> InMemory<A> {
 
         // One sequential scan of the CSR from storage, plus parse/build.
         let load_bytes = self.csr.csr_bytes();
-        let load_ns = (self.profile.service_ns(load_bytes) as f64 * self.ingest_factor) as u64;
+        let load_ns = (self.profile.service_ns(load_bytes) as f64 * INGEST_FACTOR) as u64;
         metrics.record_coarse_load(load_bytes); // the one sequential ingest scan
         trace.emit(|| TraceEvent::CoarseLoad {
             block: 0,

@@ -14,6 +14,7 @@
 //! | [`in_memory`] | ThunderRW (VLDB '21) | whole graph resident; separates load time from walk time |
 //! | [`distributed`] | KnightKing (SOSP '19) | partitioned in-memory cluster with per-hop network messages |
 
+#![warn(unused_crate_dependencies)]
 #![allow(
     clippy::while_let_loop,
     reason = "walker-movement loops re-borrow the walker set mutably inside the body, \
@@ -34,3 +35,8 @@ pub use graphene::Graphene;
 pub use graphwalker::{GraphWalker, TracePoint};
 pub use grasorw::GraSorw;
 pub use in_memory::InMemory;
+
+// The doc examples drive the baselines with `noswalker_apps` walks; the
+// lint sees only the unit-test target, not the doctests.
+#[cfg(test)]
+use noswalker_apps as _;

@@ -12,6 +12,7 @@
 //! the rows as TSV under `results/`. See `EXPERIMENTS.md` at the workspace
 //! root for paper-vs-measured summaries.
 
+#![warn(unused_crate_dependencies)]
 #![allow(
     clippy::disallowed_types,
     reason = "the paper-figure harness sits outside the engine's determinism invariant; its \

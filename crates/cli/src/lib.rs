@@ -14,6 +14,8 @@
 //! subcommand is a pure function from parsed options to an exit report, so
 //! the whole surface is unit-testable.
 
+#![warn(unused_crate_dependencies)]
+
 pub mod args;
 pub mod commands;
 

@@ -1042,7 +1042,7 @@ impl<'e, A: Walk> Run<'e, A> {
         let fixed =
             2 * self.max_block_bytes + self.pool_reservation.as_ref().map_or(0, |r| r.bytes());
         let pool_budget = (self.budget.limit().saturating_sub(fixed) as f64
-            * self.opts.presample_budget_fraction) as u64;
+            * EngineOptions::PRESAMPLE_BUDGET_FRACTION) as u64;
         let fair = pool_budget / self.graph.num_blocks().max(1) as u64;
         let avail = self.budget.available();
         let cap_bytes = fair.min(avail);
@@ -1247,7 +1247,7 @@ impl<'e, A: Walk> Run<'e, A> {
     /// Performs the swap-region I/O for `n` walker states: write back, then
     /// read in — real device operations so the cost model and stats agree.
     fn charge_swap(&mut self, n: u64) -> Result<(), EngineError> {
-        let bytes = n * self.opts.swap_record_bytes;
+        let bytes = n * EngineOptions::SWAP_RECORD_BYTES;
         if bytes == 0 {
             return Ok(());
         }

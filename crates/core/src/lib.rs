@@ -72,6 +72,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![warn(unused_crate_dependencies)]
 #![allow(
     clippy::while_let_loop,
     reason = "the engine's walker-movement loops re-borrow the slab mutably inside the body, \

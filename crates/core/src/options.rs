@@ -45,20 +45,8 @@ pub struct EngineOptions {
     /// amortization). Leftover slots are burned (`claims_burned`) when the
     /// bucket retires; 1 disables batching.
     pub claim_batch: u32,
-    /// Fraction of the *remaining* memory budget (after block buffers)
-    /// given to pre-sample buffers.
-    pub presample_budget_fraction: f64,
-    /// Simulated compute cost per walker step in nanoseconds (divided by
-    /// `threads`).
-    pub step_ns: u64,
-    /// Simulated compute cost per pre-sample draw in nanoseconds (divided
-    /// by `threads`).
-    pub sample_ns: u64,
     /// Degree of walker-processing parallelism the compute model assumes.
     pub threads: u64,
-    /// Per-walker swap record bytes when walker management is off (walker
-    /// state as serialized by GraphWalker-style buffers).
-    pub swap_record_bytes: u64,
     /// Loads (coarse blocks or fine page batches) the parallel runner's
     /// loader queue keeps in flight beyond the demand load (next-hottest
     /// prefetching; 0 disables it).
@@ -67,12 +55,6 @@ pub struct EngineOptions {
     /// proportionally to the carried visit counters (§3.3.2). Off by
     /// default (the paper's design).
     pub uniform_presample_alloc: bool,
-    /// Service-time multiplier for the *buffered, synchronous* I/O path of
-    /// the GraphChi-derived baselines. The paper measures their disk
-    /// utilization at 20–30 % against NosWalker's 70–90 % (§4.4); a 3.5×
-    /// de-rate reproduces that measured gap. NosWalker itself never uses
-    /// this (its asynchronous pipeline model yields utilization directly).
-    pub buffered_io_penalty: f64,
 }
 
 impl Default for EngineOptions {
@@ -87,19 +69,37 @@ impl Default for EngineOptions {
             presample_cap_per_vertex: 4096,
             alias_degree_threshold: 64,
             claim_batch: 2,
-            presample_budget_fraction: 0.9,
-            step_ns: 120,
-            sample_ns: 40,
             threads: 16,
-            swap_record_bytes: 24,
             prefetch_depth: 2,
             uniform_presample_alloc: false,
-            buffered_io_penalty: 3.5,
         }
     }
 }
 
 impl EngineOptions {
+    /// Fraction of the *remaining* memory budget (after block buffers)
+    /// given to pre-sample buffers.
+    pub const PRESAMPLE_BUDGET_FRACTION: f64 = 0.9;
+
+    /// Simulated compute cost per walker step in nanoseconds (divided by
+    /// `threads`).
+    pub const STEP_NS: u64 = 120;
+
+    /// Simulated compute cost per pre-sample draw in nanoseconds (divided
+    /// by `threads`).
+    pub const SAMPLE_NS: u64 = 40;
+
+    /// Per-walker swap record bytes when walker management is off (walker
+    /// state as serialized by GraphWalker-style buffers).
+    pub const SWAP_RECORD_BYTES: u64 = 24;
+
+    /// Service-time multiplier for the *buffered, synchronous* I/O path of
+    /// the GraphChi-derived baselines. The paper measures their disk
+    /// utilization at 20–30 % against NosWalker's 70–90 % (§4.4); a 3.5×
+    /// de-rate reproduces that measured gap. NosWalker itself never uses
+    /// this (its asynchronous pipeline model yields utilization directly).
+    pub const BUFFERED_IO_PENALTY: f64 = 3.5;
+
     /// The paper's "Base Implementation" (Fig. 14): GraphWalker-like
     /// workflow, but with NosWalker's asynchronous overlapped I/O.
     pub fn base() -> Self {
@@ -158,13 +158,13 @@ impl EngineOptions {
 
     /// Effective compute nanoseconds for one step.
     pub fn step_cost(&self) -> u64 {
-        (self.step_ns / self.threads.max(1)).max(1)
+        (Self::STEP_NS / self.threads.max(1)).max(1)
     }
 
     /// Effective compute nanoseconds for one pre-sample draw (also charged
     /// for direct on-block sampling).
     pub fn sample_cost(&self) -> u64 {
-        (self.sample_ns / self.threads.max(1)).max(1)
+        (Self::SAMPLE_NS / self.threads.max(1)).max(1)
     }
 }
 
@@ -189,17 +189,16 @@ mod tests {
     #[test]
     fn costs_divide_by_threads() {
         let o = EngineOptions {
-            step_ns: 160,
-            threads: 16,
+            threads: 4,
             ..Default::default()
         };
-        assert_eq!(o.step_cost(), 10);
+        assert_eq!(o.step_cost(), EngineOptions::STEP_NS / 4);
+        assert_eq!(o.sample_cost(), EngineOptions::SAMPLE_NS / 4);
         let single = EngineOptions {
-            step_ns: 160,
             threads: 1,
             ..Default::default()
         };
-        assert_eq!(single.step_cost(), 160);
+        assert_eq!(single.step_cost(), EngineOptions::STEP_NS);
     }
 
     #[test]

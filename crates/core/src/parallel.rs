@@ -136,7 +136,7 @@ struct SharedPool {
     published_bytes: AtomicU64,
     /// The pool's total byte budget, fixed at run start: the memory
     /// budget minus the walker pool's hold and the loader's block working
-    /// set, scaled by `presample_budget_fraction`. Refills split this
+    /// set, scaled by `EngineOptions::PRESAMPLE_BUDGET_FRACTION`. Refills split this
     /// figure demand-weighted; `published_bytes` must stay under it.
     byte_budget: u64,
 }
@@ -516,7 +516,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             .limit()
             .saturating_sub(cap * state)
             .saturating_sub(working_set);
-        let pool_bytes = (headroom as f64 * opts.presample_budget_fraction) as u64;
+        let pool_bytes = (headroom as f64 * EngineOptions::PRESAMPLE_BUDGET_FRACTION) as u64;
         let shared = Arc::new(Shared {
             app: Arc::clone(&runner.app),
             graph: Arc::clone(graph),

@@ -31,6 +31,7 @@
 //! assert!(s.max_degree >= s.avg_degree as u64);
 //! ```
 
+#![warn(unused_crate_dependencies)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod alias;

@@ -67,7 +67,6 @@ pub struct AdmissionController {
     pending: VecDeque<QuerySpec>,
     overloaded: bool,
     shed: u64,
-    admitted: u64,
 }
 
 fn order_key(q: &QuerySpec) -> (u64, u64, u64) {
@@ -82,7 +81,6 @@ impl AdmissionController {
             pending: VecDeque::new(),
             overloaded: false,
             shed: 0,
-            admitted: 0,
         }
     }
 
@@ -108,7 +106,6 @@ impl AdmissionController {
             .position(|p| order_key(&q) < order_key(p))
             .unwrap_or(self.pending.len());
         self.pending.insert(at, q);
-        self.admitted += 1;
         Admission::Admitted
     }
 
@@ -144,11 +141,6 @@ impl AdmissionController {
     /// Total queries shed so far.
     pub fn shed_count(&self) -> u64 {
         self.shed
-    }
-
-    /// Total queries admitted so far.
-    pub fn admitted_count(&self) -> u64 {
-        self.admitted
     }
 }
 
@@ -216,7 +208,7 @@ mod tests {
             }
         );
         assert_eq!(c.shed_count(), 1);
-        assert_eq!(c.admitted_count(), 2);
+        assert_eq!(c.pending_len(), 2);
     }
 
     #[test]

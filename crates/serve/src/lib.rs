@@ -50,6 +50,13 @@
 //! replayed ingress trace under a scripted clock is bit-identical to a
 //! lockstep run (the `serve_realtime` parity test pins this).
 
+#![warn(unused_crate_dependencies)]
+
+// `rand` is a dependency only the unit tests use. It stays in
+// `[dependencies]` until the benchmark's lockfile can drop it with it
+// (ROADMAP item 7).
+use rand as _;
+
 pub mod admission;
 pub mod app;
 pub mod engine;

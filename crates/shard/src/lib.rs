@@ -42,6 +42,8 @@
 //! same admission decisions, same round carving, same walker streams —
 //! the `N = 1` parity test asserts the reports are bit-identical.
 
+#![warn(unused_crate_dependencies)]
+
 pub mod plane;
 pub mod router;
 pub mod subgraph;

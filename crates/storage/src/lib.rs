@@ -21,6 +21,7 @@
 //! * [`IoStats`] — per-device counters (ops, bytes, busy time) that the
 //!   benchmark harness diffs around each run.
 
+#![warn(unused_crate_dependencies)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![cfg_attr(
     test,
@@ -29,14 +30,12 @@
 
 pub mod budget;
 pub mod device;
-pub mod economics;
 pub mod file;
 pub mod raid;
 pub mod sim;
 
 pub use budget::{BudgetExceeded, MemoryBudget, Reservation};
 pub use device::{Device, DeviceError, IoStats, IoStatsSnapshot, MemDevice};
-pub use economics::StoragePrices;
 pub use file::FileDevice;
 pub use raid::{per_shard_devices, Raid0};
 pub use sim::{SimSsd, SsdProfile};

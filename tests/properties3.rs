@@ -1,54 +1,40 @@
-//! Third wave of property tests: CLI parsing robustness and parallel
-//! runner conservation under arbitrary worker counts.
+//! Property tests over the CLI's argument parser: whatever tokens it is
+//! fed, it parses them or returns a user-readable error, never panics.
+//! Data-structure properties are in `properties.rs`, engine runs in
+//! `properties2.rs`.
 
-use noswalker::apps::BasicRw;
-use noswalker::core::parallel::ParallelRunner;
-use noswalker::core::{EngineOptions, OnDiskGraph};
-use noswalker::graph::generators;
-use noswalker::storage::{MemoryBudget, SimSsd, SsdProfile};
-use proptest::prelude::*;
-use std::sync::Arc;
+mod common;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+use common::{cases, token, vec_of, SEED};
+use rand::Rng;
 
-    /// The CLI parser must never panic, whatever tokens it is fed —
-    /// every input either parses or yields a user-readable error.
-    #[test]
-    fn cli_parser_never_panics(tokens in prop::collection::vec("[a-z0-9./=-]{0,12}", 0..10)) {
+const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+const LOWER_DIGITS: &str = "abcdefghijklmnopqrstuvwxyz0123456789";
+const ARG_CHARS: &str = "abcdefghijklmnopqrstuvwxyz0123456789./=-";
+
+/// The CLI parser must never panic, whatever tokens it is fed —
+/// every input either parses or yields a user-readable error.
+#[test]
+fn cli_parser_never_panics() {
+    cases(64, SEED, |rng| {
+        let tokens = vec_of(rng, 0..10, |r| token(r, ARG_CHARS, 0..=12));
         let _ = noswalker_cli::args::parse(tokens);
-    }
+    });
+}
 
-    /// Known-prefix fuzz: a valid subcommand followed by arbitrary flags.
-    #[test]
-    fn cli_run_subcommand_robust(tokens in prop::collection::vec("(--[a-z]{1,8}|[a-z0-9]{1,6})", 0..8)) {
+/// Known-prefix fuzz: a valid subcommand followed by arbitrary flags.
+#[test]
+fn cli_run_subcommand_robust() {
+    cases(64, SEED, |rng| {
+        let tokens = vec_of(rng, 0..8, |r| {
+            if r.gen::<bool>() {
+                format!("--{}", token(r, LOWER, 1..=8))
+            } else {
+                token(r, LOWER_DIGITS, 1..=6)
+            }
+        });
         let mut args = vec!["run".to_string(), "g.csr".to_string()];
         args.extend(tokens);
         let _ = noswalker_cli::args::parse(args);
-    }
-
-    /// Walker and step conservation must hold for any worker count.
-    #[test]
-    fn parallel_runner_conserves_for_any_worker_count(
-        workers in 1usize..12,
-        walkers in 1u64..400,
-        length in 1u32..7,
-        seed in 0u64..100,
-    ) {
-        let csr = generators::uniform_degree(256, 4, 3);
-        let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
-        let graph = Arc::new(OnDiskGraph::store(&csr, device, 512).unwrap());
-        let app = Arc::new(BasicRw::new(walkers, length, 256));
-        let m = ParallelRunner::new(
-            Arc::clone(&app),
-            graph,
-            EngineOptions::default(),
-            MemoryBudget::new(1 << 20),
-        )
-        .run(seed, workers)
-        .unwrap();
-        prop_assert_eq!(m.walkers_finished, walkers);
-        prop_assert_eq!(m.steps, walkers * length as u64);
-        prop_assert_eq!(m.steps, app.steps_taken());
-    }
+    });
 }

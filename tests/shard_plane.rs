@@ -13,6 +13,9 @@
 //!
 //! These run in release builds too.
 
+mod common;
+
+use common::{cases, vec_of, SEED};
 use noswalker::core::audit::TraceEvent;
 use noswalker::core::{audit_handoffs, MemorySink, OnDiskGraph, QuerySpec, StaticQuerySource};
 use noswalker::graph::generators::{self, RmatParams};
@@ -20,7 +23,7 @@ use noswalker::graph::Csr;
 use noswalker::serve::{ServeEngine, ServeOptions};
 use noswalker::shard::ShardPlane;
 use noswalker::storage::{per_shard_devices, MemoryBudget, SimSsd, SsdProfile};
-use proptest::prelude::*;
+use rand::Rng;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -72,19 +75,22 @@ fn one_shard_plane_is_bit_identical_to_the_serve_engine() {
     assert_eq!(sharded.walkers_immigrated, 0);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Handoff conservation and no-silent-shed, for any shard count,
-    /// query mix and (possibly tiny) admission bound.
-    #[test]
-    fn sharded_serving_conserves_walkers_and_never_sheds_silently(
-        shards in 1usize..=5,
-        queries in prop::collection::vec((0u32..128, 1u64..60, 0u64..3_000), 1..8),
-        max_pending in 1usize..=4,
-        seed in 0u64..50,
-    ) {
-        let csr = generators::uniform_degree(128, 4, 7);
+/// Handoff conservation and no-silent-shed, for any shard count,
+/// query mix and (possibly tiny) admission bound.
+#[test]
+fn sharded_serving_conserves_walkers_and_never_sheds_silently() {
+    let csr = generators::uniform_degree(128, 4, 7);
+    cases(24, SEED, |rng| {
+        let shards = rng.gen_range(1usize..=5);
+        let queries = vec_of(rng, 1..8, |r| {
+            (
+                r.gen_range(0u32..128),
+                r.gen_range(1u64..60),
+                r.gen_range(0u64..3_000),
+            )
+        });
+        let max_pending = rng.gen_range(1usize..=4);
+        let seed = rng.gen_range(0u64..50);
         let mut specs = Vec::new();
         for (i, &(v, walkers, gap)) in queries.iter().enumerate() {
             let class = match i % 3 {
@@ -97,7 +103,10 @@ proptest! {
         }
         let offered: BTreeSet<u64> = specs.iter().map(|q| q.id).collect();
 
-        let mut opts = ServeOptions { seed, ..ServeOptions::default() };
+        let mut opts = ServeOptions {
+            seed,
+            ..ServeOptions::default()
+        };
         opts.admission.max_pending = max_pending;
         let devices = per_shard_devices(shards, 1, SsdProfile::nvme_p4618(), 64 << 10);
         let plane = ShardPlane::build(&csr, devices, 64 << 10, 2048, opts).expect("build");
@@ -106,36 +115,49 @@ proptest! {
         let r = plane.run(&mut src, Some(&mut sink)).expect("serve");
 
         // Handoff conservation: the run drains every boundary crossing.
-        prop_assert_eq!(r.walkers_emigrated, r.walkers_immigrated);
+        assert_eq!(r.walkers_emigrated, r.walkers_immigrated);
         audit_handoffs(r.walkers_emigrated, r.walkers_immigrated, 0).assert_clean();
-        let handoff_sum: u64 = sink.events.iter().map(|e| match e {
-            TraceEvent::ShardHandoff { walkers, .. } => *walkers,
-            _ => 0,
-        }).sum();
-        prop_assert_eq!(handoff_sum, r.walkers_emigrated);
+        let handoff_sum: u64 = sink
+            .events
+            .iter()
+            .map(|e| match e {
+                TraceEvent::ShardHandoff { walkers, .. } => *walkers,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(handoff_sum, r.walkers_emigrated);
 
         // Every offered query gets exactly one outcome, served or shed.
         let got: BTreeSet<u64> = r.report.outcomes.iter().map(|o| o.id).collect();
-        prop_assert_eq!(r.report.outcomes.len(), got.len(), "duplicate outcomes");
-        prop_assert_eq!(&got, &offered);
+        assert_eq!(r.report.outcomes.len(), got.len(), "duplicate outcomes");
+        assert_eq!(&got, &offered);
 
         // No silent sheds: a shed outcome needs a QueryShed trace event,
         // and vice versa; a served query's walkers are fully accounted.
-        let shed_events: BTreeSet<u64> = sink.events.iter().filter_map(|e| match e {
-            TraceEvent::QueryShed { query, .. } => Some(*query),
-            _ => None,
-        }).collect();
+        let shed_events: BTreeSet<u64> = sink
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::QueryShed { query, .. } => Some(*query),
+                _ => None,
+            })
+            .collect();
         for o in &r.report.outcomes {
             if o.shed {
-                prop_assert!(shed_events.contains(&o.id), "silent shed of {}", o.id);
-                prop_assert_eq!(o.stats.issued, 0);
+                assert!(shed_events.contains(&o.id), "silent shed of {}", o.id);
+                assert_eq!(o.stats.issued, 0);
             } else {
-                prop_assert_eq!(o.stats.issued, o.stats.completed + o.stats.cancelled);
+                assert_eq!(o.stats.issued, o.stats.completed + o.stats.cancelled);
             }
         }
         for id in &shed_events {
-            let o = r.report.outcomes.iter().find(|o| o.id == *id).expect("outcome");
-            prop_assert!(o.shed, "QueryShed event for a served query {id}");
+            let o = r
+                .report
+                .outcomes
+                .iter()
+                .find(|o| o.id == *id)
+                .expect("outcome");
+            assert!(o.shed, "QueryShed event for a served query {id}");
         }
-    }
+    });
 }
