@@ -224,6 +224,9 @@ pub(crate) struct Generation<'a, A: Walk, S: EdgeSource + ?Sized> {
     pub(crate) graph: &'a OnDiskGraph,
     pub(crate) opts: &'a EngineOptions,
     pub(crate) src: &'a S,
+    /// Budget bytes free for the build; `u64::MAX` when the reserve
+    /// policy can free memory itself.
+    pub(crate) available: u64,
 }
 
 impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
@@ -242,6 +245,10 @@ impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
     /// and asks for a re-plan with `Continue` — which is honoured only
     /// while the capacity can change the plan: a refused plan that is
     /// nothing but raw retention is refused for good.
+    ///
+    /// A build whose raw-retention floor (the bytes every plan holds at
+    /// least) exceeds [`Generation::available`] is refused before any
+    /// planning: no plan could pass the reserve.
     ///
     /// Returns the buffer (reservation attached), its planned slot count
     /// and the sample draws performed — or `None` when nothing was built.
@@ -269,6 +276,14 @@ impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
             }
         }
         let weighted = graph.format() != noswalker_graph::EdgeFormat::Unweighted;
+        // Every plan holds at least the raw-retention floor, so a budget
+        // below it would refuse each re-plan in turn.
+        let low = u64::from(self.opts.low_degree_threshold);
+        let raw_edges: u64 = degrees.iter().filter(|&&d| d > 0 && d <= low).sum();
+        let floor = raw_edges * if weighted { 8 } else { 4 } + degrees.len() as u64 * 9 + 4;
+        if floor > self.available {
+            return None;
+        }
         let (plan, reservation) = loop {
             let plan = plan_quotas(
                 &degrees,
@@ -300,15 +315,10 @@ impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
                 let view = src.edges(graph, v).expect("planned vertices are covered");
                 self.app.sample(&view, rng)
             },
-            |v, edges, mut wts| {
+            |v, edges, wts| {
                 #[expect(clippy::expect_used, reason = "the planner zeroes uncovered vertices")]
                 let view = src.edges(graph, v).expect("planned vertices are covered");
-                for i in 0..view.degree() {
-                    edges.push(view.target(i));
-                    if let Some(w) = wts.as_deref_mut() {
-                        w.push(view.weight(i).unwrap_or(1.0));
-                    }
-                }
+                view.append_edges(edges, wts);
             },
         );
         buf.set_reservation(reservation);
@@ -1054,6 +1064,7 @@ impl<'e, A: Walk> Run<'e, A> {
             graph: self.graph,
             opts: self.opts,
             src,
+            available: avail,
         };
         // Budget too tight for the plan: halve it, down to a floor below
         // which the rebuild just waits for the next load of this block.
@@ -1614,10 +1625,13 @@ mod tests {
         );
     }
 
-    /// Builds block 0's generation under `opts` with a budget policy that
-    /// always refuses and halves down to the 64-slot floor; returns the
-    /// capacities it was asked at.
-    fn refused_build_capacities(opts: EngineOptions) -> Vec<u64> {
+    /// Runs `f` on block 0 of a scale-10 R-MAT graph (2 KiB blocks): its
+    /// generation builder under `opts` with `available` free bytes.
+    fn with_block0<R>(
+        opts: &EngineOptions,
+        available: u64,
+        f: impl FnOnce(&Generation<'_, Basic, LoadedBlock>, &BlockInfo) -> R,
+    ) -> R {
         let csr = generators::rmat(10, 8, generators::RmatParams::default(), 11);
         let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
         let graph = OnDiskGraph::store(&csr, device, 2048).unwrap();
@@ -1626,28 +1640,38 @@ mod tests {
         let generation = Generation {
             app: &Basic::new(1, 1, csr.num_vertices()),
             graph: &graph,
-            opts: &opts,
+            opts,
             src: &block,
+            available,
         };
-        let mut asked = Vec::new();
-        let built = generation.build(
-            &info,
-            None,
-            &vec![0; info.num_vertices() as usize],
-            4096,
-            &mut WalkRng::seed_from_u64(1),
-            |_bytes, slots| {
-                asked.push(*slots);
-                if *slots > 64 {
-                    *slots /= 2;
-                    ControlFlow::Continue(())
-                } else {
-                    ControlFlow::Break(None)
-                }
-            },
-        );
-        assert!(built.is_none());
-        asked
+        f(&generation, &info)
+    }
+
+    /// Builds block 0's generation under `opts` with a budget policy that
+    /// always refuses and halves down to the 64-slot floor; returns the
+    /// capacities it was asked at.
+    fn refused_build_capacities(opts: EngineOptions) -> Vec<u64> {
+        with_block0(&opts, u64::MAX, |generation, info| {
+            let mut asked = Vec::new();
+            let built = generation.build(
+                info,
+                None,
+                &vec![0; info.num_vertices() as usize],
+                4096,
+                &mut WalkRng::seed_from_u64(1),
+                |_bytes, slots| {
+                    asked.push(*slots);
+                    if *slots > 64 {
+                        *slots /= 2;
+                        ControlFlow::Continue(())
+                    } else {
+                        ControlFlow::Break(None)
+                    }
+                },
+            );
+            assert!(built.is_none());
+            asked
+        })
     }
 
     #[test]
@@ -1665,6 +1689,90 @@ mod tests {
             refused_build_capacities(EngineOptions::default()),
             [4096, 2048, 1024, 512, 256, 128, 64]
         );
+    }
+
+    /// Per-vertex view of a built buffer: the next sampled destination or
+    /// the raw targets.
+    type Peeks = Vec<(Option<VertexId>, Vec<VertexId>)>;
+
+    /// Builds block 0 with `available` free bytes behind the sequential
+    /// engine's policy over a budget of `limit` bytes; returns the bytes
+    /// the policy was asked for and the slots, draws and peeks built.
+    fn budgeted_build(
+        opts: &EngineOptions,
+        available: u64,
+        limit: u64,
+    ) -> (Vec<u64>, Option<(u64, u64, Peeks)>) {
+        with_block0(opts, available, |generation, info| {
+            let budget = MemoryBudget::new(limit);
+            let mut asked = Vec::new();
+            let built = generation.build(
+                info,
+                None,
+                &vec![0; info.num_vertices() as usize],
+                4096,
+                &mut WalkRng::seed_from_u64(1),
+                |bytes, slots| {
+                    asked.push(bytes);
+                    match budget.try_reserve(bytes) {
+                        Ok(r) => ControlFlow::Break(Some(r)),
+                        Err(_) if *slots > 64 => {
+                            *slots /= 2;
+                            ControlFlow::Continue(())
+                        }
+                        Err(_) => ControlFlow::Break(None),
+                    }
+                },
+            );
+            let built = built.map(|(buf, slots, draws)| {
+                let peeks = (info.vertex_start..info.vertex_end)
+                    .map(|v| match buf.peek(v) {
+                        Peek::Sampled(d) => (Some(d), Vec::new()),
+                        Peek::Raw(view) => {
+                            let mut targets = Vec::new();
+                            view.append_edges(&mut targets, None);
+                            (None, targets)
+                        }
+                        Peek::Empty => (None, Vec::new()),
+                    })
+                    .collect();
+                (slots, draws, peeks)
+            });
+            (asked, built)
+        })
+    }
+
+    #[test]
+    fn refused_build_precheck_refuses_exactly_what_the_reserve_would() {
+        for low in [u32::MAX, 4] {
+            let opts = EngineOptions {
+                low_degree_threshold: low,
+                ..EngineOptions::default()
+            };
+            // The floor every plan holds: raw edges at 4 B (unweighted)
+            // plus 9 B per vertex and 4 B.
+            let floor = with_block0(&opts, 0, |generation, info| {
+                let raw: u64 = (info.vertex_start..info.vertex_end)
+                    .map(|v| generation.graph.degree(v))
+                    .filter(|&d| d > 0 && d <= u64::from(low))
+                    .sum();
+                raw * 4 + u64::from(info.num_vertices()) * 9 + 4
+            });
+            // One byte short: refused before planning, the policy never
+            // asked — and without the check every ask would be refused.
+            assert_eq!(budgeted_build(&opts, floor - 1, floor - 1), (vec![], None));
+            assert!(budgeted_build(&opts, u64::MAX, floor - 1).1.is_none());
+            // At the floor and above: the same asks and the same buffer as
+            // a build that skips the check.
+            let mut built = 0;
+            for limit in [floor, floor + 1024, floor + (16 << 10), 1 << 20] {
+                let checked = budgeted_build(&opts, limit, limit);
+                assert!(!checked.0.is_empty(), "threshold {low}, limit {limit}");
+                assert_eq!(checked, budgeted_build(&opts, u64::MAX, limit));
+                built += usize::from(checked.1.is_some());
+            }
+            assert!(built >= 2, "threshold {low}: only {built} builds");
+        }
     }
 
     #[test]

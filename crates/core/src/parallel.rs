@@ -1013,6 +1013,8 @@ fn refill_block<A: Walk>(
         graph,
         opts: &shared.opts,
         src: edges,
+        // Its reserve policy unpublishes the old generation to make room.
+        available: u64::MAX,
     };
     // No room for the plan: retire the old generation to free its
     // reservation (readers holding an Arc keep it alive until they finish

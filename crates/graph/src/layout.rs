@@ -214,6 +214,35 @@ impl<'a> VertexEdges<'a> {
         }
     }
 
+    /// Appends every target to `targets` and, when `weights` is given,
+    /// every weight to it (1.0 where the layout carries none): the bulk
+    /// form of a `target(i)` / `weight(i)` loop over the vertex.
+    pub fn append_edges(&self, targets: &mut Vec<VertexId>, weights: Option<&mut Vec<f32>>) {
+        match *self {
+            VertexEdges::Mem {
+                targets: t,
+                weights: w,
+                ..
+            } => {
+                targets.extend_from_slice(t);
+                match (weights, w) {
+                    (Some(out), Some(w)) => out.extend_from_slice(w),
+                    (Some(out), None) => out.resize(out.len() + t.len(), 1.0),
+                    (None, _) => {}
+                }
+            }
+            VertexEdges::Raw { bytes, format } => {
+                let records = bytes.chunks_exact(format.record_bytes());
+                targets.extend(records.clone().map(|r| le_u32(r, 0)));
+                match (weights, format) {
+                    (Some(out), EdgeFormat::Weighted) => out.extend(records.map(|r| le_f32(r, 4))),
+                    (Some(out), _) => out.resize(out.len() + records.len(), 1.0),
+                    (None, _) => {}
+                }
+            }
+        }
+    }
+
     /// True if the directed edge to `dst` is present (linear scan — used by
     /// second-order rejection to compute `d_ux`, Appendix A).
     pub fn contains_target(&self, dst: VertexId) -> bool {
@@ -277,6 +306,42 @@ mod tests {
             // the sampling-relevant payload and must round-trip exactly.
             assert_eq!(raw.weight(i), None);
             assert_eq!(raw.alias_slot(i), mem.alias_slot(i));
+        }
+    }
+
+    #[test]
+    fn append_edges_matches_the_per_edge_loop_and_appends() {
+        let g = weighted_graph();
+        let unweighted = CsrBuilder::new(3).edge(0, 1).edge(0, 2).edge(1, 0).build();
+        let cases = [
+            (&unweighted, EdgeFormat::Unweighted),
+            (&g, EdgeFormat::Weighted),
+            (&g, EdgeFormat::WeightedAlias),
+        ];
+        for (csr, format) in cases {
+            let region = encode_edge_region(csr, format).unwrap();
+            let rb = format.record_bytes();
+            for v in 0..csr.num_vertices() as VertexId {
+                let (s, e) = (csr.offsets()[v as usize], csr.offsets()[v as usize + 1]);
+                let raw = &region[s as usize * rb..e as usize * rb];
+                for view in [
+                    VertexEdges::from_csr(csr, v),
+                    VertexEdges::from_raw(raw, format),
+                ] {
+                    let (mut want_t, mut want_w) = (vec![7], vec![0.5]);
+                    for i in 0..view.degree() {
+                        want_t.push(view.target(i));
+                        want_w.push(view.weight(i).unwrap_or(1.0));
+                    }
+                    // Prior contents stay; the edges go after them.
+                    let (mut t, mut w) = (vec![7], vec![0.5]);
+                    view.append_edges(&mut t, Some(&mut w));
+                    assert_eq!((&t, &w), (&want_t, &want_w), "{format:?} vertex {v}");
+                    let mut t = vec![7];
+                    view.append_edges(&mut t, None);
+                    assert_eq!(t, want_t, "{format:?} vertex {v}, targets only");
+                }
+            }
         }
     }
 

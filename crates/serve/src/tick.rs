@@ -20,7 +20,10 @@
 //! The core is *lane*-structured: one lane per shard (admission queue,
 //! walker-pool quota, the one kernel [`ServeOptions::backend`] names,
 //! owned vertex range), with a [`LaneRouter`] deciding which lane admits a query and
-//! which lane owns a handed-off walker. With a single lane every phase
+//! which lane owns a handed-off walker. Lanes are parallel in the model
+//! (a round costs its slowest lane) and on the host: a tick with work on
+//! several lanes runs their rounds on scoped threads and folds the
+//! results in lane order. With a single lane every phase
 //! degenerates to the unsharded engine's behavior bit-for-bit (the
 //! `shard_plane` N=1 test pins this), which is what lets both shells be
 //! thin wrappers over the same code.
@@ -48,7 +51,9 @@ pub(crate) fn deadline_passed(deadline_ns: Option<u64>, now_ns: u64) -> bool {
 
 /// One lane's immutable serving substrate: its (sub-)graph, its share of
 /// the memory budget, and the vertex range it owns. The unsharded engine
-/// is a single lane owning the whole vertex space.
+/// is a single lane owning the whole vertex space. A tick runs its lanes
+/// at once, so lanes sharing a budget or device would see each other's
+/// use in host order: replays are exact only when each lane owns its own.
 #[derive(Debug, Clone)]
 pub struct LaneConfig {
     /// The stored graph this lane's kernels walk.
@@ -271,8 +276,11 @@ impl TickCore {
         // cross-backend digests bit-identical. What it costs: an all-raw
         // buffer is a whole-block raw copy, planned outside the capacity
         // it was offered, so it is built only when the budget happens to
-        // hold it — 63–67 of the 156–168 attempts in a 2,000-walker round
-        // on the scale-16 graph at a 25 % budget. The serving pre-sample
+        // hold it. A 4 s `serve-shard` benchmark run (2-core AMD EPYC)
+        // made 74,394 builds and 52,276 refused attempts. A build costs
+        // ~3.5 µs with raw edges decoded in bulk (8.5 µs edge by edge); a
+        // refusal ~0.3 µs, checked against the raw floor before planning
+        // (2.1 µs with the plan computed first). The serving pre-sample
         // builder (ROADMAP item 1) starts from that split, not from zero.
         let mut round_opts = opts.engine.clone();
         round_opts.low_degree_threshold = u32::MAX;
@@ -696,10 +704,11 @@ impl TickCore {
             }
         }
 
-        // (5) Run every lane's round. The shared clock advances by the
-        // slowest lane (lanes are parallel in the model); the admission
-        // controllers all observe the *global* stall rate — the shared
-        // backpressure view.
+        // (5) Run every lane's round. Lanes own disjoint devices, budgets
+        // and kernels, so they run at once on the host as they do in the
+        // model; results fold in lane order. The shared clock advances by
+        // the slowest lane; the admission controllers all observe the
+        // *global* stall rate — the shared backpressure view.
         let seed = self
             .opts
             .seed
@@ -729,12 +738,29 @@ impl TickCore {
                 self.lanes[s].owned.clone(),
                 g.resumed,
             ));
-            let out = self.lanes[s].kernel.run_round(Arc::clone(&app), seed)?;
+            ran.push((s, table, g.charged, app));
+        }
+        let lanes = &self.lanes;
+        let run = |(s, .., app): &Ran| lanes[*s].kernel.run_round(Arc::clone(app), seed);
+        #[expect(clippy::disallowed_methods, reason = "sanctioned spawn: shard lanes")]
+        let outs: Vec<_> = if ran.len() < 2 {
+            ran.iter().map(run).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let rest: Vec<_> = ran[1..].iter().map(|r| scope.spawn(|| run(r))).collect();
+                let mut outs = vec![run(&ran[0])];
+                for h in rest {
+                    outs.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+                }
+                outs
+            })
+        };
+        for out in outs {
+            let out = out?;
             max_advance = max_advance.max(out.advance_ns);
             round_stalls += out.metrics.pool_stalls;
             round_steps += out.metrics.steps;
             self.metrics.merge(&out.metrics);
-            ran.push((s, table, g.charged, app));
         }
         clock.advance_round(max_advance);
         for lane in &mut self.lanes {

@@ -35,8 +35,9 @@
 //!   in_flight` ([`noswalker_core::audit_handoffs`]) after every round.
 //! * **Clock**: each round advances the shared [`noswalker_core::ModelClock`]
 //!   by the *maximum* of the shards' deterministic `advance_ns` charges —
-//!   shards work in parallel in the model, which is why an overloaded
-//!   plane serves more queries per modeled second with more shards.
+//!   shards work in parallel in the model (and their rounds run at once
+//!   on the host), which is why an overloaded plane serves more queries
+//!   per modeled second with more shards.
 //!
 //! With one shard the plane degenerates to exactly the unsharded engine:
 //! same admission decisions, same round carving, same walker streams —

@@ -17,10 +17,12 @@ mod common;
 
 use common::{cases, vec_of, SEED};
 use noswalker::core::audit::TraceEvent;
-use noswalker::core::{audit_handoffs, MemorySink, OnDiskGraph, QuerySpec, StaticQuerySource};
+use noswalker::core::{
+    audit_handoffs, Backend, MemorySink, OnDiskGraph, QuerySpec, StaticQuerySource,
+};
 use noswalker::graph::generators::{self, RmatParams};
-use noswalker::graph::Csr;
-use noswalker::serve::{ServeEngine, ServeOptions};
+use noswalker::graph::{Csr, CsrBuilder};
+use noswalker::serve::{ServeEngine, ServeError, ServeOptions};
 use noswalker::shard::ShardPlane;
 use noswalker::storage::{per_shard_devices, MemoryBudget, SimSsd, SsdProfile};
 use rand::Rng;
@@ -160,4 +162,100 @@ fn sharded_serving_conserves_walkers_and_never_sheds_silently() {
             assert!(o.shed, "QueryShed event for a served query {id}");
         }
     });
+}
+
+/// A four-shard plane over an R-MAT graph with the mixed workload the
+/// N=1 pin uses: every shard issues walkers, so every tick runs several
+/// lanes at once.
+fn four_shard_run(opts: ServeOptions) -> noswalker::shard::ShardReport {
+    let csr: Csr = generators::rmat(10, 10, RmatParams::default(), 41);
+    let block = csr.edge_region_bytes() / 16;
+    let budget = (csr.edge_region_bytes() / 4).max(64 << 10);
+    let mix = vec![
+        spec(1, "ppr:7", 120, 0),
+        spec(2, "basic", 90, 50),
+        spec(3, "deepwalk:0", 80, 100),
+        spec(4, "rwr:700:0.2", 70, 150),
+        spec(5, "ppr:900", 60, 200),
+        spec(6, "ppr:400", 60, 250),
+    ];
+    let devices = per_shard_devices(4, 1, SsdProfile::nvme_p4618(), 64 << 10);
+    let plane = ShardPlane::build(&csr, devices, budget, block, opts).expect("build");
+    let mut src = StaticQuerySource::new(mix);
+    plane.run(&mut src, None).expect("serve")
+}
+
+#[test]
+fn concurrent_seq_lanes_replay_bit_identically() {
+    let first = four_shard_run(ServeOptions::default());
+    assert!(first.walkers_emigrated > 0, "the mix must cross shards");
+    for _ in 1..8 {
+        let again = four_shard_run(ServeOptions::default());
+        assert_eq!(again.report.outcomes, first.report.outcomes);
+        assert_eq!(again.report.end_ns, first.report.end_ns);
+        assert_eq!(again.report.rounds, first.report.rounds);
+        assert_eq!(again.lane_histograms, first.lane_histograms);
+        assert_eq!(again.report.metrics, first.report.metrics);
+    }
+}
+
+#[test]
+fn concurrent_par_lanes_replay_outcomes_and_end_time() {
+    let opts = ServeOptions {
+        backend: Backend::Par,
+        par_workers: 2,
+        ..ServeOptions::default()
+    };
+    let first = four_shard_run(opts.clone());
+    for _ in 1..4 {
+        let again = four_shard_run(opts.clone());
+        assert_eq!(again.report.outcomes, first.report.outcomes);
+        assert_eq!(again.report.end_ns, first.report.end_ns);
+    }
+}
+
+#[test]
+fn a_lane_whose_budget_cannot_hold_its_block_fails_the_plane() {
+    // 63 vertices of degree 4 and a last vertex of degree 1,000. With a
+    // block wider than the graph every shard is one block, and the
+    // byte-balanced cut gives shard 0 vertices 0..61 (976 B), shards 1
+    // and 2 one small vertex each, and shard 3 the hub (4,000 B). Every
+    // query starts on a different shard, so the hub's lane runs on a
+    // spawned thread next to the others.
+    let mut b = CsrBuilder::new(64);
+    for v in 0..63 {
+        for k in 0..4 {
+            b = b.edge(v, (v * 7 + k * 13 + 1) % 63);
+        }
+    }
+    for i in 0..1_000 {
+        b = b.edge(63, i % 63);
+    }
+    let csr = b.build();
+    let mix = vec![
+        spec(1, "ppr:3", 40, 0),
+        spec(2, "ppr:61", 40, 0),
+        spec(3, "ppr:62", 40, 0),
+        spec(4, "ppr:63", 40, 0),
+    ];
+    let run = |per_shard: u64| {
+        let devices = per_shard_devices(4, 1, SsdProfile::nvme_p4618(), 64 << 10);
+        let plane = ShardPlane::build(
+            &csr,
+            devices,
+            4 * per_shard,
+            1 << 20,
+            ServeOptions::default(),
+        )
+        .expect("build");
+        plane.run(&mut StaticQuerySource::new(mix.clone()), None)
+    };
+    // Room for every block: the plane serves.
+    assert!(run(64 << 10).is_ok());
+    // 2,400 B a shard holds a small block beside a full walker pool (at
+    // most half the budget), but not the hub's block at all.
+    match run(2_400) {
+        Err(ServeError::Engine(_)) => {}
+        other => panic!("expected an engine error, got {other:?}"),
+    }
 }
