@@ -1002,6 +1002,21 @@ impl<'e, A: Walk> Run<'e, A> {
         Ok((block, ready_at))
     }
 
+    /// Fair share: the pre-sample pool as a whole gets a fraction of the
+    /// budget left after the fixed working set (two block buffers + the
+    /// walker pool), split evenly across blocks. This is what lets the
+    /// reserved samples cover the *entire* graph at a few slots per
+    /// vertex — the succinct-representation effect of §2.4.1 — instead
+    /// of a handful of blocks hoarding deep sample queues. It never falls
+    /// within a run: the walker pool's reservation only shrinks.
+    fn fair_share(&self) -> u64 {
+        let fixed =
+            2 * self.max_block_bytes + self.pool_reservation.as_ref().map_or(0, |r| r.bytes());
+        let pool_budget = (self.budget.limit().saturating_sub(fixed) as f64
+            * EngineOptions::PRESAMPLE_BUDGET_FRACTION) as u64;
+        pool_budget / self.graph.num_blocks().max(1) as u64
+    }
+
     /// Rebuilds block `b`'s pre-sample buffer from a loaded source
     /// (§3.3.2): drop the old generation, reallocate slots proportional to
     /// carried visit counters, refill by sampling. `only` restricts slots
@@ -1028,6 +1043,13 @@ impl<'e, A: Walk> Run<'e, A> {
         // Called with `b`'s bucket just taken for the load, so the new
         // generation finds the whole bucket untried.
         debug_assert_eq!(self.buckets[b as usize].parked, 0);
+        let meta_bytes = nv as u64 * 9 + 4;
+        let fair = self.fair_share();
+        if fair <= meta_bytes {
+            // Refused whatever the budget holds: skip the counter snapshot.
+            self.presample[b as usize] = None;
+            return;
+        }
         let old = self.presample[b as usize].take();
         let weights: Vec<u32> = if self.opts.uniform_presample_alloc {
             vec![0; nv] // zero weights → the planner falls back to uniform
@@ -1042,18 +1064,6 @@ impl<'e, A: Walk> Run<'e, A> {
         // Sampled slots are 4 B regardless of edge format — the succinct
         // representation that makes pre-sampling shine on weighted data.
         let slot_bytes: u64 = 4;
-        let meta_bytes = nv as u64 * 9 + 4;
-        // Fair share: the pre-sample pool as a whole gets a fraction of the
-        // budget left after the fixed working set (two block buffers + the
-        // walker pool), split evenly across blocks. This is what lets the
-        // reserved samples cover the *entire* graph at a few slots per
-        // vertex — the succinct-representation effect of §2.4.1 — instead
-        // of a handful of blocks hoarding deep sample queues.
-        let fixed =
-            2 * self.max_block_bytes + self.pool_reservation.as_ref().map_or(0, |r| r.bytes());
-        let pool_budget = (self.budget.limit().saturating_sub(fixed) as f64
-            * EngineOptions::PRESAMPLE_BUDGET_FRACTION) as u64;
-        let fair = pool_budget / self.graph.num_blocks().max(1) as u64;
         let avail = self.budget.available();
         let cap_bytes = fair.min(avail);
         if cap_bytes <= meta_bytes {
