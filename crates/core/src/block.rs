@@ -5,6 +5,7 @@ use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::partition::BlockInfo;
 use noswalker_graph::VertexId;
 use noswalker_storage::Reservation;
+use std::ops::Range;
 
 /// A fully loaded coarse block: one contiguous byte range of the edge
 /// region, memory charged against the run's budget for its lifetime.
@@ -33,10 +34,16 @@ impl LoadedBlock {
     /// Decodes vertex `v`'s out-edges from the buffer, or `None` if `v`
     /// is not in this block.
     pub fn vertex_edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
-        if !self.info.contains_vertex(v) {
+        self.run_edges(graph, v..v + 1)
+    }
+
+    /// Decodes the out-edges of the consecutive vertices `vs` as one view
+    /// (their records are contiguous), or `None` if one is not in this block.
+    pub fn run_edges(&self, graph: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>> {
+        if !self.info.contains_run(&vs) {
             return None;
         }
-        let r = graph.vertex_byte_range(v);
+        let r = graph.run_byte_range(vs);
         let s = (r.start - self.info.byte_start) as usize;
         let e = (r.end - self.info.byte_start) as usize;
         Some(VertexEdges::from_raw(&self.data[s..e], graph.format()))
@@ -86,10 +93,18 @@ impl FineLoad {
     /// Decodes vertex `v`'s out-edges if its byte range is fully covered by
     /// one loaded run.
     pub fn vertex_edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
-        if !self.info.contains_vertex(v) {
+        self.run_edges(graph, v..v + 1)
+    }
+
+    /// Decodes the out-edges of the consecutive vertices `vs` as one view
+    /// if their byte range is fully covered by one loaded run. Covered
+    /// vertices with edges that are consecutive always are: their pages
+    /// touch, and `load_fine` merges touching pages into one run.
+    pub fn run_edges(&self, graph: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>> {
+        if !self.info.contains_run(&vs) {
             return None;
         }
-        let r = graph.vertex_byte_range(v);
+        let r = graph.run_byte_range(vs);
         if r.is_empty() {
             return Some(VertexEdges::from_raw(&[], graph.format()));
         }

@@ -117,8 +117,14 @@ impl OnDiskGraph {
 
     /// Byte range (within the edge region) of `v`'s records.
     pub fn vertex_byte_range(&self, v: VertexId) -> Range<u64> {
+        self.run_byte_range(v..v + 1)
+    }
+
+    /// Byte range (within the edge region) of the records of the
+    /// consecutive vertices `vs`: one contiguous span, as in the CSR.
+    pub fn run_byte_range(&self, vs: Range<VertexId>) -> Range<u64> {
         let rec = self.format.record_bytes() as u64;
-        (self.offsets[v as usize] * rec)..(self.offsets[v as usize + 1] * rec)
+        (self.offsets[vs.start as usize] * rec)..(self.offsets[vs.end as usize] * rec)
     }
 
     /// Loads the entire coarse block `b`, charging one sequential read.
@@ -162,6 +168,32 @@ impl OnDiskGraph {
         vertices: &[VertexId],
         budget: &Arc<MemoryBudget>,
     ) -> Result<(FineLoad, u64), LoadError> {
+        let (info, runs) = (*self.partition.block(b), self.fine_runs(b, vertices));
+        let total_bytes: u64 = runs.iter().map(|r| r.end - r.start).sum();
+        let reservation = budget.try_reserve(total_bytes)?;
+        let mut loaded = Vec::with_capacity(runs.len());
+        let mut total_ns = 0u64;
+        for r in runs {
+            let mut buf = vec![0u8; (r.end - r.start) as usize];
+            total_ns += self.device.read(self.base + r.start, &mut buf)?;
+            loaded.push((r.start, buf));
+        }
+        Ok((FineLoad::new(info, loaded, reservation), total_ns))
+    }
+
+    /// The device's price ([`Device::price_ns`]) of reading block `b`
+    /// whole and of [`OnDiskGraph::load_fine`]'s page runs for `vertices`
+    /// in it, summed; `None` if the device has no cost model.
+    pub(crate) fn price_loads(&self, b: BlockId, vertices: &[VertexId]) -> Option<(u64, u64)> {
+        let info = self.partition.block(b);
+        let price = |r: Range<u64>| self.device.price_ns(self.base + r.start, r.end - r.start);
+        let fine: Option<u64> = self.fine_runs(b, vertices).into_iter().map(price).sum();
+        Some((price(info.byte_start..info.byte_end)?, fine?))
+    }
+
+    /// The edge-region byte runs a fine load of `vertices` in block `b`
+    /// reads: their 4 KiB pages, adjacent ones merged.
+    fn fine_runs(&self, b: BlockId, vertices: &[VertexId]) -> Vec<Range<u64>> {
         let info = *self.partition.block(b);
         // Mark pages (the paper's bitmap, Fig. 7).
         let num_pages = info.num_fine_pages() as usize;
@@ -194,16 +226,7 @@ impl OnDiskGraph {
                 p += 1;
             }
         }
-        let total_bytes: u64 = runs.iter().map(|r| r.end - r.start).sum();
-        let reservation = budget.try_reserve(total_bytes)?;
-        let mut loaded = Vec::with_capacity(runs.len());
-        let mut total_ns = 0u64;
-        for r in runs {
-            let mut buf = vec![0u8; (r.end - r.start) as usize];
-            total_ns += self.device.read(self.base + r.start, &mut buf)?;
-            loaded.push((r.start, buf));
-        }
-        Ok((FineLoad::new(info, loaded, reservation), total_ns))
+        runs
     }
 }
 
@@ -369,6 +392,46 @@ mod tests {
         let wanted: Vec<u32> = (500..700).collect();
         let (fine, _) = g.load_fine(0, &wanted, &budget).unwrap();
         assert_eq!(fine.num_runs(), 1);
+    }
+
+    #[test]
+    fn fine_load_decodes_a_run_of_loaded_vertices_as_one_span() {
+        let csr = generators::uniform_degree(8192, 8, 5);
+        let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
+        let g = OnDiskGraph::store(&csr, device, 1 << 20).unwrap();
+        // Two separate page runs: 100..103 and 5000.
+        let (fine, _) = g
+            .load_fine(0, &[100, 101, 102, 5000], &MemoryBudget::new(1 << 20))
+            .unwrap();
+        assert_eq!(fine.num_runs(), 2);
+        let run = fine.run_edges(&g, 100..103).expect("one loaded span");
+        let want: Vec<VertexId> = (100..103).flat_map(|v| csr.neighbors(v).to_vec()).collect();
+        let mut got = Vec::new();
+        run.append_edges(&mut got, None);
+        assert_eq!(got, want);
+        // Past a loaded run, or out of the block: no view.
+        assert!(fine.run_edges(&g, 100..5001).is_none());
+        assert!(fine.run_edges(&g, 8190..8193).is_none());
+    }
+
+    #[test]
+    fn loads_are_priced_on_the_device_model() {
+        let csr = generators::uniform_degree(8192, 8, 5);
+        let profile = SsdProfile::nvme_p4618();
+        let g = OnDiskGraph::store(&csr, Arc::new(SimSsd::new(profile)), 64 << 10).unwrap();
+        let info = *g.partition().block(0);
+        let ((whole, batch), stats) = (g.price_loads(0, &[0, 1000]).unwrap(), g.device().stats());
+        assert_eq!(whole, profile.service_ns(info.byte_len()));
+        // Two one-page runs, each IOPS-bound.
+        assert_eq!(batch, 2 * profile.service_ns(FINE_PAGE_BYTES));
+        let (_, read_ns) = g
+            .load_fine(0, &[0, 1000], &MemoryBudget::new(1 << 20))
+            .unwrap();
+        assert_eq!(read_ns, batch);
+        // Pricing reads nothing; a device without a cost model has no price.
+        assert_eq!(stats.read_ops, 0);
+        let g = OnDiskGraph::store(&csr, Arc::new(MemDevice::new()), 64 << 10).unwrap();
+        assert!(g.price_loads(0, &[0]).is_none());
     }
 
     #[test]

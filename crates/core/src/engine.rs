@@ -30,7 +30,7 @@ use noswalker_graph::partition::{BlockId, BlockInfo};
 use noswalker_graph::VertexId;
 use noswalker_storage::{BudgetExceeded, MemoryBudget, Reservation};
 use rand::SeedableRng;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 /// Errors an engine run can produce.
@@ -73,24 +73,32 @@ impl From<LoadError> for EngineError {
 
 /// A source of decoded vertex edges (a coarse block or a fine load).
 pub(crate) trait EdgeSource {
-    fn edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>>;
+    /// The edges of the consecutive vertices `vs` as one view, if loaded.
+    fn run_edges(&self, g: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>>;
+
+    fn edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
+        self.run_edges(graph, v..v + 1)
+    }
 }
 
 impl EdgeSource for LoadedBlock {
-    fn edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
-        self.vertex_edges(graph, v)
+    fn run_edges(&self, g: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>> {
+        self.run_edges(g, vs)
     }
 }
 
 impl EdgeSource for FineLoad {
-    fn edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
-        self.vertex_edges(graph, v)
+    fn run_edges(&self, g: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>> {
+        self.run_edges(g, vs)
     }
 }
 
 impl EdgeSource for Edges {
-    fn edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
-        self.vertex_edges(graph, v)
+    fn run_edges(&self, g: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>> {
+        match self {
+            Edges::Coarse(b) => b.run_edges(g, vs),
+            Edges::Fine(f, _) => f.run_edges(g, vs),
+        }
     }
 }
 
@@ -217,6 +225,43 @@ pub(crate) fn record_fine_load(
     });
 }
 
+/// The raw-retention floor of a generation over vertices of these
+/// `degrees`: the bytes every plan holds at least (each low-degree
+/// vertex's edges, 8 B each on weighted graphs, plus 9 B per vertex + 4).
+fn raw_floor(opts: &EngineOptions, graph: &OnDiskGraph, degrees: &[u64]) -> u64 {
+    let weighted = graph.format() != noswalker_graph::EdgeFormat::Unweighted;
+    let low = u64::from(opts.low_degree_threshold);
+    let raw_edges: u64 = degrees.iter().filter(|&&d| d > 0 && d <= low).sum();
+    raw_edges * if weighted { 8 } else { 4 } + degrees.len() as u64 * 9 + 4
+}
+
+/// Whether a refill of block `info` from the whole block builds a new
+/// pre-sample generation (§3.3.2). All of: pre-sampling is on; the fair
+/// share `fair` is above the block's metadata; its generation `current`
+/// is absent or drained to a quarter of its sampled slots; and, with
+/// `room = (floor, avail)` given, the whole block's raw-retention floor
+/// fits in `avail`. Regenerating discards unconsumed slots (the compact
+/// CSR layout cannot be appended to), hence the drain rule: reserved
+/// samples are not wasted on every reload of a hot block.
+///
+/// The refill calls this without `room` (the build checks the floor of
+/// the vertices it covers). In fine mode a load calls it with the budget
+/// left after reading the block whole, and reads the block whole only
+/// when this holds: a page batch refills only the vertices it covered, so
+/// it can never fund a whole-block generation (see `Run::reads_whole`).
+pub(crate) fn refills_whole_block(
+    opts: &EngineOptions,
+    info: &BlockInfo,
+    current: Option<&PreSampleBuffer>,
+    fair: u64,
+    room: Option<(u64, u64)>,
+) -> bool {
+    opts.enable_presample
+        && fair > u64::from(info.num_vertices()) * 9 + 4
+        && room.is_none_or(|(floor, avail)| floor <= avail)
+        && current.is_none_or(|buf| buf.remaining_sampled() * 4 <= buf.sampled_capacity())
+}
+
 /// What one pre-sample generation is built against: the application's
 /// sampler and the loaded edges it draws from.
 pub(crate) struct Generation<'a, A: Walk, S: EdgeSource + ?Sized> {
@@ -278,10 +323,7 @@ impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
         let weighted = graph.format() != noswalker_graph::EdgeFormat::Unweighted;
         // Every plan holds at least the raw-retention floor, so a budget
         // below it would refuse each re-plan in turn.
-        let low = u64::from(self.opts.low_degree_threshold);
-        let raw_edges: u64 = degrees.iter().filter(|&&d| d > 0 && d <= low).sum();
-        let floor = raw_edges * if weighted { 8 } else { 4 } + degrees.len() as u64 * 9 + 4;
-        if floor > self.available {
+        if raw_floor(self.opts, graph, &degrees) > self.available {
             return None;
         }
         let (plan, reservation) = loop {
@@ -306,19 +348,31 @@ impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
                 return None;
             }
         };
+        // Planned vertices are covered (the planner zeroes the rest), and
+        // a run of raw ones is a single loaded span: their records touch.
+        #[expect(clippy::expect_used, reason = "the planner zeroes uncovered vertices")]
+        let covered = |vs: Range<VertexId>| src.run_edges(graph, vs).expect("planned, so covered");
+        let mut last = None;
         let (mut buf, draws) = PreSampleBuffer::build(
             info.vertex_start,
             &plan,
             weighted,
             |v| {
-                #[expect(clippy::expect_used, reason = "the planner zeroes uncovered vertices")]
-                let view = src.edges(graph, v).expect("planned vertices are covered");
+                // A vertex's draws come in a row: decode it once.
+                let view = match last {
+                    Some((u, view)) if u == v => view,
+                    _ => last.insert((v, covered(v..v + 1))).1,
+                };
                 self.app.sample(&view, rng)
             },
             |v, edges, wts| {
-                #[expect(clippy::expect_used, reason = "the planner zeroes uncovered vertices")]
-                let view = src.edges(graph, v).expect("planned vertices are covered");
-                view.append_edges(edges, wts);
+                // The first vertex of a run of raw vertices appends the
+                // whole run: its records are one span, decoded in one pass.
+                let i = (v - info.vertex_start) as usize;
+                if i == 0 || !plan.raw[i - 1] {
+                    let len = plan.raw[i..].iter().take_while(|&&r| r).count() as VertexId;
+                    covered(v..v + len).append_edges(edges, wts);
+                }
             },
         );
         buf.set_reservation(reservation);
@@ -963,14 +1017,33 @@ impl<'e, A: Walk> Run<'e, A> {
         if fine {
             let waiting = self.buckets[b as usize].entries.iter().map(|e| e.v);
             let (verts, room) = plan_fine_batch(self.graph, self.budget, waiting);
-            self.make_room(room)?;
-            let (load, ns) = self.graph.load_fine(b, &verts, self.budget)?;
-            let ready_at = self.clock.issue_io(ns);
-            record_fine_load(&mut self.metrics, &mut self.trace, verts.len(), &load, at);
-            Ok(Some(Pending::Fine { load, ready_at }))
-        } else {
-            self.issue_coarse(b)
-                .map(|(block, ready_at)| Some(Pending::Coarse { block, ready_at }))
+            if !self.reads_whole(b, &verts) {
+                self.make_room(room)?;
+                let (load, ns) = self.graph.load_fine(b, &verts, self.budget)?;
+                let ready_at = self.clock.issue_io(ns);
+                record_fine_load(&mut self.metrics, &mut self.trace, verts.len(), &load, at);
+                return Ok(Some(Pending::Fine { load, ready_at }));
+            }
+        }
+        self.issue_coarse(b)
+            .map(|(block, ready_at)| Some(Pending::Coarse { block, ready_at }))
+    }
+
+    /// Whether fine mode reads block `b` whole instead of the page batch
+    /// `verts`: when the device prices the whole read at most
+    /// [`EngineOptions::WHOLE_READ_PRICE_CAP`] times the batch, and the
+    /// load funds `b`'s next whole-block generation
+    /// ([`refills_whole_block`], with the budget left after the read).
+    fn reads_whole(&self, b: BlockId, verts: &[VertexId]) -> bool {
+        let (graph, info) = (self.graph, self.graph.partition().block(b));
+        let cheap = |(whole, batch)| whole <= EngineOptions::WHOLE_READ_PRICE_CAP * batch;
+        graph.price_loads(b, verts).is_some_and(cheap) && {
+            let vs = info.vertex_start..info.vertex_end;
+            let degrees: Vec<u64> = vs.map(|v| graph.degree(v)).collect();
+            let avail = self.budget.available().saturating_sub(info.byte_len());
+            let room = (raw_floor(self.opts, graph, &degrees), avail);
+            let (current, fair) = (self.presample[b as usize].as_ref(), self.fair_share());
+            refills_whole_block(self.opts, info, current, fair, Some(room))
         }
     }
 
@@ -1020,36 +1093,26 @@ impl<'e, A: Walk> Run<'e, A> {
     /// Rebuilds block `b`'s pre-sample buffer from a loaded source
     /// (§3.3.2): drop the old generation, reallocate slots proportional to
     /// carried visit counters, refill by sampling. `only` restricts slots
-    /// to the vertices actually covered by a fine load.
+    /// to the vertices actually covered by a fine load. Nothing happens
+    /// unless [`refills_whole_block`] holds, the same rule a fine-mode
+    /// load consults before reading the block whole.
     fn rebuild_presamples(&mut self, b: BlockId, src: &dyn EdgeSource, only: Option<&[VertexId]>) {
-        if !self.opts.enable_presample {
-            return;
-        }
-        // Regenerating a buffer discards its unconsumed slots (the compact
-        // CSR layout cannot be appended to, §3.3.2); only do so once the
-        // current generation is mostly drained, so reserved samples are not
-        // wasted on every reload of a hot block.
-        if let Some(buf) = &self.presample[b as usize] {
-            let cap = buf.sampled_capacity();
-            if cap > 0 && buf.remaining_sampled() * 4 > cap {
-                return;
-            }
-        }
         let info = *self.graph.partition().block(b);
         let nv = info.num_vertices() as usize;
-        if nv == 0 {
+        let fair = self.fair_share();
+        let current = self.presample[b as usize].as_ref();
+        // Checked before the counter snapshot: none of it depends on the
+        // free budget.
+        if nv == 0 || !refills_whole_block(self.opts, &info, current, fair, None) {
+            // A block refused on its fair share holds no generation to
+            // drop: the fair share never falls within a run.
+            debug_assert!(fair > nv as u64 * 9 + 4 || current.is_none());
             return;
         }
         // Called with `b`'s bucket just taken for the load, so the new
         // generation finds the whole bucket untried.
         debug_assert_eq!(self.buckets[b as usize].parked, 0);
         let meta_bytes = nv as u64 * 9 + 4;
-        let fair = self.fair_share();
-        if fair <= meta_bytes {
-            // Refused whatever the budget holds: skip the counter snapshot.
-            self.presample[b as usize] = None;
-            return;
-        }
         let old = self.presample[b as usize].take();
         let weights: Vec<u32> = if self.opts.uniform_presample_alloc {
             vec![0; nv] // zero weights → the planner falls back to uniform
@@ -1783,6 +1846,60 @@ mod tests {
             }
             assert!(built >= 2, "threshold {low}: only {built} builds");
         }
+    }
+
+    #[test]
+    fn whole_block_refill_rule() {
+        // Hub retention off, so block 0's generation holds sampled slots.
+        let opts = EngineOptions {
+            alias_degree_threshold: u32::MAX,
+            ..EngineOptions::default()
+        };
+        with_block0(&opts, u64::MAX, |generation, info| {
+            let meta = u64::from(info.num_vertices()) * 9 + 4;
+            let vs = info.vertex_start..info.vertex_end;
+            let degrees: Vec<u64> = vs.clone().map(|v| generation.graph.degree(v)).collect();
+            let floor = raw_floor(&opts, generation.graph, &degrees);
+            let rule = |opts: &EngineOptions, current: Option<&PreSampleBuffer>, fair, room| {
+                refills_whole_block(opts, info, current, fair, room)
+            };
+            // Block 0 of an R-MAT graph: few vertices, all hubs.
+            assert!(info.num_vertices() < 64 && floor < 4 * meta);
+            // No generation yet: a whole read funds one.
+            assert!(rule(&opts, None, meta + 1, Some((floor, floor))));
+            assert!(rule(&opts, None, meta + 1, None));
+            // Pre-sampling off (Fig. 14's +ShrinkBlock bar): never.
+            let off = EngineOptions::with_shrink_block();
+            assert!(!off.enable_presample);
+            assert!(!rule(&off, None, meta + 1, Some((floor, floor))));
+            // A build that would be refused: fair share at the metadata,
+            // or the raw-retention floor past what the read leaves.
+            assert!(!rule(&opts, None, meta, Some((floor, floor))));
+            assert!(!rule(&opts, None, meta + 1, Some((floor, floor - 1))));
+            // A live generation blocks the read until drained to a
+            // quarter of its sampled slots.
+            let (mut buf, _, _) = generation
+                .build(
+                    info,
+                    None,
+                    &vec![0; degrees.len()],
+                    4096,
+                    &mut WalkRng::seed_from_u64(1),
+                    |_, _| {
+                        ControlFlow::Break(Some(MemoryBudget::new(1 << 20).try_reserve(0).unwrap()))
+                    },
+                )
+                .unwrap();
+            assert!(buf.sampled_capacity() > 0);
+            assert!(!rule(&opts, Some(&buf), meta + 1, None));
+            for v in vs {
+                while matches!(buf.peek(v), Peek::Sampled(_)) {
+                    buf.consume(v);
+                }
+            }
+            assert_eq!(buf.remaining_sampled(), 0);
+            assert!(rule(&opts, Some(&buf), meta + 1, Some((floor, floor))));
+        });
     }
 
     #[test]

@@ -81,6 +81,12 @@ impl EngineOptions {
     /// given to pre-sample buffers.
     pub const PRESAMPLE_BUDGET_FRACTION: f64 = 0.9;
 
+    /// In fine mode, a load whose refill would build a whole-block
+    /// pre-sample generation reads the block whole only if the device
+    /// prices that read at most this many times the 4 KiB page batch it
+    /// replaces; a device without a cost model keeps the batch.
+    pub const WHOLE_READ_PRICE_CAP: u64 = 2;
+
     /// Simulated compute cost per walker step in nanoseconds (divided by
     /// `threads`).
     pub const STEP_NS: u64 = 120;

@@ -122,7 +122,7 @@ pub fn plan_quotas(
         // index as the deterministic tie-break), bounded to three quarters
         // of the remaining budget so hub retention cannot fully starve the
         // sampled vertices it shares the buffer with.
-        hubs.sort_by_key(|&i| {
+        hubs.sort_unstable_by_key(|&i| {
             (
                 std::cmp::Reverse(visit_weights[i]),
                 std::cmp::Reverse(degrees[i]),
@@ -248,6 +248,8 @@ pub struct PreSampleBuffer {
     /// as the lock-free claim cursor.
     cnt: Vec<AtomicU32>,
     raw: Vec<bool>,
+    /// Sampled (non-raw) slots planned, fixed at build.
+    sampled: u64,
     edges: Vec<VertexId>,
     /// Parallel raw-edge weights (only populated for raw vertices of
     /// weighted graphs).
@@ -272,7 +274,10 @@ impl PreSampleBuffer {
     /// * `sample` draws one pre-sampled destination for a vertex (called
     ///   `quota` times per non-raw vertex);
     /// * `raw_edges` appends the raw targets (and weights, when `weighted`)
-    ///   of a low-degree vertex.
+    ///   of a low-degree vertex. It may append ahead: the first vertex of a
+    ///   run of consecutive raw vertices may append the whole run's edges
+    ///   (one decode pass over records that are contiguous on the device),
+    ///   and the rest of the run then append nothing.
     ///
     /// Returns the buffer plus the number of sample draws performed (the
     /// engine charges compute per draw).
@@ -292,17 +297,17 @@ impl PreSampleBuffer {
         idx.push(0u32);
         for i in 0..n {
             let v = vertex_start + i as VertexId;
+            let (start, end) = (idx[i], idx[i] + plan.quotas[i]);
             if plan.raw[i] {
-                let before = edges.len();
                 raw_edges(v, &mut edges, weights.as_mut());
-                debug_assert_eq!(edges.len() - before, plan.quotas[i] as usize);
+                debug_assert!(edges.len() >= end as usize, "raw vertex {v} short");
                 if let Some(w) = &mut weights {
                     w.resize(edges.len(), 1.0);
                     if plan.alias[i] {
                         // Build the hub's alias structure once per
                         // generation; sampling then costs one table lookup
                         // per hop instead of an O(degree) weight scan.
-                        let slice = &w[before..edges.len()];
+                        let slice = &w[start as usize..end as usize];
                         if !slice.is_empty() && slice.iter().any(|&x| x > 0.0) {
                             let (prob, idx_of) = AliasTable::new(slice).into_parts();
                             alias.insert(i as u32, (prob, idx_of));
@@ -318,14 +323,16 @@ impl PreSampleBuffer {
                     w.resize(edges.len(), 1.0);
                 }
             }
-            idx.push(edges.len() as u32);
+            idx.push(end);
         }
+        debug_assert_eq!(edges.len(), idx[n] as usize, "raw edges past their quotas");
         (
             PreSampleBuffer {
                 vertex_start,
                 idx,
                 cnt: (0..n).map(|_| AtomicU32::new(0)).collect(),
                 raw: plan.raw.clone(),
+                sampled: draws,
                 edges,
                 weights,
                 alias,
@@ -457,10 +464,7 @@ impl PreSampleBuffer {
 
     /// Total sampled slot capacity (raw slots excluded).
     pub fn sampled_capacity(&self) -> u64 {
-        (0..self.cnt.len())
-            .filter(|&i| !self.raw[i])
-            .map(|i| (self.idx[i + 1] - self.idx[i]) as u64)
-            .sum()
+        self.sampled
     }
 
     /// Remaining unconsumed sampled slots (raw slots excluded — they never

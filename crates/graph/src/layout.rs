@@ -342,6 +342,27 @@ mod tests {
                     assert_eq!(t, want_t, "{format:?} vertex {v}, targets only");
                 }
             }
+            // A run of consecutive vertices is one span of records: one
+            // raw view over it appends exactly what its vertices' raw views
+            // append one by one.
+            let offsets = csr.offsets();
+            let span = |a: VertexId, b: VertexId| {
+                let (s, e) = (offsets[a as usize] as usize, offsets[b as usize] as usize);
+                VertexEdges::from_raw(&region[s * rb..e * rb], format)
+            };
+            let n = csr.num_vertices() as VertexId;
+            for a in 0..n {
+                for b in a..=n {
+                    let (mut want_t, mut want_w) = (vec![7], vec![0.5]);
+                    for v in a..b {
+                        span(v, v + 1).append_edges(&mut want_t, Some(&mut want_w));
+                    }
+                    let run = span(a, b);
+                    let (mut t, mut w) = (vec![7], vec![0.5]);
+                    run.append_edges(&mut t, Some(&mut w));
+                    assert_eq!((t, w), (want_t, want_w), "{format:?} run {a}..{b}");
+                }
+            }
         }
     }
 

@@ -49,6 +49,11 @@ impl BlockInfo {
         (self.vertex_start..self.vertex_end).contains(&v)
     }
 
+    /// True if the consecutive vertices `vs` all lie in this block's range.
+    pub fn contains_run(&self, vs: &std::ops::Range<VertexId>) -> bool {
+        self.vertex_start <= vs.start && vs.end <= self.vertex_end
+    }
+
     /// Number of 4 KiB fine pages covering this block (last page may be
     /// partial).
     pub fn num_fine_pages(&self) -> u64 {

@@ -159,6 +159,13 @@ pub trait Device: Send + Sync + fmt::Debug {
 
     /// A snapshot of the device's I/O counters.
     fn stats(&self) -> IoStatsSnapshot;
+
+    /// What a read of `len` bytes at `offset` would cost, in nanoseconds
+    /// of service time, without reading: the device's own cost model.
+    /// `None` (the default) for a device that has none.
+    fn price_ns(&self, _offset: u64, _len: u64) -> Option<u64> {
+        None
+    }
 }
 
 /// A zero-cost RAM-backed device: infinite-speed storage used by the

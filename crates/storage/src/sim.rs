@@ -131,6 +131,10 @@ impl Device for SimSsd {
     fn stats(&self) -> IoStatsSnapshot {
         self.stats.snapshot()
     }
+
+    fn price_ns(&self, _offset: u64, len: u64) -> Option<u64> {
+        Some(self.profile.service_ns(len))
+    }
 }
 
 #[cfg(test)]

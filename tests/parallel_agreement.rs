@@ -384,12 +384,17 @@ fn one_worker_pipeline_overhead_and_stall_rate_stay_ratcheted() {
 
 /// The sparse sibling of the ratchet above: 40 walkers of 80 steps on a
 /// 2 MB edge region in 32 blocks at a quarter of it as budget, so
-/// α·|Wa|·4KiB is under the edge region before the first load and both
-/// engines read only 4 KiB page batches. At one worker the fine pipeline
-/// is as FIFO-deterministic as the coarse one: the 1-worker/sequential
-/// modeled steps/s ratio reads 0.904 on every run, against 0.237 when the
-/// parallel runner reloaded whole blocks. Raise the floor when the kernel
-/// improves; never loosen it without a recorded regression analysis.
+/// α·|Wa|·4KiB is under the edge region before the first load and the
+/// parallel runner reads only 4 KiB page batches. The sequential engine
+/// also reads a block whole when that funds its next whole-block
+/// pre-sample generation at no more than twice the batch's device price,
+/// which the parallel runner does not do yet. At one worker the fine
+/// pipeline is as FIFO-deterministic as the coarse one: the
+/// 1-worker/sequential modeled steps/s ratio reads 0.889 on every run
+/// (0.904 before the sequential engine read whole blocks in fine mode,
+/// 0.237 when the parallel runner reloaded whole blocks). Raise the floor
+/// when the kernel improves; never loosen it without a recorded
+/// regression analysis.
 #[test]
 fn one_worker_fine_mode_ratio_stays_ratcheted() {
     const RATIO_FLOOR: f64 = 0.85;
@@ -411,9 +416,9 @@ fn one_worker_fine_mode_ratio_stays_ratcheted() {
 
     for m in [&m_seq, &m_par] {
         assert_eq!(m.fine_mode_at_step, Some(0));
-        assert_eq!(m.coarse_loads, 0);
         assert!(m.fine_loads > 0);
     }
+    assert_eq!(m_par.coarse_loads, 0);
     let ratio = m_par.steps_per_sec() / m_seq.steps_per_sec();
     assert!(
         ratio >= RATIO_FLOOR,

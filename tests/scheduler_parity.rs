@@ -7,7 +7,13 @@
 //! one `cnt` tick per attempt instead of one per pass a walker waits:
 //! that changes the quota plans of every cell with sampled slots (a, b,
 //! c, e, f, h), while the all-raw cells d and g only lost the retired
-//! per-pass stall field. A cell that moves now means the simulation
+//! per-pass stall field. They were re-recorded a second time when a
+//! fine-mode load began reading its block whole where that funds the
+//! block's next whole-block pre-sample generation at no more than twice
+//! the page batch's device price: cells a, c, d, f and h each trade some
+//! page batches for whole-block reads (coarse loads +1, +5, +3, +2, +2),
+//! which moves their load order, refills and trace, while b, e and g
+//! never meet such a load. A cell that moves now means the simulation
 //! changed — bucket order, stall ticks, quota plans, load order or RNG
 //! consumption — and is a bug in the scheduler, not a number to re-record.
 
@@ -270,14 +276,14 @@ fn h_cancellation_reaches_parked_walkers() {
 }
 
 const CELL_A: &str =
-    "sim_ns=529823 stall_ns=408791 io_busy_ns=529788 steps=13356 steps_on_block=12204 \
-    steps_on_presample=1133 steps_on_raw=19 edge_bytes_loaded=1265364 edges_loaded=316341 \
-    io_ops=318 swap_bytes=0 coarse_loads=308 fine_loads=10 walkers_finished=2000 \
-    walkers_cancelled=0 fine_mode_at_step=13345 presamples_filled=1547 \
+    "sim_ns=529815 stall_ns=408809 io_busy_ns=529788 steps=13356 steps_on_block=12204 \
+    steps_on_presample=1133 steps_on_raw=19 edge_bytes_loaded=1264644 edges_loaded=316161 \
+    io_ops=318 swap_bytes=0 coarse_loads=309 fine_loads=9 walkers_finished=2000 \
+    walkers_cancelled=0 fine_mode_at_step=13345 presamples_filled=1534 \
     presamples_consumed=1133 pool_publishes=0 pool_stalls=3770 pool_deferrals=0 \
     pool_attempts=3770 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
     walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=24572 \
-    trace=1000:c82da976ff9d8d25";
+    trace=1000:2694fb6cb9abfc5a";
 const CELL_B: &str =
     "sim_ns=171091 stall_ns=4783 io_busy_ns=59976 steps=13612 steps_on_block=5839 \
     steps_on_presample=4477 steps_on_raw=3296 edge_bytes_loaded=142704 edges_loaded=35676 \
@@ -288,22 +294,22 @@ const CELL_B: &str =
     walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=262141 \
     trace=105:187f394fb76baf34";
 const CELL_C: &str =
-    "sim_ns=653502 stall_ns=609499 io_busy_ns=653457 steps=467 steps_on_block=420 \
-    steps_on_presample=31 steps_on_raw=16 edge_bytes_loaded=1904352 edges_loaded=476088 \
-    io_ops=285 swap_bytes=0 coarse_loads=0 fine_loads=135 walkers_finished=50 \
-    walkers_cancelled=0 fine_mode_at_step=0 presamples_filled=19931 presamples_consumed=31 \
-    pool_publishes=0 pool_stalls=371 pool_deferrals=0 pool_attempts=371 claims_burned=0 \
+    "sim_ns=656516 stall_ns=609238 io_busy_ns=656489 steps=474 steps_on_block=414 \
+    steps_on_presample=48 steps_on_raw=12 edge_bytes_loaded=1913248 edges_loaded=478312 \
+    io_ops=270 swap_bytes=0 coarse_loads=5 fine_loads=117 walkers_finished=50 \
+    walkers_cancelled=0 fine_mode_at_step=0 presamples_filled=21554 presamples_consumed=48 \
+    pool_publishes=0 pool_stalls=325 pool_deferrals=0 pool_attempts=325 claims_burned=0 \
     prefetch_hits=0 prefetch_wasted=0 walkers_emigrated=0 walkers_immigrated=0 accepts=0 \
-    rejects=0 peak_memory=270314 trace=302:84aac6802e21a136";
+    rejects=0 peak_memory=510965 trace=276:76a3c2530e486d03";
 const CELL_D: &str =
     "sim_ns=613097 stall_ns=491759 io_busy_ns=613088 steps=13482 steps_on_block=13477 \
     steps_on_presample=0 steps_on_raw=5 edge_bytes_loaded=1469328 edges_loaded=367332 \
-    io_ops=368 swap_bytes=0 coarse_loads=359 fine_loads=9 walkers_finished=2000 \
+    io_ops=368 swap_bytes=0 coarse_loads=362 fine_loads=6 walkers_finished=2000 \
     walkers_cancelled=0 fine_mode_at_step=13471 presamples_filled=0 \
     presamples_consumed=0 pool_publishes=0 pool_stalls=0 pool_deferrals=0 \
     pool_attempts=0 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
     walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=24564 \
-    trace=1104:e65d51eb0246d78d";
+    trace=1109:b8b4e52631d7f4c5";
 const CELL_E: &str =
     "sim_ns=267359 stall_ns=174689 io_busy_ns=267350 steps=9820 steps_on_block=6789 \
     steps_on_presample=2447 steps_on_raw=584 edge_bytes_loaded=611364 edges_loaded=50947 \
@@ -314,14 +320,14 @@ const CELL_E: &str =
     walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=65533 \
     trace=566:438812d6d1115c3e";
 const CELL_F: &str =
-    "sim_ns=4930448 stall_ns=4772273 io_busy_ns=4929694 steps=12777 steps_on_block=12777 \
-    steps_on_presample=0 steps_on_raw=0 edge_bytes_loaded=8364248 edges_loaded=2091062 \
-    io_ops=2959 swap_bytes=0 coarse_loads=2951 fine_loads=8 walkers_finished=2048 \
-    walkers_cancelled=0 fine_mode_at_step=12774 presamples_filled=360 \
+    "sim_ns=4978854 stall_ns=4820440 io_busy_ns=4978008 steps=12777 steps_on_block=12777 \
+    steps_on_presample=0 steps_on_raw=0 edge_bytes_loaded=8440380 edges_loaded=2110095 \
+    io_ops=2988 swap_bytes=0 coarse_loads=2953 fine_loads=35 walkers_finished=2048 \
+    walkers_cancelled=0 fine_mode_at_step=12774 presamples_filled=412 \
     presamples_consumed=90 pool_publishes=0 pool_stalls=62 pool_deferrals=0 \
     pool_attempts=62 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 walkers_emigrated=0 \
-    walkers_immigrated=0 accepts=12777 rejects=4668 peak_memory=12047 \
-    trace=8909:4102cacce41fe223";
+    walkers_immigrated=0 accepts=12777 rejects=4683 peak_memory=12047 \
+    trace=8971:1b21b365930d4fe2";
 const CELL_G: [&str; 4] = [
     "q1 digest=13960382981112310547 latency=Some(35158)",
     "q2 digest=8347337876302802075 latency=Some(72067)",
@@ -336,11 +342,11 @@ const CELL_G: [&str; 4] = [
      trace=5:94139cdbca236540",
 ];
 const CELL_H: &str =
-    "sim_ns=573444 stall_ns=499349 io_busy_ns=573104 steps=8153 steps_on_block=7283 \
-    steps_on_presample=864 steps_on_raw=6 edge_bytes_loaded=1367072 edges_loaded=341768 \
-    io_ops=344 swap_bytes=0 coarse_loads=332 fine_loads=12 walkers_finished=916 \
-    walkers_cancelled=1084 fine_mode_at_step=8140 presamples_filled=1223 \
+    "sim_ns=573444 stall_ns=499367 io_busy_ns=573104 steps=8153 steps_on_block=7283 \
+    steps_on_presample=864 steps_on_raw=6 edge_bytes_loaded=1366416 edges_loaded=341604 \
+    io_ops=344 swap_bytes=0 coarse_loads=334 fine_loads=10 walkers_finished=916 \
+    walkers_cancelled=1084 fine_mode_at_step=8140 presamples_filled=1214 \
     presamples_consumed=864 pool_publishes=0 pool_stalls=2419 pool_deferrals=0 \
     pool_attempts=2419 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
     walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=24576 \
-    trace=1077:8027b9a06ddc89d1";
+    trace=1078:29f2c82c58ee117b";
