@@ -127,9 +127,15 @@ pub fn render_report(r: &ServeReport) -> String {
         r.deadline_miss_count(),
         r.degraded_count(),
     ));
+    // A walker handed to another shard retires through the cancel path;
+    // it is not a cancelled walker, so it is counted apart.
+    let m = &r.metrics;
     out.push_str(&format!(
-        "  walkers: {} finished, {} cancelled, {} steps\n",
-        r.metrics.walkers_finished, r.metrics.walkers_cancelled, r.metrics.steps,
+        "  walkers: {} finished, {} cancelled, {} handed off, {} steps\n",
+        m.walkers_finished,
+        m.walkers_cancelled.saturating_sub(m.walkers_emigrated),
+        m.walkers_emigrated,
+        m.steps,
     ));
     for (class, h) in &r.histograms {
         out.push_str(&format!(

@@ -22,7 +22,7 @@ use noswalker::core::{
 };
 use noswalker::graph::generators::{self, RmatParams};
 use noswalker::graph::{Csr, CsrBuilder};
-use noswalker::serve::{ServeEngine, ServeError, ServeOptions};
+use noswalker::serve::{render_report, ServeEngine, ServeError, ServeOptions};
 use noswalker::shard::ShardPlane;
 use noswalker::storage::{per_shard_devices, MemoryBudget, SimSsd, SsdProfile};
 use rand::Rng;
@@ -75,6 +75,33 @@ fn one_shard_plane_is_bit_identical_to_the_serve_engine() {
     assert_eq!(sharded.report.metrics.steps, reference.metrics.steps);
     assert_eq!(sharded.walkers_emigrated, 0, "one shard cannot hand off");
     assert_eq!(sharded.walkers_immigrated, 0);
+}
+
+/// The serve report counts a walker handed to another shard as a handoff,
+/// not as a cancellation: a clean four-shard run reports none cancelled.
+#[test]
+fn report_counts_handoffs_apart_from_cancellations() {
+    let csr = generators::uniform_degree(512, 8, 3);
+    let budget = (csr.edge_region_bytes() / 4).max(64 << 10);
+    let block = (csr.num_edges() * 4 / 32).max(4096);
+    let devices = per_shard_devices(4, 1, SsdProfile::nvme_p4618(), 64 << 10);
+    let plane =
+        ShardPlane::build(&csr, devices, budget, block, ServeOptions::default()).expect("build");
+    let mix = (1..=3).map(|id| spec(id, "basic", 60, 100 * id)).collect();
+    let r = plane
+        .run(&mut StaticQuerySource::new(mix), None)
+        .expect("serve");
+    assert!(r.walkers_emigrated > 0, "the mix must cross shards");
+    assert_eq!(r.report.degraded_count(), 0);
+    let text = render_report(&r.report);
+    let walkers = text.lines().nth(2).expect("walkers line");
+    assert_eq!(
+        walkers,
+        format!(
+            "  walkers: 180 finished, 0 cancelled, {} handed off, {} steps",
+            r.walkers_emigrated, r.report.metrics.steps
+        )
+    );
 }
 
 /// Handoff conservation and no-silent-shed, for any shard count,
