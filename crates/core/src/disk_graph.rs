@@ -122,7 +122,7 @@ impl OnDiskGraph {
 
     /// Byte range (within the edge region) of the records of the
     /// consecutive vertices `vs`: one contiguous span, as in the CSR.
-    pub fn run_byte_range(&self, vs: Range<VertexId>) -> Range<u64> {
+    pub(crate) fn run_byte_range(&self, vs: Range<VertexId>) -> Range<u64> {
         let rec = self.format.record_bytes() as u64;
         (self.offsets[vs.start as usize] * rec)..(self.offsets[vs.end as usize] * rec)
     }

@@ -249,7 +249,7 @@ fn raw_floor(opts: &EngineOptions, graph: &OnDiskGraph, degrees: &[u64]) -> u64 
 /// left after reading the block whole, and reads the block whole only
 /// when this holds: a page batch refills only the vertices it covered, so
 /// it can never fund a whole-block generation (see `Run::reads_whole`).
-pub(crate) fn refills_whole_block(
+fn refills_whole_block(
     opts: &EngineOptions,
     info: &BlockInfo,
     current: Option<&PreSampleBuffer>,

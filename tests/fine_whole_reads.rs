@@ -93,20 +93,3 @@ fn fine_mode_reads_whole_only_to_refill() {
 
     assert!(whole >= 3, "only {whole} whole-block reads in fine mode");
 }
-
-#[test]
-fn without_presampling_fine_mode_reads_only_page_batches() {
-    // Fig. 14's +ShrinkBlock bar: no generation to fund, so no whole read.
-    let csr = generators::rmat(15, 16, RmatParams::default(), 5);
-    let app = Arc::new(BasicRw::new(50, 10, csr.num_vertices()));
-    let engine = NosWalkerEngine::new(
-        app,
-        on_device(&csr, 64 << 10),
-        EngineOptions::with_shrink_block(),
-        MemoryBudget::new(512 << 10),
-    );
-    let m = engine.run(9).unwrap();
-    assert_eq!(m.fine_mode_at_step, Some(0));
-    assert_eq!(m.coarse_loads, 0);
-    assert!(m.fine_loads > 0);
-}
