@@ -1,9 +1,31 @@
-//! Shared walker bookkeeping for the baseline engines.
+//! Shared walker bookkeeping and block reads for the baseline engines.
 
-use noswalker_core::OnDiskGraph;
-use noswalker_core::{Walk, WalkRng};
+use noswalker_core::{retire_walker, spawn_walker, BlockCache, LoadedBlock, OnDiskGraph};
+use noswalker_core::{EngineError, Ledger, RunMetrics, Walk, WalkRng};
 use noswalker_graph::partition::BlockId;
 use noswalker_graph::VertexId;
+use noswalker_storage::MemoryBudget;
+use std::sync::Arc;
+
+/// Reads block `b` through the page-cache stand-in `cache` (hits move no
+/// bytes) as one synchronous I/O, booked on `ledger`.
+///
+/// # Errors
+///
+/// As for [`BlockCache::load`].
+pub fn read_block(
+    ledger: &mut Ledger<'_>,
+    cache: &mut BlockCache,
+    graph: &OnDiskGraph,
+    b: BlockId,
+    budget: &Arc<MemoryBudget>,
+) -> Result<Arc<LoadedBlock>, EngineError> {
+    let at = ledger.now();
+    let (block, ns, hit) = cache.load(graph, b, budget)?;
+    ledger.coarse_load(b, block.info().byte_len(), hit, at);
+    ledger.sync_io(Some(b), ns);
+    Ok(block)
+}
 
 /// A slab of live walkers bucketed by the block of their current location,
 /// shared by the block-centric baselines.
@@ -14,7 +36,6 @@ pub struct WalkerSet<A: Walk> {
     /// Walker indices per block.
     pub buckets: Vec<Vec<usize>>,
     live: u64,
-    finished: u64,
 }
 
 impl<A: Walk> WalkerSet<A> {
@@ -25,18 +46,12 @@ impl<A: Walk> WalkerSet<A> {
             free: Vec::new(),
             buckets: vec![Vec::new(); num_blocks],
             live: 0,
-            finished: 0,
         }
     }
 
     /// Live walker count.
     pub fn live(&self) -> u64 {
         self.live
-    }
-
-    /// Finished walker count.
-    pub fn finished(&self) -> u64 {
-        self.finished
     }
 
     /// True once every generated walker has finished.
@@ -56,16 +71,18 @@ impl<A: Walk> WalkerSet<A> {
 
     /// Generates all `app.total_walkers()` walkers (the DrunkardMob /
     /// GraphWalker model: vertex data created upfront, §2.4.2). Inactive
-    /// newborns finish immediately.
-    pub fn generate_all(&mut self, app: &A, graph: &OnDiskGraph, rng: &mut WalkRng) {
+    /// newborns are retired into `metrics` immediately.
+    pub fn generate_all(
+        &mut self,
+        app: &A,
+        graph: &OnDiskGraph,
+        metrics: &mut RunMetrics,
+        rng: &mut WalkRng,
+    ) {
         for n in 0..app.total_walkers() {
-            let w = app.generate(n, rng);
-            if !app.is_active(&w) {
-                app.on_terminate(&w);
-                self.finished += 1;
-                continue;
+            if let Some(w) = spawn_walker(app, metrics, n, rng) {
+                self.insert(app, graph, w);
             }
-            self.insert(app, graph, w);
         }
     }
 
@@ -84,13 +101,13 @@ impl<A: Walk> WalkerSet<A> {
         idx
     }
 
-    /// Retires walker `i` (must already be out of every bucket).
-    pub fn retire(&mut self, app: &A, i: usize) {
+    /// Retires walker `i` (must already be out of every bucket) into
+    /// `metrics`.
+    pub fn retire(&mut self, app: &A, metrics: &mut RunMetrics, i: usize) {
         let w = self.slab[i].take().expect("retiring a live walker");
-        app.on_terminate(&w);
+        retire_walker(app, metrics, &w);
         self.free.push(i);
         self.live -= 1;
-        self.finished += 1;
     }
 
     /// Puts a still-live walker back into the bucket of its location block.
@@ -174,7 +191,7 @@ mod tests {
         let (app, g) = setup();
         let mut set: WalkerSet<Hop> = WalkerSet::new(g.num_blocks());
         let mut rng = WalkRng::seed_from_u64(1);
-        set.generate_all(&app, &g, &mut rng);
+        set.generate_all(&app, &g, &mut RunMetrics::default(), &mut rng);
         assert_eq!(set.live(), 20);
         let total: usize = set.buckets.iter().map(|b| b.len()).sum();
         assert_eq!(total, 20);
@@ -186,13 +203,14 @@ mod tests {
         let (app, g) = setup();
         let mut set: WalkerSet<Hop> = WalkerSet::new(g.num_blocks());
         let mut rng = WalkRng::seed_from_u64(1);
-        set.generate_all(&app, &g, &mut rng);
+        let mut metrics = RunMetrics::default();
+        set.generate_all(&app, &g, &mut metrics, &mut rng);
         let all: Vec<usize> = set.buckets.iter_mut().flat_map(std::mem::take).collect();
         for i in all {
-            set.retire(&app, i);
+            set.retire(&app, &mut metrics, i);
         }
         assert!(set.all_done());
-        assert_eq!(set.finished(), 20);
+        assert_eq!(metrics.walkers_finished, 20);
         assert_eq!(set.hottest_block(), None);
     }
 
@@ -201,7 +219,7 @@ mod tests {
         let (app, g) = setup();
         let mut set: WalkerSet<Hop> = WalkerSet::new(g.num_blocks());
         let mut rng = WalkRng::seed_from_u64(1);
-        set.generate_all(&app, &g, &mut rng);
+        set.generate_all(&app, &g, &mut RunMetrics::default(), &mut rng);
         let b = set.hottest_block().unwrap();
         let locs = set.locations_in(&app, b);
         assert!(!locs.is_empty());

@@ -7,8 +7,8 @@
 //! nodes on 10 Gb/s Ethernet. Compute parallelizes across nodes; loading
 //! does too (each node reads its own slice from its own SSD).
 
-use noswalker_core::audit::{RunAudit, Trace, TraceEvent, TraceSink};
-use noswalker_core::{EngineOptions, RunMetrics, StepSource, Walk, WalkRng, WallTimer};
+use noswalker_core::audit::{RunAudit, Trace, TraceSink};
+use noswalker_core::{retire_walker, EngineOptions, Ledger, RunMetrics, StepSource, Walk, WalkRng};
 use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::{Csr, VertexId};
 use noswalker_storage::SsdProfile;
@@ -109,8 +109,9 @@ impl<A: Walk> DistributedSim<A> {
         self.run_with_sink(seed, None)
     }
 
-    /// Like [`DistributedSim::run`], recording structured [`TraceEvent`]s
-    /// into `sink` when one is supplied. In debug builds the metrics are
+    /// Like [`DistributedSim::run`], recording structured
+    /// [`TraceEvent`](noswalker_core::TraceEvent)s into `sink` when one is
+    /// supplied. In debug builds the metrics are
     /// checked against the engine conservation laws (there is no memory
     /// budget here, so the budget-floor law is vacuous).
     pub fn run_with_sink<'a>(
@@ -118,36 +119,31 @@ impl<A: Walk> DistributedSim<A> {
         seed: u64,
         sink: Option<&'a mut dyn TraceSink>,
     ) -> RunMetrics {
-        let audit = RunAudit::with_floor(self.app.total_walkers(), 0);
-        let metrics = self.run_inner(seed, Trace::from_option(sink));
-        if cfg!(debug_assertions) {
-            audit.verify_metrics(&metrics).assert_clean();
-        }
+        let total = self.app.total_walkers();
+        let Ok(metrics) = RunAudit::audited(total, None, || {
+            Ok::<_, std::convert::Infallible>(self.run_inner(seed, Trace::from_option(sink)))
+        });
         metrics
     }
 
-    fn run_inner(&self, seed: u64, mut trace: Trace<'_>) -> RunMetrics {
-        let wall = WallTimer::start();
-        let mut metrics = RunMetrics::default();
+    fn run_inner(&self, seed: u64, trace: Trace<'_>) -> RunMetrics {
+        let mut ledger = Ledger::new(trace);
         let mut rng = WalkRng::seed_from_u64(seed);
 
-        // Parallel load: each node streams its partition slice.
-        let slice = self.csr.csr_bytes() / self.nodes as u64;
-        let load_ns = self.storage.service_ns(slice.max(1));
-        // Each node's parallel ingest of its own slice counts as one load.
-        metrics.record_coarse_loads(self.nodes as u64, self.csr.csr_bytes());
-        let total_bytes = self.csr.csr_bytes();
-        trace.emit(|| TraceEvent::CoarseLoad {
-            block: 0,
-            bytes: total_bytes,
-            cache_hit: false,
-            at_ns: 0,
-        });
-        trace.emit(|| TraceEvent::Stall {
-            waiting_for: None,
-            from_ns: 0,
-            until_ns: load_ns,
-        });
+        // Parallel load: each node streams its partition slice (the last
+        // one takes the remainder) as one load, all at once, so the wait is
+        // one synchronous I/O of one slice.
+        let (bytes, nodes) = (self.csr.csr_bytes(), u64::from(self.nodes));
+        let slice = bytes / nodes;
+        for node in 0..self.nodes {
+            let own = if node + 1 == self.nodes {
+                bytes - slice * (nodes - 1)
+            } else {
+                slice
+            };
+            ledger.coarse_load(node, own, false, 0);
+        }
+        ledger.sync_io(None, self.storage.service_ns(slice.max(1)));
 
         let mut cross_messages = 0u64;
         let mut compute_ns_serial = 0u64;
@@ -168,10 +164,9 @@ impl<A: Walk> DistributedSim<A> {
                 }
                 self.app.action(&mut w, dst, &mut rng);
                 compute_ns_serial += EngineOptions::STEP_NS + EngineOptions::SAMPLE_NS;
-                metrics.record_step(StepSource::Block);
+                ledger.metrics.record_step(StepSource::Block);
             }
-            self.app.on_terminate(&w);
-            metrics.record_walker_finished();
+            retire_walker(&*self.app, &mut ledger.metrics, &w);
         }
 
         // Compute parallelizes over nodes × threads; network traffic is
@@ -183,25 +178,11 @@ impl<A: Walk> DistributedSim<A> {
             / (self.network.bandwidth_bytes_per_sec.max(1) * self.nodes as u64);
         let overhead_ns = cross_messages * self.network.per_message_ns / self.nodes as u64;
         let network_ns = wire_ns + overhead_ns;
-        metrics.record_swap(msg_bytes, 0); // repurposed: bytes over the wire
-        metrics.set_sim_times(load_ns + compute_ns + network_ns, load_ns, load_ns);
-        metrics.set_edges_loaded(self.csr.num_edges());
+        ledger.compute(compute_ns + network_ns);
         if msg_bytes > 0 {
-            let end_at = metrics.sim_ns;
-            trace.emit(|| TraceEvent::Swap {
-                bytes: msg_bytes,
-                at_ns: end_at,
-            });
+            ledger.record_swap(msg_bytes, 0); // repurposed: bytes over the wire
         }
-        let (steps, walkers_finished, end_at) =
-            (metrics.steps, metrics.walkers_finished, metrics.sim_ns);
-        trace.emit(|| TraceEvent::RunEnd {
-            steps,
-            walkers_finished,
-            at_ns: end_at,
-        });
-        metrics.finalize_wall(&wall);
-        metrics
+        ledger.close_with(0, self.csr.num_edges())
     }
 }
 

@@ -10,11 +10,12 @@
 //! * each epoch moves every walker residing in the loaded block **exactly
 //!   one step** (synchronized iterations).
 
-use crate::common::WalkerSet;
-use noswalker_core::audit::{RunAudit, Trace, TraceEvent, TraceSink};
+use crate::common::{read_block, WalkerSet};
+use noswalker_core::audit::{RunAudit, Trace, TraceSink};
+use noswalker_core::disk_graph::LoadError;
 use noswalker_core::{
-    BlockCache, EngineError, EngineOptions, OnDiskGraph, PipelineClock, RunMetrics, StepSource,
-    Walk, WalkRng, WallTimer,
+    BlockCache, EngineError, EngineOptions, Ledger, OnDiskGraph, RunMetrics, StepSource, Walk,
+    WalkRng,
 };
 use noswalker_graph::partition::BlockId;
 use noswalker_storage::MemoryBudget;
@@ -78,7 +79,7 @@ impl<A: Walk> DrunkardMob<A> {
     }
 
     /// Like [`DrunkardMob::run`], recording structured
-    /// [`TraceEvent`]s into `sink` when one is supplied. In debug builds
+    /// [`TraceEvent`](noswalker_core::TraceEvent)s into `sink` when one is supplied. In debug builds
     /// the metrics are checked against the engine conservation laws.
     ///
     /// # Errors
@@ -89,30 +90,23 @@ impl<A: Walk> DrunkardMob<A> {
         seed: u64,
         sink: Option<&'a mut dyn TraceSink>,
     ) -> Result<RunMetrics, EngineError> {
-        let audit = RunAudit::begin(self.app.total_walkers(), &self.budget);
-        let metrics = self.run_inner(seed, Trace::from_option(sink))?;
-        if cfg!(debug_assertions) {
-            audit.verify(&metrics, &self.budget).assert_clean();
-        }
-        Ok(metrics)
+        let total = self.app.total_walkers();
+        RunAudit::audited(total, Some(&self.budget), || {
+            self.run_inner(seed, Trace::from_option(sink))
+        })
     }
 
-    fn run_inner(&self, seed: u64, mut trace: Trace<'_>) -> Result<RunMetrics, EngineError> {
-        let wall = WallTimer::start();
-        let mut clock = PipelineClock::new();
-        let mut metrics = RunMetrics::default();
+    fn run_inner(&self, seed: u64, trace: Trace<'_>) -> Result<RunMetrics, EngineError> {
+        // GraphChi-heritage buffered I/O: no compute/I/O overlap.
+        let mut ledger = Ledger::buffered(trace);
         let mut rng = WalkRng::seed_from_u64(seed);
-        // GraphChi-heritage buffered I/O runs at 20-30 % of the device's
-        // bandwidth (paper §4.4); de-rate accordingly.
-        let penalty = |ns: u64| (ns as f64 * EngineOptions::BUFFERED_IO_PENALTY) as u64;
 
         // All walker states live in memory for the whole run.
         let state_bytes = self.app.total_walkers() * self.app.state_bytes() as u64;
         let _states = self.budget.try_reserve(state_bytes)?;
 
         let mut set: WalkerSet<A> = WalkerSet::new(self.graph.num_blocks());
-        set.generate_all(&self.app, &self.graph, &mut rng);
-        metrics.set_walkers_finished(set.finished());
+        set.generate_all(&self.app, &self.graph, &mut ledger.metrics, &mut rng);
         // Page-cache stand-in: the cgroups budget covers the OS page cache,
         // so re-reads of cached blocks are free (§4.1).
         let mut cache = BlockCache::new(self.graph.num_blocks());
@@ -124,68 +118,41 @@ impl<A: Walk> DrunkardMob<A> {
             // if it is cold (GraphChi's iteration model).
             let info = *self.graph.partition().block(b);
             if info.byte_len() > 0 && !set.buckets[b as usize].is_empty() {
-                let load_at = clock.now();
-                let (block, ns, hit) = cache.load(&self.graph, b, &self.budget)?;
-                clock.sync_io(penalty(ns)); // buffered I/O: no overlap
-                if !hit {
-                    metrics.record_coarse_load(info.byte_len());
-                }
-                trace.emit(|| TraceEvent::CoarseLoad {
-                    block: b,
-                    bytes: if hit { 0 } else { info.byte_len() },
-                    cache_hit: hit,
-                    at_ns: load_at,
-                });
+                let block = read_block(&mut ledger, &mut cache, &self.graph, b, &self.budget)?;
                 // GraphChi's parallel sliding windows write every processed
                 // shard back to disk (edge values are mutable in its model),
                 // a cost DrunkardMob inherits. The write goes to a scratch
                 // region past the edge data: same cost, graph untouched.
                 let wb = vec![0u8; info.byte_len() as usize];
                 let scratch = self.graph.edge_region_bytes() + info.byte_start;
-                let wns = self.graph.device().write(scratch, &wb).map_err(|e| {
-                    EngineError::Load(noswalker_core::disk_graph::LoadError::Device(e))
-                })?;
-                clock.sync_io(penalty(wns));
-                metrics.record_swap(info.byte_len(), 1);
-                let stall_until = clock.now();
-                trace.emit(|| TraceEvent::Swap {
-                    bytes: info.byte_len(),
-                    at_ns: stall_until,
-                });
-                // Synchronous buffered I/O: the whole service time is a
-                // stall, attributed to the block being streamed.
-                if stall_until > load_at {
-                    trace.emit(|| TraceEvent::Stall {
-                        waiting_for: Some(b),
-                        from_ns: load_at,
-                        until_ns: stall_until,
-                    });
-                }
+                let wns = self.graph.device().write(scratch, &wb);
+                ledger.sync_io(Some(b), wns.map_err(LoadError::from)?);
+                ledger.record_swap(info.byte_len(), 1);
 
                 let bucket = std::mem::take(&mut set.buckets[b as usize]);
                 for i in bucket {
                     let Some(w) = set.get(i) else { continue };
                     if !self.app.is_active(w) {
-                        set.retire(&self.app, i);
+                        set.retire(&self.app, &mut ledger.metrics, i);
                         continue;
                     }
                     let loc = self.app.location(w);
                     if self.graph.degree(loc) == 0 {
-                        set.retire(&self.app, i);
+                        set.retire(&self.app, &mut ledger.metrics, i);
                         continue;
                     }
                     let view = block
                         .vertex_edges(&self.graph, loc)
                         .expect("bucketed walker is in block");
                     let dst = self.app.sample(&view, &mut rng);
-                    clock.advance_compute(self.opts.sample_cost());
+                    ledger.compute(self.opts.sample_cost());
                     let w = set.get_mut(i).expect("live");
                     self.app.action(w, dst, &mut rng);
-                    clock.advance_compute(self.opts.step_cost());
-                    metrics.record_step(StepSource::Block);
+                    ledger.compute(self.opts.step_cost());
+                    ledger.metrics.record_step(StepSource::Block);
                     let w = set.get(i).expect("live");
                     if !self.app.is_active(w) {
-                        set.retire(&self.app, i);
+                        set.retire(&self.app, &mut ledger.metrics, i);
                     } else {
                         set.rebucket(&self.app, &self.graph, i);
                     }
@@ -194,19 +161,7 @@ impl<A: Walk> DrunkardMob<A> {
             b = (b + 1) % num_blocks;
         }
 
-        metrics.set_walkers_finished(set.finished());
-        let (steps, walkers_finished, end_at) =
-            (metrics.steps, metrics.walkers_finished, clock.now());
-        trace.emit(|| TraceEvent::RunEnd {
-            steps,
-            walkers_finished,
-            at_ns: end_at,
-        });
-        metrics.finalize_clock(&clock);
-        metrics.finalize_wall(&wall);
-        metrics.set_peak_memory(self.budget.peak());
-        metrics.derive_edges_loaded(self.graph.format().record_bytes() as u64);
-        Ok(metrics)
+        Ok(ledger.close(&self.graph, &self.budget))
     }
 }
 

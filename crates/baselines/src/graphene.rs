@@ -10,10 +10,9 @@
 //! walks.
 
 use crate::common::WalkerSet;
-use noswalker_core::audit::{RunAudit, Trace, TraceEvent, TraceSink};
+use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
-    EngineError, EngineOptions, OnDiskGraph, PipelineClock, RunMetrics, StepSource, Walk, WalkRng,
-    WallTimer,
+    EngineError, EngineOptions, Ledger, OnDiskGraph, RunMetrics, StepSource, Walk, WalkRng,
 };
 use noswalker_graph::partition::BlockId;
 use noswalker_storage::MemoryBudget;
@@ -73,8 +72,9 @@ impl<A: Walk> Graphene<A> {
         self.run_with_sink(seed, None)
     }
 
-    /// Like [`Graphene::run`], recording structured [`TraceEvent`]s into
-    /// `sink` when one is supplied. In debug builds the metrics are
+    /// Like [`Graphene::run`], recording structured
+    /// [`TraceEvent`](noswalker_core::TraceEvent)s into `sink` when one is
+    /// supplied. In debug builds the metrics are
     /// checked against the engine conservation laws.
     ///
     /// # Errors
@@ -85,20 +85,15 @@ impl<A: Walk> Graphene<A> {
         seed: u64,
         sink: Option<&'a mut dyn TraceSink>,
     ) -> Result<RunMetrics, EngineError> {
-        let audit = RunAudit::begin(self.app.total_walkers(), &self.budget);
-        let metrics = self.run_inner(seed, Trace::from_option(sink))?;
-        if cfg!(debug_assertions) {
-            audit.verify(&metrics, &self.budget).assert_clean();
-        }
-        Ok(metrics)
+        let total = self.app.total_walkers();
+        RunAudit::audited(total, Some(&self.budget), || {
+            self.run_inner(seed, Trace::from_option(sink))
+        })
     }
 
-    fn run_inner(&self, seed: u64, mut trace: Trace<'_>) -> Result<RunMetrics, EngineError> {
-        let wall = WallTimer::start();
-        let mut clock = PipelineClock::new();
-        let mut metrics = RunMetrics::default();
+    fn run_inner(&self, seed: u64, trace: Trace<'_>) -> Result<RunMetrics, EngineError> {
+        let mut ledger = Ledger::buffered(trace);
         let mut rng = WalkRng::seed_from_u64(seed);
-        let penalty = |ns: u64| (ns as f64 * EngineOptions::BUFFERED_IO_PENALTY) as u64;
 
         let state_bytes = self.app.total_walkers() * self.app.state_bytes() as u64;
         let _states = self
@@ -106,7 +101,7 @@ impl<A: Walk> Graphene<A> {
             .try_reserve(state_bytes.min(self.budget.limit() / 4))?;
 
         let mut set: WalkerSet<A> = WalkerSet::new(self.graph.num_blocks());
-        set.generate_all(&self.app, &self.graph, &mut rng);
+        set.generate_all(&self.app, &self.graph, &mut ledger.metrics, &mut rng);
 
         let num_blocks = self.graph.num_blocks() as BlockId;
         let mut b: BlockId = 0;
@@ -118,43 +113,23 @@ impl<A: Walk> Graphene<A> {
             }
             // On-demand I/O: only the pages covering current walkers.
             let wanted = set.locations_in(&self.app, b);
-            let load_at = clock.now();
+            let load_at = ledger.now();
             let (load, ns) = self.graph.load_fine(b, &wanted, &self.budget)?;
-            clock.sync_io(penalty(ns));
-            metrics.record_fine_load(load.num_runs() as u64, load.loaded_bytes());
-            let stall_until = clock.now();
-            let (vertices, runs, bytes) = (
-                wanted.len() as u64,
-                load.num_runs() as u64,
-                load.loaded_bytes(),
-            );
-            trace.emit(|| TraceEvent::FineLoad {
-                block: b,
-                vertices,
-                runs,
-                bytes,
-                at_ns: load_at,
-            });
+            ledger.fine_load(wanted.len(), &load, load_at);
             // Synchronous I/O: the whole service time is a stall.
-            if stall_until > load_at {
-                trace.emit(|| TraceEvent::Stall {
-                    waiting_for: Some(b),
-                    from_ns: load_at,
-                    until_ns: stall_until,
-                });
-            }
+            ledger.sync_io(Some(b), ns);
 
             let bucket = std::mem::take(&mut set.buckets[b as usize]);
             for i in bucket {
                 loop {
                     let Some(w) = set.get(i) else { break };
                     if !self.app.is_active(w) {
-                        set.retire(&self.app, i);
+                        set.retire(&self.app, &mut ledger.metrics, i);
                         break;
                     }
                     let loc = self.app.location(w);
                     if self.graph.degree(loc) == 0 {
-                        set.retire(&self.app, i);
+                        set.retire(&self.app, &mut ledger.metrics, i);
                         break;
                     }
                     let Some(view) = load.vertex_edges(&self.graph, loc) else {
@@ -162,29 +137,17 @@ impl<A: Walk> Graphene<A> {
                         break;
                     };
                     let dst = self.app.sample(&view, &mut rng);
-                    clock.advance_compute(self.opts.sample_cost());
+                    ledger.compute(self.opts.sample_cost());
                     let w = set.get_mut(i).expect("live");
                     self.app.action(w, dst, &mut rng);
-                    clock.advance_compute(self.opts.step_cost());
-                    metrics.record_step(StepSource::Block);
+                    ledger.compute(self.opts.step_cost());
+                    ledger.metrics.record_step(StepSource::Block);
                 }
             }
             b = (b + 1) % num_blocks;
         }
 
-        metrics.set_walkers_finished(set.finished());
-        let (steps, walkers_finished, end_at) =
-            (metrics.steps, metrics.walkers_finished, clock.now());
-        trace.emit(|| TraceEvent::RunEnd {
-            steps,
-            walkers_finished,
-            at_ns: end_at,
-        });
-        metrics.finalize_clock(&clock);
-        metrics.finalize_wall(&wall);
-        metrics.set_peak_memory(self.budget.peak());
-        metrics.derive_edges_loaded(self.graph.format().record_bytes() as u64);
-        Ok(metrics)
+        Ok(ledger.close(&self.graph, &self.budget))
     }
 }
 

@@ -17,16 +17,17 @@
 //! I/O, the number of unterminated walkers and the fraction of the loaded
 //! block actually accessed (in 4 KiB page granularity).
 
-use crate::common::WalkerSet;
-use noswalker_core::audit::{RunAudit, Trace, TraceEvent, TraceSink};
+use crate::common::{read_block, WalkerSet};
+use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
-    BlockCache, EngineError, EngineOptions, OnDiskGraph, PipelineClock, RunMetrics, StepSource,
-    Walk, WalkRng, WallTimer,
+    BlockCache, EngineError, EngineOptions, Ledger, OnDiskGraph, RunMetrics, StepSource, Walk,
+    WalkRng,
 };
 use noswalker_graph::partition::FINE_PAGE_BYTES;
 use noswalker_graph::VertexId;
 use noswalker_storage::MemoryBudget;
 use rand::SeedableRng;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// One Fig. 4 sample: the state of the system at one block I/O.
@@ -80,6 +81,12 @@ pub struct TracedRun {
     pub trace: Vec<TracePoint>,
 }
 
+impl Borrow<RunMetrics> for TracedRun {
+    fn borrow(&self) -> &RunMetrics {
+        &self.metrics
+    }
+}
+
 impl<A: Walk> GraphWalker<A> {
     /// Creates the engine. `opts.walker_pool_size` sizes the in-memory
     /// walker buffer; `EngineOptions::SWAP_RECORD_BYTES` sizes swap records.
@@ -107,7 +114,8 @@ impl<A: Walk> GraphWalker<A> {
         self.run_with_sink(seed, None)
     }
 
-    /// Like [`GraphWalker::run`], recording structured [`TraceEvent`]s
+    /// Like [`GraphWalker::run`], recording structured
+    /// [`TraceEvent`](noswalker_core::TraceEvent)s
     /// into `sink` when one is supplied (distinct from the Fig. 4
     /// [`TracePoint`] trace of [`GraphWalker::run_traced`]). In debug
     /// builds the metrics are checked against the engine conservation
@@ -121,14 +129,7 @@ impl<A: Walk> GraphWalker<A> {
         seed: u64,
         sink: Option<&'a mut dyn TraceSink>,
     ) -> Result<RunMetrics, EngineError> {
-        let audit = RunAudit::begin(self.app.total_walkers(), &self.budget);
-        let metrics = self
-            .run_traced_inner(seed, Trace::from_option(sink))?
-            .metrics;
-        if cfg!(debug_assertions) {
-            audit.verify(&metrics, &self.budget).assert_clean();
-        }
-        Ok(metrics)
+        Ok(self.audited(seed, Trace::from_option(sink))?.metrics)
     }
 
     /// Runs to completion, additionally recording the Fig. 4 trace.
@@ -137,23 +138,19 @@ impl<A: Walk> GraphWalker<A> {
     ///
     /// As for [`GraphWalker::run`].
     pub fn run_traced(&self, seed: u64) -> Result<TracedRun, EngineError> {
-        let audit = RunAudit::begin(self.app.total_walkers(), &self.budget);
-        let traced = self.run_traced_inner(seed, Trace::off())?;
-        if cfg!(debug_assertions) {
-            audit.verify(&traced.metrics, &self.budget).assert_clean();
-        }
-        Ok(traced)
+        self.audited(seed, Trace::off())
     }
 
-    fn run_traced_inner(&self, seed: u64, mut tr: Trace<'_>) -> Result<TracedRun, EngineError> {
-        let wall = WallTimer::start();
-        let mut clock = PipelineClock::new();
-        let mut metrics = RunMetrics::default();
+    fn audited(&self, seed: u64, trace: Trace<'_>) -> Result<TracedRun, EngineError> {
+        let total = self.app.total_walkers();
+        RunAudit::audited(total, Some(&self.budget), || self.run_inner(seed, trace))
+    }
+
+    fn run_inner(&self, seed: u64, tr: Trace<'_>) -> Result<TracedRun, EngineError> {
+        // GraphChi-heritage buffered I/O: no compute/I/O overlap.
+        let mut ledger = Ledger::buffered(tr);
         let mut trace = Vec::new();
         let mut rng = WalkRng::seed_from_u64(seed);
-        // GraphChi-heritage buffered I/O runs at 20-30 % of the device's
-        // bandwidth (paper §4.4); de-rate accordingly.
-        let penalty = |ns: u64| (ns as f64 * EngineOptions::BUFFERED_IO_PENALTY) as u64;
 
         // Fixed-length in-memory walker buffer; the rest is swapped. The
         // buffer may take at most an eighth of the budget.
@@ -165,8 +162,7 @@ impl<A: Walk> GraphWalker<A> {
             .try_reserve(buffer_walkers * self.app.state_bytes() as u64)?;
 
         let mut set: WalkerSet<A> = WalkerSet::new(self.graph.num_blocks());
-        set.generate_all(&self.app, &self.graph, &mut rng);
-        let swap_base = self.graph.edge_region_bytes();
+        set.generate_all(&self.app, &self.graph, &mut ledger.metrics, &mut rng);
         // Page-cache stand-in (the cgroups budget covers the page cache).
         let mut cache = BlockCache::new(self.graph.num_blocks());
         let mut epoch = 0u64;
@@ -175,64 +171,14 @@ impl<A: Walk> GraphWalker<A> {
             epoch += 1;
             let Some(b) = set.hottest_block() else { break };
             let info = *self.graph.partition().block(b);
-            let load_at = clock.now();
-            let (block, ns, hit) = cache.load(&self.graph, b, &self.budget)?;
-            clock.sync_io(penalty(ns)); // buffered I/O: no overlap
-            if !hit {
-                metrics.record_coarse_load(info.byte_len());
-            }
-            tr.emit(|| TraceEvent::CoarseLoad {
-                block: b,
-                bytes: if hit { 0 } else { info.byte_len() },
-                cache_hit: hit,
-                at_ns: load_at,
-            });
-
+            let block = read_block(&mut ledger, &mut cache, &self.graph, b, &self.budget)?;
             // Swap in this block's walker states beyond the buffer, and
-            // write back the previously resident ones (real device I/O on a
-            // swap region so cost model and stats agree).
+            // write back as many resident ones: `2 × swapped` records, each
+            // written to and read back from a swap region on the device.
             let in_block = set.buckets[b as usize].len() as u64;
             let swapped = in_block.saturating_sub(buffer_walkers / 2);
             let swap_bytes = 2 * swapped * EngineOptions::SWAP_RECORD_BYTES;
-            if swap_bytes > 0 {
-                let mut buf = vec![0u8; swap_bytes.min(16 << 20) as usize];
-                let mut left = swap_bytes;
-                while left > 0 {
-                    let n = left.min(16 << 20) as usize;
-                    let wns = self
-                        .graph
-                        .device()
-                        .write(swap_base, &buf[..n])
-                        .map_err(|e| {
-                            EngineError::Load(noswalker_core::disk_graph::LoadError::Device(e))
-                        })?;
-                    let rns = self
-                        .graph
-                        .device()
-                        .read(swap_base, &mut buf[..n])
-                        .map_err(|e| {
-                            EngineError::Load(noswalker_core::disk_graph::LoadError::Device(e))
-                        })?;
-                    clock.sync_io(penalty(wns + rns));
-                    left -= n as u64;
-                }
-                metrics.record_swap(swap_bytes, 0);
-                let at = clock.now();
-                tr.emit(|| TraceEvent::Swap {
-                    bytes: swap_bytes,
-                    at_ns: at,
-                });
-            }
-            // Synchronous buffered I/O: the whole load+swap service time
-            // is a stall, attributed to the block being processed.
-            let stall_until = clock.now();
-            if stall_until > load_at {
-                tr.emit(|| TraceEvent::Stall {
-                    waiting_for: Some(b),
-                    from_ns: load_at,
-                    until_ns: stall_until,
-                });
-            }
+            ledger.swap(&self.graph, Some(b), swap_bytes)?;
 
             // Re-entry: move each walker as far as it stays in the block,
             // tracking which 4 KiB pages get touched.
@@ -254,12 +200,12 @@ impl<A: Walk> GraphWalker<A> {
                 loop {
                     let Some(w) = set.get(i) else { break };
                     if !self.app.is_active(w) {
-                        set.retire(&self.app, i);
+                        set.retire(&self.app, &mut ledger.metrics, i);
                         break;
                     }
                     let loc: VertexId = self.app.location(w);
                     if self.graph.degree(loc) == 0 {
-                        set.retire(&self.app, i);
+                        set.retire(&self.app, &mut ledger.metrics, i);
                         break;
                     }
                     let Some(view) = block.vertex_edges(&self.graph, loc) else {
@@ -268,11 +214,11 @@ impl<A: Walk> GraphWalker<A> {
                     };
                     mark(self.graph.vertex_byte_range(loc));
                     let dst = self.app.sample(&view, &mut rng);
-                    clock.advance_compute(self.opts.sample_cost());
+                    ledger.compute(self.opts.sample_cost());
                     let w = set.get_mut(i).expect("live");
                     self.app.action(w, dst, &mut rng);
-                    clock.advance_compute(self.opts.step_cost());
-                    metrics.record_step(StepSource::Block);
+                    ledger.compute(self.opts.step_cost());
+                    ledger.metrics.record_step(StepSource::Block);
                 }
             }
             let accessed = touched.iter().filter(|&&t| t).count() as f64;
@@ -283,18 +229,7 @@ impl<A: Walk> GraphWalker<A> {
             });
         }
 
-        metrics.set_walkers_finished(set.finished());
-        let (steps, walkers_finished, end_at) =
-            (metrics.steps, metrics.walkers_finished, clock.now());
-        tr.emit(|| TraceEvent::RunEnd {
-            steps,
-            walkers_finished,
-            at_ns: end_at,
-        });
-        metrics.finalize_clock(&clock);
-        metrics.finalize_wall(&wall);
-        metrics.set_peak_memory(self.budget.peak());
-        metrics.derive_edges_loaded(self.graph.format().record_bytes() as u64);
+        let metrics = ledger.close(&self.graph, &self.budget);
         Ok(TracedRun { metrics, trace })
     }
 }

@@ -10,10 +10,11 @@
 //! buckets on disk, charged here as swap I/O, and I/O is synchronous and
 //! buffered like its GraphWalker-based walk engine.
 
-use noswalker_core::audit::{RunAudit, Trace, TraceEvent, TraceSink};
+use crate::common::read_block;
+use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
-    BlockCache, EngineError, EngineOptions, OnDiskGraph, PipelineClock, RunMetrics,
-    SecondOrderWalk, WalkRng, WallTimer,
+    retire_walker, spawn_walker, BlockCache, EngineError, EngineOptions, Ledger, OnDiskGraph,
+    RunMetrics, SecondOrderWalk, WalkRng,
 };
 use noswalker_graph::partition::BlockId;
 use noswalker_storage::MemoryBudget;
@@ -55,8 +56,9 @@ impl<A: SecondOrderWalk> GraSorw<A> {
         self.run_with_sink(seed, None)
     }
 
-    /// Like [`GraSorw::run`], recording structured [`TraceEvent`]s into
-    /// `sink` when one is supplied. In debug builds the metrics are
+    /// Like [`GraSorw::run`], recording structured
+    /// [`TraceEvent`](noswalker_core::TraceEvent)s into `sink` when one is
+    /// supplied. In debug builds the metrics are
     /// checked against the engine conservation laws.
     ///
     /// # Errors
@@ -67,20 +69,15 @@ impl<A: SecondOrderWalk> GraSorw<A> {
         seed: u64,
         sink: Option<&'a mut dyn TraceSink>,
     ) -> Result<RunMetrics, EngineError> {
-        let audit = RunAudit::begin(self.app.total_walkers(), &self.budget);
-        let metrics = self.run_inner(seed, Trace::from_option(sink))?;
-        if cfg!(debug_assertions) {
-            audit.verify(&metrics, &self.budget).assert_clean();
-        }
-        Ok(metrics)
+        let total = self.app.total_walkers();
+        RunAudit::audited(total, Some(&self.budget), || {
+            self.run_inner(seed, Trace::from_option(sink))
+        })
     }
 
-    fn run_inner(&self, seed: u64, mut trace: Trace<'_>) -> Result<RunMetrics, EngineError> {
-        let wall = WallTimer::start();
-        let mut clock = PipelineClock::new();
-        let mut metrics = RunMetrics::default();
+    fn run_inner(&self, seed: u64, trace: Trace<'_>) -> Result<RunMetrics, EngineError> {
+        let mut ledger = Ledger::buffered(trace);
         let mut rng = WalkRng::seed_from_u64(seed);
-        let penalty = |ns: u64| (ns as f64 * EngineOptions::BUFFERED_IO_PENALTY) as u64;
         let nb = self.graph.num_blocks();
 
         let mut slab: Vec<Option<A::Walker>> = Vec::new();
@@ -101,12 +98,9 @@ impl<A: SecondOrderWalk> GraSorw<A> {
         };
 
         for n in 0..self.app.total_walkers() {
-            let w = self.app.generate(n, &mut rng);
-            if !self.app.is_active(&w) {
-                self.app.on_terminate(&w);
-                metrics.record_walker_finished();
+            let Some(w) = spawn_walker(&*self.app, &mut ledger.metrics, n, &mut rng) else {
                 continue;
-            }
+            };
             let k = pair_key(self, &w);
             let idx = if let Some(i) = free.pop() {
                 slab[i] = Some(w);
@@ -125,7 +119,6 @@ impl<A: SecondOrderWalk> GraSorw<A> {
         let _buffer = self
             .budget
             .try_reserve(buffer_walkers * self.app.state_bytes() as u64)?;
-        let swap_base = self.graph.edge_region_bytes();
         let mut cache = BlockCache::new(nb);
 
         while live > 0 {
@@ -138,34 +131,15 @@ impl<A: SecondOrderWalk> GraSorw<A> {
             };
             let (bi, bj) = ((k / nb) as BlockId, (k % nb) as BlockId);
             // Load the pair (one load if diagonal).
-            let pair_at = clock.now();
-            let (block_i, ns_i, hit_i) = cache.load(&self.graph, bi, &self.budget)?;
-            clock.sync_io(penalty(ns_i));
-            if !hit_i {
-                metrics.record_coarse_load(block_i.info().byte_len());
-            }
-            let bi_bytes = block_i.info().byte_len();
-            trace.emit(|| TraceEvent::CoarseLoad {
-                block: bi,
-                bytes: if hit_i { 0 } else { bi_bytes },
-                cache_hit: hit_i,
-                at_ns: pair_at,
-            });
+            let block_i = read_block(&mut ledger, &mut cache, &self.graph, bi, &self.budget)?;
             let block_j = if bi != bj {
-                let at = clock.now();
-                let (b, ns, hit) = cache.load(&self.graph, bj, &self.budget)?;
-                clock.sync_io(penalty(ns));
-                if !hit {
-                    metrics.record_coarse_load(b.info().byte_len());
-                }
-                let bytes = b.info().byte_len();
-                trace.emit(|| TraceEvent::CoarseLoad {
-                    block: bj,
-                    bytes: if hit { 0 } else { bytes },
-                    cache_hit: hit,
-                    at_ns: at,
-                });
-                Some(b)
+                Some(read_block(
+                    &mut ledger,
+                    &mut cache,
+                    &self.graph,
+                    bj,
+                    &self.budget,
+                )?)
             } else {
                 None
             };
@@ -178,51 +152,21 @@ impl<A: SecondOrderWalk> GraSorw<A> {
             };
 
             // Bucket-based walker management: the pair's bucket is read
-            // from and written back to disk.
+            // from and written back to disk, `2 × bucket` records each way.
             let bucket = std::mem::take(&mut pairs[k]);
             let swap_bytes = 2 * bucket.len() as u64 * EngineOptions::SWAP_RECORD_BYTES;
-            if swap_bytes > 0 {
-                let mut buf = vec![0u8; swap_bytes.min(16 << 20) as usize];
-                let mut left = swap_bytes;
-                while left > 0 {
-                    let n = left.min(16 << 20) as usize;
-                    let dev = self.graph.device();
-                    let wns = dev.write(swap_base, &buf[..n]).map_err(|e| {
-                        EngineError::Load(noswalker_core::disk_graph::LoadError::Device(e))
-                    })?;
-                    let rns = dev.read(swap_base, &mut buf[..n]).map_err(|e| {
-                        EngineError::Load(noswalker_core::disk_graph::LoadError::Device(e))
-                    })?;
-                    clock.sync_io(penalty(wns + rns));
-                    left -= n as u64;
-                }
-                metrics.record_swap(swap_bytes, 0);
-                let at = clock.now();
-                trace.emit(|| TraceEvent::Swap {
-                    bytes: swap_bytes,
-                    at_ns: at,
-                });
-            }
-            // Synchronous buffered I/O: the pair's load+swap service time
-            // is a stall, attributed to the first block of the pair.
-            let stall_until = clock.now();
-            if stall_until > pair_at {
-                trace.emit(|| TraceEvent::Stall {
-                    waiting_for: Some(bi),
-                    from_ns: pair_at,
-                    until_ns: stall_until,
-                });
-            }
+            ledger.swap(&self.graph, Some(bi), swap_bytes)?;
 
             for i in bucket {
                 loop {
                     let Some(w) = slab[i].as_ref() else { break };
-                    if !self.app.is_active(w) {
+                    let loc = self.app.location(w);
+                    let dead_end = self.app.candidate(w).is_none() && self.graph.degree(loc) == 0;
+                    if !self.app.is_active(w) || dead_end {
                         let w = slab[i].take().expect("live");
-                        self.app.on_terminate(&w);
+                        retire_walker(&*self.app, &mut ledger.metrics, &w);
                         free.push(i);
                         live -= 1;
-                        metrics.record_walker_finished();
                         break;
                     }
                     if let Some(c) = self.app.candidate(w) {
@@ -230,23 +174,15 @@ impl<A: SecondOrderWalk> GraSorw<A> {
                         let before = self.app.location(w);
                         let wm = slab[i].as_mut().expect("live");
                         self.app.rejection(wm, &cedges, &mut rng);
-                        clock.advance_compute(self.opts.step_cost());
+                        ledger.compute(self.opts.step_cost());
                         let w = slab[i].as_ref().expect("live");
-                        metrics.record_second_order(self.app.location(w) != before);
+                        let accepted = self.app.location(w) != before;
+                        ledger.metrics.record_second_order(accepted);
                         continue;
-                    }
-                    let loc = self.app.location(w);
-                    if self.graph.degree(loc) == 0 {
-                        let w = slab[i].take().expect("live");
-                        self.app.on_terminate(&w);
-                        free.push(i);
-                        live -= 1;
-                        metrics.record_walker_finished();
-                        break;
                     }
                     let Some(view) = lookup(loc) else { break };
                     let dst = self.app.sample(&view, &mut rng);
-                    clock.advance_compute(self.opts.sample_cost());
+                    ledger.compute(self.opts.sample_cost());
                     let wm = slab[i].as_mut().expect("live");
                     self.app.action(wm, dst, &mut rng);
                 }
@@ -257,18 +193,7 @@ impl<A: SecondOrderWalk> GraSorw<A> {
             }
         }
 
-        let (steps, walkers_finished, end_at) =
-            (metrics.steps, metrics.walkers_finished, clock.now());
-        trace.emit(|| TraceEvent::RunEnd {
-            steps,
-            walkers_finished,
-            at_ns: end_at,
-        });
-        metrics.finalize_clock(&clock);
-        metrics.finalize_wall(&wall);
-        metrics.set_peak_memory(self.budget.peak());
-        metrics.derive_edges_loaded(self.graph.format().record_bytes() as u64);
-        Ok(metrics)
+        Ok(ledger.close(&self.graph, &self.budget))
     }
 }
 

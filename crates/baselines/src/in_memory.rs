@@ -6,8 +6,8 @@
 //! graph load, where NosWalker's pipelining wins — the paper measures ~75 %
 //! of ThunderRW's time as graph loading).
 
-use noswalker_core::audit::{RunAudit, Trace, TraceEvent, TraceSink};
-use noswalker_core::{EngineOptions, RunMetrics, StepSource, Walk, WalkRng, WallTimer};
+use noswalker_core::audit::{RunAudit, Trace, TraceSink};
+use noswalker_core::{retire_walker, EngineOptions, Ledger, RunMetrics, StepSource, Walk, WalkRng};
 use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::Csr;
 use noswalker_storage::SsdProfile;
@@ -64,8 +64,9 @@ impl<A: Walk> InMemory<A> {
         self.run_with_sink(seed, None)
     }
 
-    /// Like [`InMemory::run`], recording structured [`TraceEvent`]s into
-    /// `sink` when one is supplied. In debug builds the metrics are
+    /// Like [`InMemory::run`], recording structured
+    /// [`TraceEvent`](noswalker_core::TraceEvent)s into `sink` when one is
+    /// supplied. In debug builds the metrics are
     /// checked against the engine conservation laws (there is no memory
     /// budget here, so the budget-floor law is vacuous).
     pub fn run_with_sink<'a>(
@@ -73,34 +74,23 @@ impl<A: Walk> InMemory<A> {
         seed: u64,
         sink: Option<&'a mut dyn TraceSink>,
     ) -> RunMetrics {
-        let audit = RunAudit::with_floor(self.app.total_walkers(), 0);
-        let metrics = self.run_inner(seed, Trace::from_option(sink));
-        if cfg!(debug_assertions) {
-            audit.verify_metrics(&metrics).assert_clean();
-        }
+        let total = self.app.total_walkers();
+        let Ok(metrics) = RunAudit::audited(total, None, || {
+            Ok::<_, std::convert::Infallible>(self.run_inner(seed, Trace::from_option(sink)))
+        });
         metrics
     }
 
-    fn run_inner(&self, seed: u64, mut trace: Trace<'_>) -> RunMetrics {
-        let wall = WallTimer::start();
-        let mut metrics = RunMetrics::default();
+    fn run_inner(&self, seed: u64, trace: Trace<'_>) -> RunMetrics {
+        let mut ledger = Ledger::new(trace);
         let mut rng = WalkRng::seed_from_u64(seed);
 
-        // One sequential scan of the CSR from storage, plus parse/build.
+        // One sequential scan of the CSR from storage, plus parse/build,
+        // as one synchronous I/O.
         let load_bytes = self.csr.csr_bytes();
         let load_ns = (self.profile.service_ns(load_bytes) as f64 * INGEST_FACTOR) as u64;
-        metrics.record_coarse_load(load_bytes); // the one sequential ingest scan
-        trace.emit(|| TraceEvent::CoarseLoad {
-            block: 0,
-            bytes: load_bytes,
-            cache_hit: false,
-            at_ns: 0,
-        });
-        trace.emit(|| TraceEvent::Stall {
-            waiting_for: Some(0),
-            from_ns: 0,
-            until_ns: load_ns,
-        });
+        ledger.coarse_load(0, load_bytes, false, 0);
+        ledger.sync_io(Some(0), load_ns);
 
         let mut compute_ns = 0u64;
         let total = self.app.total_walkers();
@@ -118,23 +108,13 @@ impl<A: Walk> InMemory<A> {
                 let dst = self.app.sample(&view, &mut rng);
                 self.app.action(&mut w, dst, &mut rng);
                 compute_ns += self.opts.step_cost() + self.opts.sample_cost();
-                metrics.record_step(StepSource::Block);
+                ledger.metrics.record_step(StepSource::Block);
             }
-            self.app.on_terminate(&w);
-            metrics.record_walker_finished();
+            retire_walker(&*self.app, &mut ledger.metrics, &w);
         }
 
-        metrics.set_sim_times(load_ns + compute_ns, load_ns, load_ns);
-        metrics.set_edges_loaded(self.csr.num_edges());
-        let (steps, walkers_finished, end_at) =
-            (metrics.steps, metrics.walkers_finished, metrics.sim_ns);
-        trace.emit(|| TraceEvent::RunEnd {
-            steps,
-            walkers_finished,
-            at_ns: end_at,
-        });
-        metrics.finalize_wall(&wall);
-        metrics
+        ledger.compute(compute_ns);
+        ledger.close_with(0, self.csr.num_edges())
     }
 }
 

@@ -24,6 +24,7 @@
 use crate::metrics::RunMetrics;
 use noswalker_graph::partition::BlockId;
 use noswalker_storage::MemoryBudget;
+use std::borrow::Borrow;
 
 /// A structured event emitted by an engine during a run.
 ///
@@ -644,6 +645,32 @@ impl RunAudit {
             total_walkers,
             budget_floor,
         }
+    }
+
+    /// Runs an engine under an audit: in debug builds every law is checked
+    /// on the metrics `run` returns for its `total_walkers`, plus the
+    /// budget-floor law when the run holds a `budget` (its `in_use` before
+    /// the run is the floor). Every engine entry point goes through here.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `run` returns; a failed run is not audited.
+    pub fn audited<T: Borrow<RunMetrics>, E>(
+        total_walkers: u64,
+        budget: Option<&MemoryBudget>,
+        run: impl FnOnce() -> Result<T, E>,
+    ) -> Result<T, E> {
+        let audit = RunAudit::with_floor(total_walkers, budget.map_or(0, MemoryBudget::in_use));
+        let out = run()?;
+        if cfg!(debug_assertions) {
+            let m = out.borrow();
+            match budget {
+                Some(b) => audit.verify(m, b),
+                None => audit.verify_metrics(m),
+            }
+            .assert_clean();
+        }
+        Ok(out)
     }
 
     /// Checks the metrics-only laws plus the budget-floor law.

@@ -8,7 +8,8 @@
 //! *needs* the data — [`PipelineClock::stall_until`] accounts any wait. An
 //! engine with synchronous buffered I/O (GraphChi-derived baselines, whose
 //! disk utilization the paper measures at 20–30 %) stalls immediately after
-//! every issue.
+//! every issue. Engines drive the clock through their
+//! [`Ledger`](crate::Ledger), which books each wait as it happens.
 
 /// Simulated-time bookkeeping for one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,14 +87,6 @@ impl PipelineClock {
             self.stall_ns += t - self.now_ns;
             self.now_ns = t;
         }
-    }
-
-    /// Issues an I/O and immediately stalls until it completes (synchronous
-    /// buffered I/O — the GraphChi model). Returns the completion time.
-    pub fn sync_io(&mut self, service_ns: u64) -> u64 {
-        let done = self.issue_io(service_ns);
-        self.stall_until(done);
-        done
     }
 }
 
@@ -310,20 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn sync_io_always_stalls() {
-        let mut c = PipelineClock::new();
-        c.sync_io(250);
-        assert_eq!(c.now(), 250);
-        assert_eq!(c.stall_ns(), 250);
-        c.advance_compute(50);
-        c.sync_io(100);
-        assert_eq!(c.now(), 400);
-    }
-
-    #[test]
     fn utilization_is_busy_over_elapsed() {
         let mut c = PipelineClock::new();
-        c.sync_io(100);
+        let done = c.issue_io(100);
+        c.stall_until(done);
         c.advance_compute(100);
         assert!((c.io_utilization() - 0.5).abs() < 1e-9);
     }

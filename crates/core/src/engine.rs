@@ -12,20 +12,19 @@
 //!   double-buffered loads (the paper's base is faster than GraphWalker
 //!   precisely because of overlapped I/O).
 //!
-//! Time is simulated through [`PipelineClock`]: device service times come
-//! from the storage layer, compute is charged per step/sample, and stalls
-//! are whatever the pipeline exposes.
+//! Time is simulated through the run's [`Ledger`]'s pipeline clock: device
+//! service times come from the storage layer, compute is charged per
+//! step/sample, and stalls are whatever the pipeline exposes.
 
 use crate::audit::{RunAudit, Trace, TraceEvent, TraceSink};
-use crate::block::{BlockCache, FineLoad, LoadedBlock};
-use crate::clock::{PipelineClock, WallTimer};
+use crate::block::BlockCache;
 use crate::disk_graph::{LoadError, OnDiskGraph};
+use crate::ledger::Ledger;
 use crate::metrics::{RunMetrics, StepSource};
 use crate::options::EngineOptions;
 use crate::presample::{plan_quotas, Peek, PreSampleBuffer};
 use crate::threaded::Edges;
 use crate::walk::{SecondOrderWalk, Walk, WalkRng};
-use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::partition::{BlockId, BlockInfo};
 use noswalker_graph::VertexId;
 use noswalker_storage::{BudgetExceeded, MemoryBudget, Reservation};
@@ -71,44 +70,13 @@ impl From<LoadError> for EngineError {
     }
 }
 
-/// A source of decoded vertex edges (a coarse block or a fine load).
-pub(crate) trait EdgeSource {
-    /// The edges of the consecutive vertices `vs` as one view, if loaded.
-    fn run_edges(&self, g: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>>;
-
-    fn edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
-        self.run_edges(graph, v..v + 1)
-    }
-}
-
-impl EdgeSource for LoadedBlock {
-    fn run_edges(&self, g: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>> {
-        self.run_edges(g, vs)
-    }
-}
-
-impl EdgeSource for FineLoad {
-    fn run_edges(&self, g: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>> {
-        self.run_edges(g, vs)
-    }
-}
-
-impl EdgeSource for Edges {
-    fn run_edges(&self, g: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>> {
-        match self {
-            Edges::Coarse(b) => b.run_edges(g, vs),
-            Edges::Fine(f, _) => f.run_edges(g, vs),
-        }
-    }
-}
-
 // ----------------------------------------------------------------------
 // Shared with the real-thread runner (`crate::parallel`)
 // ----------------------------------------------------------------------
 
 /// Finalizes a walker whose walk is over, attributing a cancellation to
 /// the cancelled counter so the walker-completion law stays balanced.
-pub(crate) fn retire_walker<A: Walk>(app: &A, metrics: &mut RunMetrics, w: &A::Walker) {
+pub fn retire_walker<A: Walk>(app: &A, metrics: &mut RunMetrics, w: &A::Walker) {
     let cancelled = app.is_cancelled(w);
     app.on_terminate(w);
     if cancelled {
@@ -120,7 +88,7 @@ pub(crate) fn retire_walker<A: Walk>(app: &A, metrics: &mut RunMetrics, w: &A::W
 
 /// Generates walker `id`. One that is born inactive is retired on the spot
 /// and never occupies a pool slot.
-pub(crate) fn spawn_walker<A: Walk>(
+pub fn spawn_walker<A: Walk>(
     app: &A,
     metrics: &mut RunMetrics,
     id: u64,
@@ -132,49 +100,6 @@ pub(crate) fn spawn_walker<A: Walk>(
     }
     retire_walker(app, metrics, &w);
     None
-}
-
-/// Stalls `clock` until `t`, attributing the wait to `block` in the trace
-/// (no event when `t` is already past).
-pub(crate) fn stall_on(
-    clock: &mut PipelineClock,
-    trace: &mut Trace<'_>,
-    block: Option<BlockId>,
-    t: u64,
-) {
-    let from = clock.now();
-    clock.stall_until(t);
-    if t > from {
-        trace.emit(|| TraceEvent::Stall {
-            waiting_for: block,
-            from_ns: from,
-            until_ns: t,
-        });
-    }
-}
-
-/// The fine-mode switch `α·|Wa|·4KiB < S_G` (§3.3.1): whether loads are
-/// 4 KiB page batches once `remaining` walkers are left. Sticky: the first
-/// `true` marks the switch in `metrics` (`fine_mode_at_step`) and the trace.
-pub(crate) fn check_fine_mode(
-    opts: &EngineOptions,
-    graph: &OnDiskGraph,
-    remaining: u64,
-    metrics: &mut RunMetrics,
-    trace: &mut Trace<'_>,
-    at_ns: u64,
-) -> bool {
-    if metrics.fine_mode_at_step.is_some() {
-        return true;
-    }
-    let lhs = opts.alpha * remaining * noswalker_graph::FINE_PAGE_BYTES;
-    if !opts.enable_shrink_block || lhs >= graph.edge_region_bytes() {
-        return false;
-    }
-    metrics.mark_fine_mode_switch();
-    let at_step = metrics.steps;
-    trace.emit(|| TraceEvent::FineModeSwitch { at_step, at_ns });
-    true
 }
 
 /// Plans one fine batch from the vertices walkers wait on in one block:
@@ -203,26 +128,6 @@ pub(crate) fn plan_fine_batch(
     }
     verts.truncate(keep);
     (verts, estimate.min(cap))
-}
-
-/// Accounts one fine batch read for `vertices` waiting vertices, issued at
-/// `at_ns`: its device runs and bytes, and a `FineLoad` trace event.
-pub(crate) fn record_fine_load(
-    metrics: &mut RunMetrics,
-    trace: &mut Trace<'_>,
-    vertices: usize,
-    load: &FineLoad,
-    at_ns: u64,
-) {
-    let (block, runs, bytes) = (load.info().id, load.num_runs() as u64, load.loaded_bytes());
-    metrics.record_fine_load(runs, bytes);
-    trace.emit(|| TraceEvent::FineLoad {
-        block,
-        vertices: vertices as u64,
-        runs,
-        bytes,
-        at_ns,
-    });
 }
 
 /// The raw-retention floor of a generation over vertices of these
@@ -264,17 +169,17 @@ fn refills_whole_block(
 
 /// What one pre-sample generation is built against: the application's
 /// sampler and the loaded edges it draws from.
-pub(crate) struct Generation<'a, A: Walk, S: EdgeSource + ?Sized> {
+pub(crate) struct Generation<'a, A: Walk> {
     pub(crate) app: &'a A,
     pub(crate) graph: &'a OnDiskGraph,
     pub(crate) opts: &'a EngineOptions,
-    pub(crate) src: &'a S,
+    pub(crate) src: &'a Edges,
     /// Budget bytes free for the build; `u64::MAX` when the reserve
     /// policy can free memory itself.
     pub(crate) available: u64,
 }
 
-impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
+impl<A: Walk> Generation<'_, A> {
     /// Builds block `info`'s next generation (§3.3.2): slots are planned
     /// over the vertices `src` covers — the whole block when `only` is
     /// `None` (a coarse load), otherwise the listed vertices a fine load
@@ -315,7 +220,10 @@ impl<A: Walk, S: EdgeSource + ?Sized> Generation<'_, A, S> {
                 }
             }
             Some(list) => {
-                for &v in list.iter().filter(|&&v| src.edges(graph, v).is_some()) {
+                for &v in list
+                    .iter()
+                    .filter(|&&v| src.vertex_edges(graph, v).is_some())
+                {
                     degrees[(v - info.vertex_start) as usize] = graph.degree(v);
                 }
             }
@@ -439,18 +347,27 @@ impl<A: Walk> NosWalkerEngine<A> {
         seed: u64,
         sink: Option<&'a mut dyn TraceSink>,
     ) -> Result<RunMetrics, EngineError> {
-        let audit = RunAudit::begin(self.app.total_walkers(), &self.budget);
-        let mut run = Run::new(self, seed, Trace::from_option(sink))?;
-        if self.opts.enable_walker_management {
-            run.run_pooled()?;
-        } else {
-            run.run_epochs()?;
-        }
-        let metrics = run.finish();
-        if cfg!(debug_assertions) {
-            audit.verify(&metrics, &self.budget).assert_clean();
-        }
-        Ok(metrics)
+        self.audited(seed, sink, |run| {
+            if run.opts.enable_walker_management {
+                run.run_pooled()
+            } else {
+                run.run_epochs()
+            }
+        })
+    }
+
+    /// Drives one [`Run`] through `workflow` under a [`RunAudit`].
+    fn audited<'a>(
+        &'a self,
+        seed: u64,
+        sink: Option<&'a mut dyn TraceSink>,
+        workflow: impl FnOnce(&mut Run<'a, A>) -> Result<(), EngineError>,
+    ) -> Result<RunMetrics, EngineError> {
+        RunAudit::audited(self.app.total_walkers(), Some(&self.budget), || {
+            let mut run = Run::new(self, seed, Trace::from_option(sink))?;
+            workflow(&mut run)?;
+            Ok(run.finish())
+        })
     }
 }
 
@@ -490,43 +407,12 @@ impl<A: SecondOrderWalk> NosWalkerEngine<A> {
             self.opts.enable_walker_management,
             "second-order runs require walker management"
         );
-        let audit = RunAudit::begin(self.app.total_walkers(), &self.budget);
-        let mut run = Run::new(self, seed, Trace::from_option(sink))?;
-        run.run_pooled_2nd()?;
-        let metrics = run.finish();
-        if cfg!(debug_assertions) {
-            audit.verify(&metrics, &self.budget).assert_clean();
-        }
-        Ok(metrics)
+        self.audited(seed, sink, Run::run_pooled_2nd)
     }
 }
 
-/// A pending asynchronous load.
-enum Pending {
-    Coarse {
-        block: std::sync::Arc<LoadedBlock>,
-        ready_at: u64,
-    },
-    Fine {
-        load: FineLoad,
-        ready_at: u64,
-    },
-}
-
-impl Pending {
-    fn ready_at(&self) -> u64 {
-        match self {
-            Pending::Coarse { ready_at, .. } | Pending::Fine { ready_at, .. } => *ready_at,
-        }
-    }
-
-    fn block_id(&self) -> BlockId {
-        match self {
-            Pending::Coarse { block, .. } => block.info().id,
-            Pending::Fine { load, .. } => load.info().id,
-        }
-    }
-}
+/// A pending asynchronous load: the edges and when they are ready.
+type Pending = (Edges, u64);
 
 /// A bucket entry: a walker slot and the vertex whose edge data it is
 /// waiting for (its location; for second order with a pending candidate,
@@ -564,8 +450,7 @@ struct Run<'e, A: Walk> {
     opts: &'e EngineOptions,
     budget: &'e Arc<MemoryBudget>,
     rng: WalkRng,
-    clock: PipelineClock,
-    metrics: RunMetrics,
+    ledger: Ledger<'e>,
     slab: Vec<Option<A::Walker>>,
     free: Vec<usize>,
     /// Walker entries bucketed by the block of their needed vertex.
@@ -578,12 +463,8 @@ struct Run<'e, A: Walk> {
     /// Page-cache stand-in for coarse blocks (the cgroups budget covers
     /// the OS page cache for every system, §4.1).
     cache: BlockCache,
-    /// Offset of the walker-state swap region on the device (epoch mode).
-    swap_base: u64,
     /// Largest coarse block, for sizing fixed overhead.
     max_block_bytes: u64,
-    trace: Trace<'e>,
-    wall: WallTimer,
     /// Calls of `chase_presamples` / `chase_block` (the scheduler ratchet).
     #[cfg(test)]
     pickups: u64,
@@ -640,8 +521,7 @@ impl<'e, A: Walk> Run<'e, A> {
             opts: &engine.opts,
             budget: &engine.budget,
             rng: WalkRng::seed_from_u64(seed),
-            clock: PipelineClock::new(),
-            metrics: RunMetrics::default(),
+            ledger: Ledger::new(trace),
             slab: Vec::new(),
             free: Vec::new(),
             buckets: vec![Bucket::default(); num_blocks],
@@ -651,34 +531,18 @@ impl<'e, A: Walk> Run<'e, A> {
             presample: (0..num_blocks).map(|_| None).collect(),
             pool_reservation: Some(pool_reservation),
             cache: BlockCache::new(num_blocks),
-            swap_base: engine.graph.edge_region_bytes(),
             max_block_bytes: engine.graph.max_block_bytes(),
-            trace,
-            wall: WallTimer::start(),
             #[cfg(test)]
             pickups: 0,
         })
     }
 
-    fn finish(mut self) -> RunMetrics {
+    fn finish(self) -> RunMetrics {
         debug_assert!(
             self.buckets.iter().all(|b| b.entries.is_empty()),
             "a walker was left parked in a bucket"
         );
-        let at = self.clock.now();
-        let steps = self.metrics.steps;
-        let walkers_finished = self.metrics.walkers_finished;
-        self.trace.emit(|| TraceEvent::RunEnd {
-            steps,
-            walkers_finished,
-            at_ns: at,
-        });
-        self.metrics.finalize_clock(&self.clock);
-        self.metrics.finalize_wall(&self.wall);
-        self.metrics.set_peak_memory(self.budget.peak());
-        self.metrics
-            .derive_edges_loaded(self.graph.format().record_bytes() as u64);
-        self.metrics
+        self.ledger.close(self.graph, self.budget)
     }
 
     // ------------------------------------------------------------------
@@ -686,7 +550,7 @@ impl<'e, A: Walk> Run<'e, A> {
     // ------------------------------------------------------------------
 
     fn remaining(&self) -> u64 {
-        self.total - self.metrics.walkers_finished - self.metrics.walkers_cancelled
+        self.total - self.ledger.metrics.walkers_finished - self.ledger.metrics.walkers_cancelled
     }
 
     /// The effective walker pool capacity (see
@@ -723,7 +587,7 @@ impl<'e, A: Walk> Run<'e, A> {
 
     fn retire(&mut self, i: usize) {
         let w = take_live(&mut self.slab, i);
-        retire_walker(self.app, &mut self.metrics, &w);
+        retire_walker(self.app, &mut self.ledger.metrics, &w);
         self.free.push(i);
         self.live -= 1;
     }
@@ -793,7 +657,12 @@ impl<'e, A: Walk> Run<'e, A> {
     /// computes the bucket vertex for a fresh walker.
     fn generate(&mut self, cap: u64, needed: impl Fn(&Self, &A::Walker) -> VertexId) {
         while self.live < cap && self.next_id < self.total {
-            let spawned = spawn_walker(self.app, &mut self.metrics, self.next_id, &mut self.rng);
+            let spawned = spawn_walker(
+                self.app,
+                &mut self.ledger.metrics,
+                self.next_id,
+                &mut self.rng,
+            );
             self.next_id += 1;
             if let Some(w) = spawned {
                 let v = needed(self, &w);
@@ -824,8 +693,8 @@ impl<'e, A: Walk> Run<'e, A> {
     fn step_to(&mut self, i: usize, dst: VertexId, src: StepSource) -> (bool, bool) {
         let w = live_mut(&mut self.slab, i);
         let consumed = self.app.action(w, dst, &mut self.rng);
-        self.clock.advance_compute(self.opts.step_cost());
-        self.metrics.record_step(src);
+        self.ledger.compute(self.opts.step_cost());
+        self.ledger.metrics.record_step(src);
         let alive = self.app.is_active(live(&self.slab, i));
         if !alive {
             self.retire(i);
@@ -866,7 +735,7 @@ impl<'e, A: Walk> Run<'e, A> {
                         // Pop only when Action consumed the sample
                         // (Algorithm 1, lines 17-18).
                         peeked_buf(&mut self.presample, b).consume(loc);
-                        self.metrics.record_presample_consumed();
+                        self.ledger.metrics.record_presample_consumed();
                     }
                     if !alive {
                         break;
@@ -876,7 +745,7 @@ impl<'e, A: Walk> Run<'e, A> {
                     let dst =
                         self.app
                             .sample_for(live_mut(&mut self.slab, i), &view, &mut self.rng);
-                    self.clock.advance_compute(self.opts.sample_cost());
+                    self.ledger.compute(self.opts.sample_cost());
                     // Unlike the `Sampled` arm, `consume` here is
                     // unconditional: raw retained slots never deplete
                     // (`PreSampleBuffer::consume` only bumps the visit
@@ -891,7 +760,7 @@ impl<'e, A: Walk> Run<'e, A> {
                 }
                 Peek::Empty => {
                     peeked_buf(&mut self.presample, b).record_stall(loc);
-                    self.metrics.record_pool_stall();
+                    self.ledger.metrics.record_pool_stall();
                     break;
                 }
             }
@@ -899,10 +768,10 @@ impl<'e, A: Walk> Run<'e, A> {
         steps
     }
 
-    /// Moves walker `i` as far as possible inside edge source `src`
+    /// Moves walker `i` as far as possible inside the loaded edges `src`
     /// (GraphWalker-style re-entry; "use loaded edges as pre-sampled
     /// edges", §3.3.5), then keeps going on pre-samples. Returns steps.
-    fn chase_block(&mut self, i: usize, src: &dyn EdgeSource) -> u64 {
+    fn chase_block(&mut self, i: usize, src: &Edges) -> u64 {
         #[cfg(test)]
         {
             self.pickups += 1;
@@ -921,14 +790,14 @@ impl<'e, A: Walk> Run<'e, A> {
                 self.retire(i);
                 break;
             }
-            let Some(view) = src.edges(self.graph, loc) else {
+            let Some(view) = src.vertex_edges(self.graph, loc) else {
                 steps += self.chase_presamples(i);
                 break;
             };
             let dst = self
                 .app
                 .sample_for(live_mut(&mut self.slab, i), &view, &mut self.rng);
-            self.clock.advance_compute(self.opts.sample_cost());
+            self.ledger.compute(self.opts.sample_cost());
             steps += 1;
             if !self.step_to(i, dst, StepSource::Block).0 {
                 break;
@@ -948,8 +817,8 @@ impl<'e, A: Walk> Run<'e, A> {
             // Cached blocks are the cheapest to give back (they can be
             // reloaded); reserved pre-samples go next.
             if self.cache.evict_one() {
-                let at = self.clock.now();
-                self.trace.emit(|| TraceEvent::CacheEvict { at_ns: at });
+                let at = self.ledger.now();
+                self.ledger.emit(|| TraceEvent::CacheEvict { at_ns: at });
                 continue;
             }
             let victim = (0..self.presample.len())
@@ -957,9 +826,9 @@ impl<'e, A: Walk> Run<'e, A> {
                 .max_by_key(|&b| self.presample[b].as_ref().map_or(0, |p| p.memory_bytes()));
             match victim {
                 Some(b) => {
-                    let at = self.clock.now();
+                    let at = self.ledger.now();
                     let freed = self.presample[b].as_ref().map_or(0, |p| p.memory_bytes());
-                    self.trace.emit(|| TraceEvent::PresampleEvict {
+                    self.ledger.emit(|| TraceEvent::PresampleEvict {
                         block: b as BlockId,
                         bytes: freed,
                         at_ns: at,
@@ -1005,28 +874,19 @@ impl<'e, A: Walk> Run<'e, A> {
             return Ok(None);
         };
         let remaining = self.remaining();
-        let at = self.clock.now();
-        let fine = check_fine_mode(
-            self.opts,
-            self.graph,
-            remaining,
-            &mut self.metrics,
-            &mut self.trace,
-            at,
-        );
-        if fine {
+        if self.ledger.fine_mode(self.opts, self.graph, remaining) {
             let waiting = self.buckets[b as usize].entries.iter().map(|e| e.v);
             let (verts, room) = plan_fine_batch(self.graph, self.budget, waiting);
             if !self.reads_whole(b, &verts) {
                 self.make_room(room)?;
+                let at = self.ledger.now();
                 let (load, ns) = self.graph.load_fine(b, &verts, self.budget)?;
-                let ready_at = self.clock.issue_io(ns);
-                record_fine_load(&mut self.metrics, &mut self.trace, verts.len(), &load, at);
-                return Ok(Some(Pending::Fine { load, ready_at }));
+                let ready_at = self.ledger.issue_io_at(at, ns);
+                self.ledger.fine_load(verts.len(), &load, at);
+                return Ok(Some((Edges::Fine(load, verts), ready_at)));
             }
         }
-        self.issue_coarse(b)
-            .map(|(block, ready_at)| Some(Pending::Coarse { block, ready_at }))
+        self.issue_coarse(b).map(Some)
     }
 
     /// Whether fine mode reads block `b` whole instead of the page batch
@@ -1047,9 +907,8 @@ impl<'e, A: Walk> Run<'e, A> {
         }
     }
 
-    /// Issues an asynchronous coarse load of block `b`; returns the buffer
-    /// and its completion time.
-    fn issue_coarse(&mut self, b: BlockId) -> Result<(Arc<LoadedBlock>, u64), EngineError> {
+    /// Issues an asynchronous coarse load of block `b`.
+    fn issue_coarse(&mut self, b: BlockId) -> Result<Pending, EngineError> {
         let info = *self.graph.partition().block(b);
         if self.budget.available() < info.byte_len() {
             self.make_room(info.byte_len())?;
@@ -1058,21 +917,10 @@ impl<'e, A: Walk> Run<'e, A> {
             .cache
             .load(self.graph, b, self.budget)
             .map_err(EngineError::from)?;
-        let at = self.clock.now();
-        let ready_at = self.clock.issue_io(ns);
-        // An empty block (only zero-degree vertices) is a zero-byte no-op
-        // read, not an I/O op — counting it would break the audit's
-        // load-byte-consistency law (loads issued ⇔ bytes moved).
-        if !hit && info.byte_len() > 0 {
-            self.metrics.record_coarse_load(info.byte_len());
-        }
-        self.trace.emit(|| TraceEvent::CoarseLoad {
-            block: b,
-            bytes: if hit { 0 } else { info.byte_len() },
-            cache_hit: hit,
-            at_ns: at,
-        });
-        Ok((block, ready_at))
+        let at = self.ledger.now();
+        let ready_at = self.ledger.issue_io_at(at, ns);
+        self.ledger.coarse_load(b, info.byte_len(), hit, at);
+        Ok((Edges::Coarse(block), ready_at))
     }
 
     /// Fair share: the pre-sample pool as a whole gets a fraction of the
@@ -1096,7 +944,7 @@ impl<'e, A: Walk> Run<'e, A> {
     /// to the vertices actually covered by a fine load. Nothing happens
     /// unless [`refills_whole_block`] holds, the same rule a fine-mode
     /// load consults before reading the block whole.
-    fn rebuild_presamples(&mut self, b: BlockId, src: &dyn EdgeSource, only: Option<&[VertexId]>) {
+    fn rebuild_presamples(&mut self, b: BlockId, src: &Edges, only: Option<&[VertexId]>) {
         let info = *self.graph.partition().block(b);
         let nv = info.num_vertices() as usize;
         let fair = self.fair_share();
@@ -1160,15 +1008,8 @@ impl<'e, A: Walk> Run<'e, A> {
         ) else {
             return;
         };
-        self.clock.advance_compute(draws * self.opts.sample_cost());
-        self.metrics.record_presamples_filled(draws);
-        let at = self.clock.now();
-        self.trace.emit(|| TraceEvent::PresampleRefill {
-            block: b,
-            slots,
-            draws,
-            at_ns: at,
-        });
+        self.ledger.compute(draws * self.opts.sample_cost());
+        self.ledger.refill(b, slots, draws);
         self.presample[b as usize] = Some(buf);
     }
 
@@ -1195,9 +1036,9 @@ impl<'e, A: Walk> Run<'e, A> {
             }
             // Integrate a completed load; issue the next one first so the
             // loader never idles (background I/O thread, Algorithm 1).
-            let now = self.clock.now();
-            if let Some(p) = pending.take_if(|p| p.ready_at() <= now) {
-                pending = self.try_prefetch(Some(p.block_id()))?;
+            let now = self.ledger.now();
+            if let Some(p) = pending.take_if(|p| p.1 <= now) {
+                pending = self.try_prefetch(Some(p.0.info().id))?;
                 integrate(self, p);
                 self.generate(cap, needed);
             }
@@ -1212,10 +1053,7 @@ impl<'e, A: Walk> Run<'e, A> {
             }
             if moved == 0 {
                 match &pending {
-                    Some(p) => {
-                        let (b, t) = (p.block_id(), p.ready_at());
-                        stall_on(&mut self.clock, &mut self.trace, Some(b), t);
-                    }
+                    Some((edges, t)) => self.ledger.stall(Some(edges.info().id), *t),
                     None => {
                         debug_assert!(self.done(), "walkers remain but nothing to load");
                         break;
@@ -1240,12 +1078,8 @@ impl<'e, A: Walk> Run<'e, A> {
         self.pool_pass(|run, w| run.app.location(w), Self::chase_presamples)
     }
 
-    fn integrate_first_order(&mut self, p: Pending) {
-        let b = p.block_id();
-        let src: &dyn EdgeSource = match &p {
-            Pending::Coarse { block, .. } => &**block,
-            Pending::Fine { load, .. } => load,
-        };
+    fn integrate_first_order(&mut self, (edges, _): Pending) {
+        let (b, fine) = (edges.info().id, matches!(edges, Edges::Fine(..)));
         let mut served: Vec<VertexId> = Vec::new();
         // Process the waiting walkers, then adaptively generate more
         // (Fig. 6 ②): fresh walkers whose start vertex lies in the
@@ -1255,11 +1089,12 @@ impl<'e, A: Walk> Run<'e, A> {
         // walkers stuck elsewhere.
         let cap = self.pool_cap();
         loop {
-            let progress_mark = self.metrics.steps + self.metrics.walkers_finished + self.next_id;
+            let progress_mark =
+                self.ledger.metrics.steps + self.ledger.metrics.walkers_finished + self.next_id;
             let bucket = self.take_bucket(b);
             if bucket.is_empty() {
                 self.generate(cap, |run, w| run.app.location(w));
-                if self.next_id + self.metrics.walkers_finished == progress_mark
+                if self.next_id + self.ledger.metrics.walkers_finished == progress_mark
                     || self.buckets[b as usize].entries.is_empty()
                 {
                     break;
@@ -1267,23 +1102,30 @@ impl<'e, A: Walk> Run<'e, A> {
                 continue;
             }
             for Entry { slot: i, v, .. } in bucket {
-                if matches!(p, Pending::Fine { .. }) {
+                if fine {
                     served.push(v);
                 }
-                self.chase_block(i, src);
+                self.chase_block(i, &edges);
                 self.rebucket(i, |run, w| run.app.location(w));
             }
-            if self.metrics.steps + self.metrics.walkers_finished + self.next_id == progress_mark {
+            if self.ledger.metrics.steps + self.ledger.metrics.walkers_finished + self.next_id
+                == progress_mark
+            {
                 break; // remaining walkers cannot move on this load
             }
         }
+        self.refill_from(&edges, served);
+        // `edges` drops here; a coarse buffer stays alive in the cache.
+    }
+
+    /// Rebuilds the generation of `edges`' block once its walkers were
+    /// integrated. A fine batch plans only the vertices the bucket held
+    /// at integration, `served`.
+    fn refill_from(&mut self, edges: &Edges, mut served: Vec<VertexId>) {
         served.sort_unstable();
         served.dedup();
-        match &p {
-            Pending::Coarse { block, .. } => self.rebuild_presamples(b, &**block, None),
-            Pending::Fine { load, .. } => self.rebuild_presamples(b, load, Some(&served)),
-        }
-        // `p` drops here; the coarse buffer stays alive in the cache.
+        let only = matches!(edges, Edges::Fine(..)).then_some(served.as_slice());
+        self.rebuild_presamples(edges.info().id, edges, only);
     }
 
     // ------------------------------------------------------------------
@@ -1293,24 +1135,25 @@ impl<'e, A: Walk> Run<'e, A> {
     fn run_epochs(&mut self) -> Result<(), EngineError> {
         let by_loc = |run: &Self, w: &A::Walker| run.app.location(w);
         self.generate(u64::MAX, by_loc);
-        // Epoch mode never shrinks to fine-grained I/O, so pending loads
-        // are plain coarse buffers (no `Pending` enum needed).
-        let mut pending: Option<(Arc<LoadedBlock>, u64)> = None;
+        // Epoch mode never shrinks to fine-grained I/O: every pending
+        // load is a coarse block.
+        let mut pending: Option<Pending> = None;
         while !self.done() {
-            let (block, ready_at) = match pending.take() {
+            let (edges, ready_at) = match pending.take() {
                 Some(p) => p,
                 None => match self.hottest_block(None) {
                     Some(b) => self.issue_coarse(b)?,
                     None => break,
                 },
             };
-            let b = block.info().id;
-            stall_on(&mut self.clock, &mut self.trace, Some(b), ready_at);
+            let b = edges.info().id;
+            self.ledger.stall(Some(b), ready_at);
             // Walker-state swap (GraphWalker's fixed walker buffer,
-            // §2.4.2): the block's walker states are read from and written
-            // back to a swap region on the same device.
+            // §2.4.2): the block's walker states are written back to and
+            // read from a swap region on the same device.
             let in_block = self.buckets[b as usize].entries.len() as u64;
-            self.charge_swap(in_block)?;
+            let bytes = in_block * EngineOptions::SWAP_RECORD_BYTES;
+            self.ledger.swap(self.graph, Some(b), bytes)?;
             // Prefetch the next-hottest block while processing (skipped
             // when the budget cannot hold two block buffers).
             if let Some(nb) = self.hottest_block(Some(b)) {
@@ -1321,42 +1164,10 @@ impl<'e, A: Walk> Run<'e, A> {
                 }
             }
             for Entry { slot: i, .. } in self.take_bucket(b) {
-                self.chase_block(i, &*block);
+                self.chase_block(i, &edges);
                 self.rebucket(i, by_loc);
             }
         }
-        Ok(())
-    }
-
-    /// Performs the swap-region I/O for `n` walker states: write back, then
-    /// read in — real device operations so the cost model and stats agree.
-    fn charge_swap(&mut self, n: u64) -> Result<(), EngineError> {
-        let bytes = n * EngineOptions::SWAP_RECORD_BYTES;
-        if bytes == 0 {
-            return Ok(());
-        }
-        const CHUNK: u64 = 16 << 20;
-        let mut left = bytes;
-        let buf_len = left.min(CHUNK) as usize;
-        let mut buf = vec![0u8; buf_len];
-        let device = self.graph.device();
-        while left > 0 {
-            let n = left.min(CHUNK) as usize;
-            let wns = device
-                .write(self.swap_base, &buf[..n])
-                .map_err(|e| EngineError::Load(LoadError::Device(e)))?;
-            let rns = device
-                .read(self.swap_base, &mut buf[..n])
-                .map_err(|e| EngineError::Load(LoadError::Device(e)))?;
-            self.clock.sync_io(wns + rns);
-            left -= n as u64;
-        }
-        self.metrics.record_swap(2 * bytes, 0);
-        let at = self.clock.now();
-        self.trace.emit(|| TraceEvent::Swap {
-            bytes: 2 * bytes,
-            at_ns: at,
-        });
         Ok(())
     }
 }
@@ -1412,16 +1223,16 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
             Peek::Sampled(dst) => {
                 let w = live_mut(&mut self.slab, i);
                 let consumed = self.app.action(w, dst, &mut self.rng);
-                self.clock.advance_compute(self.opts.step_cost());
+                self.ledger.compute(self.opts.step_cost());
                 if consumed {
                     peeked_buf(&mut self.presample, b).consume(loc);
-                    self.metrics.record_presample_consumed();
+                    self.ledger.metrics.record_presample_consumed();
                 }
                 1
             }
             Peek::Raw(view) => {
                 let dst = self.app.sample(&view, &mut self.rng);
-                self.clock.advance_compute(self.opts.sample_cost());
+                self.ledger.compute(self.opts.sample_cost());
                 let w = live_mut(&mut self.slab, i);
                 self.app.action(w, dst, &mut self.rng);
                 // Unconditional on purpose: raw slots never deplete, so
@@ -1432,7 +1243,7 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
             }
             Peek::Empty => {
                 peeked_buf(&mut self.presample, b).record_stall(loc);
-                self.metrics.record_pool_stall();
+                self.ledger.metrics.record_pool_stall();
                 0
             }
         }
@@ -1441,16 +1252,12 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
     /// Integrates a load for second order: RejectionProcess for walkers
     /// whose candidate lives here, then in-block candidate + rejection
     /// chaining (Algorithm 3).
-    fn integrate_2nd(&mut self, p: Pending) {
-        let b = p.block_id();
-        let src: &dyn EdgeSource = match &p {
-            Pending::Coarse { block, .. } => &**block,
-            Pending::Fine { load, .. } => load,
-        };
-        let bucket = self.take_bucket(b);
+    fn integrate_2nd(&mut self, (edges, _): Pending) {
+        let bucket = self.take_bucket(edges.info().id);
+        let fine = matches!(edges, Edges::Fine(..));
         let mut served: Vec<VertexId> = Vec::new();
         for Entry { slot: i, v, .. } in bucket {
-            if matches!(p, Pending::Fine { .. }) {
+            if fine {
                 served.push(v);
             }
             loop {
@@ -1462,16 +1269,16 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
                     break;
                 }
                 if let Some(c) = self.app.candidate(w) {
-                    let Some(cedges) = src.edges(self.graph, c) else {
+                    let Some(cedges) = edges.vertex_edges(self.graph, c) else {
                         break; // candidate's pages not in this load
                     };
                     let before = self.app.location(w);
                     let wm = live_mut(&mut self.slab, i);
                     self.app.rejection(wm, &cedges, &mut self.rng);
-                    self.clock.advance_compute(self.opts.step_cost());
+                    self.ledger.compute(self.opts.step_cost());
                     let w = live(&self.slab, i);
                     let accepted = self.app.location(w) != before;
-                    self.metrics.record_second_order(accepted);
+                    self.ledger.metrics.record_second_order(accepted);
                     continue;
                 }
                 let loc = self.app.location(w);
@@ -1479,22 +1286,17 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
                     self.retire(i);
                     break;
                 }
-                let Some(view) = src.edges(self.graph, loc) else {
+                let Some(view) = edges.vertex_edges(self.graph, loc) else {
                     break;
                 };
                 let dst = self.app.sample(&view, &mut self.rng);
-                self.clock.advance_compute(self.opts.sample_cost());
+                self.ledger.compute(self.opts.sample_cost());
                 let wm = live_mut(&mut self.slab, i);
                 self.app.action(wm, dst, &mut self.rng);
             }
             self.rebucket(i, |run, w| run.needed_vertex(w));
         }
-        served.sort_unstable();
-        served.dedup();
-        match &p {
-            Pending::Coarse { block, .. } => self.rebuild_presamples(b, &**block, None),
-            Pending::Fine { load, .. } => self.rebuild_presamples(b, load, Some(&served)),
-        }
+        self.refill_from(&edges, served);
     }
 }
 
@@ -1503,6 +1305,7 @@ mod tests {
     use super::*;
     use crate::walk::uniform_sample;
     use noswalker_graph::generators;
+    use noswalker_graph::layout::VertexEdges;
     use noswalker_storage::{SimSsd, SsdProfile};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1703,7 +1506,7 @@ mod tests {
     fn with_block0<R>(
         opts: &EngineOptions,
         available: u64,
-        f: impl FnOnce(&Generation<'_, Basic, LoadedBlock>, &BlockInfo) -> R,
+        f: impl FnOnce(&Generation<'_, Basic>, &BlockInfo) -> R,
     ) -> R {
         let csr = generators::rmat(10, 8, generators::RmatParams::default(), 11);
         let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
@@ -1714,7 +1517,7 @@ mod tests {
             app: &Basic::new(1, 1, csr.num_vertices()),
             graph: &graph,
             opts,
-            src: &block,
+            src: &Edges::Coarse(Arc::new(block)),
             available,
         };
         f(&generation, &info)

@@ -87,6 +87,7 @@ pub mod clock;
 pub mod disk_graph;
 pub mod engine;
 pub mod kernel;
+pub mod ledger;
 pub mod metrics;
 pub mod options;
 pub mod parallel;
@@ -101,8 +102,9 @@ pub use audit::{
 pub use block::{BlockCache, FineLoad, LoadedBlock};
 pub use clock::{ModelClock, PipelineClock, TickClock, WallTimer};
 pub use disk_graph::{OnDiskGraph, StoreError};
-pub use engine::{EngineError, NosWalkerEngine};
+pub use engine::{retire_walker, spawn_walker, EngineError, NosWalkerEngine};
 pub use kernel::{Backend, ParallelKernel, RoundOutcome, SequentialKernel, StepKernel};
+pub use ledger::Ledger;
 pub use metrics::{LatencyHistogram, RunMetrics, StepSource};
 pub use options::EngineOptions;
 pub use query::{

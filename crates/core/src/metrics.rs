@@ -170,22 +170,11 @@ impl RunMetrics {
         self.walkers_cancelled += 1;
     }
 
-    /// Overwrites the finished-walker count from an engine that tracks
-    /// completion externally (e.g. a [`crate::Walk`]-set epilogue).
-    pub fn set_walkers_finished(&mut self, n: u64) {
-        self.walkers_finished = n;
-    }
-
-    /// Records one coarse block load of `bytes` from the device.
+    /// Records one coarse block load of `bytes` from the device (one
+    /// device read operation).
     pub fn record_coarse_load(&mut self, bytes: u64) {
-        self.record_coarse_loads(1, bytes);
-    }
-
-    /// Records `loads` coarse loads moving `bytes` in total (one device
-    /// read operation per load).
-    pub fn record_coarse_loads(&mut self, loads: u64, bytes: u64) {
-        self.coarse_loads += loads;
-        self.io_ops += loads;
+        self.coarse_loads += 1;
+        self.io_ops += 1;
         self.edge_bytes_loaded += bytes;
     }
 
@@ -282,14 +271,8 @@ impl RunMetrics {
         }
     }
 
-    /// Derives `edges_loaded` from the bytes moved and the on-disk record
-    /// size.
-    pub fn derive_edges_loaded(&mut self, record_bytes: u64) {
-        self.edges_loaded = self.edge_bytes_loaded / record_bytes.max(1);
-    }
-
-    /// Overwrites `edges_loaded` for engines that count records directly
-    /// (e.g. the in-memory baseline's one ingest scan).
+    /// Records the edge records loaded (the run ledger derives them from
+    /// the bytes read; in-memory engines count their one ingest scan).
     pub fn set_edges_loaded(&mut self, n: u64) {
         self.edges_loaded = n;
     }
@@ -304,14 +287,6 @@ impl RunMetrics {
         self.sim_ns = clock.now();
         self.stall_ns = clock.stall_ns();
         self.io_busy_ns = clock.io_busy_ns();
-    }
-
-    /// Sets the simulated-time totals directly (engines with a closed-form
-    /// cost model instead of a pipeline clock).
-    pub fn set_sim_times(&mut self, sim_ns: u64, stall_ns: u64, io_busy_ns: u64) {
-        self.sim_ns = sim_ns;
-        self.stall_ns = stall_ns;
-        self.io_busy_ns = io_busy_ns;
     }
 
     /// Records the host wall-clock time of the run.
@@ -627,8 +602,6 @@ mod tests {
         assert_eq!(m.io_ops, 1 + 3 + 1);
         assert_eq!(m.edge_bytes_loaded, 5120);
         assert_eq!(m.swap_bytes, 512);
-        m.derive_edges_loaded(8);
-        assert_eq!(m.edges_loaded, 640);
     }
 
     #[test]

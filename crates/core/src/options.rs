@@ -47,10 +47,6 @@ pub struct EngineOptions {
     pub claim_batch: u32,
     /// Degree of walker-processing parallelism the compute model assumes.
     pub threads: u64,
-    /// Loads (coarse blocks or fine page batches) the parallel runner's
-    /// loader queue keeps in flight beyond the demand load (next-hottest
-    /// prefetching; 0 disables it).
-    pub prefetch_depth: u32,
     /// Ablation: allocate pre-sample slots uniformly instead of
     /// proportionally to the carried visit counters (§3.3.2). Off by
     /// default (the paper's design).
@@ -70,7 +66,6 @@ impl Default for EngineOptions {
             alias_degree_threshold: 64,
             claim_batch: 2,
             threads: 16,
-            prefetch_depth: 2,
             uniform_presample_alloc: false,
         }
     }
@@ -86,6 +81,11 @@ impl EngineOptions {
     /// prices that read at most this many times the 4 KiB page batch it
     /// replaces; a device without a cost model keeps the batch.
     pub const WHOLE_READ_PRICE_CAP: u64 = 2;
+
+    /// Loads (coarse blocks or fine page batches) the parallel runner's
+    /// loader queue keeps in flight beyond the demand load (next-hottest
+    /// prefetching).
+    pub const PREFETCH_DEPTH: usize = 2;
 
     /// Simulated compute cost per walker step in nanoseconds (divided by
     /// `threads`).

@@ -6,8 +6,9 @@
 //! services hottest-block requests (with a small prefetch window) while a
 //! pool of worker threads moves walkers over loaded blocks and the shared
 //! pre-sample pool. It shares its nouns with the sequential engine — the
-//! same [`PreSampleBuffer`], [`RunMetrics`], [`PipelineClock`], walker
-//! lifecycle and generation builder — and differs only in who drives them.
+//! same [`PreSampleBuffer`], [`RunMetrics`], run [`Ledger`], loaded
+//! [`Edges`], walker lifecycle and generation builder — and differs only
+//! in who drives them.
 //!
 //! The division of labour mirrors the paper's Fig. 6:
 //!
@@ -17,7 +18,8 @@
 //! * **loader thread** ①: whole-block reads, or 4 KiB page batches for
 //!   the waiting walkers' vertices once the fine-mode switch the
 //!   sequential engine uses fires (ShrinkBlock, §3.3.1); up to
-//!   `prefetch_depth` loads in flight beyond the demand load;
+//!   [`EngineOptions::PREFETCH_DEPTH`] loads in flight beyond the demand
+//!   load;
 //! * **workers** ③: run the batched step kernel — walking on the resident
 //!   edges, then per-bucket draining of the published pre-sample pool. A
 //!   walker at a vertex a fine batch did not cover tries the pool and
@@ -60,14 +62,14 @@
 //!
 //! Wall-clock timing on a shared host measures the host, not the
 //! architecture — so, like the sequential engine, this runner reports
-//! `sim_ns` from a deterministic [`PipelineClock`]: each round of walk
+//! `sim_ns` from a deterministic [`crate::PipelineClock`]: each round of walk
 //! jobs charges `max(longest job, total work / workers)` of compute —
 //! priced with the same per-thread [`EngineOptions::step_cost`] /
 //! [`EngineOptions::sample_cost`] the sequential engine charges, so the
 //! two `sim_ns` figures are directly comparable — and block loads flow
 //! through the clock's single-channel FIFO device timeline, fed by the
 //! storage device's own service times and stamped with the modeled time
-//! each request was issued ([`PipelineClock::issue_io_at`]). `wall_ns`
+//! each request was issued ([`crate::PipelineClock::issue_io_at`]). `wall_ns`
 //! still reports honest wall time. Walk *semantics* are identical to the
 //! sequential engine (same `Walk` contract), which the tests check.
 
@@ -77,13 +79,10 @@
               `published_bytes` is a Relaxed advisory tally, the swap is ordered by the slot mutex"
 )]
 
-use crate::audit::{RunAudit, Trace, TraceEvent, TraceSink};
-use crate::clock::{PipelineClock, WallTimer};
+use crate::audit::{RunAudit, Trace, TraceSink};
 use crate::disk_graph::{LoadError, OnDiskGraph};
-use crate::engine::{
-    check_fine_mode, plan_fine_batch, record_fine_load, retire_walker, spawn_walker, stall_on,
-    EngineError, Generation,
-};
+use crate::engine::{plan_fine_batch, retire_walker, spawn_walker, EngineError, Generation};
+use crate::ledger::Ledger;
 use crate::metrics::{RunMetrics, StepSource};
 use crate::options::EngineOptions;
 use crate::presample::{BatchClaim, BlockDemand, PreSampleBuffer};
@@ -293,6 +292,23 @@ struct RefillReport {
     draws: u64,
 }
 
+impl RefillReport {
+    /// Books the published generation; returns its draw count for the
+    /// round's compute bill.
+    fn book(self, ledger: &mut Ledger<'_>) -> u64 {
+        ledger.publish(self.block, self.slots, self.draws);
+        self.draws
+    }
+}
+
+/// Charges one round of concurrent jobs: bounded below by the longest job
+/// (critical path) and by total work spread over `workers`.
+fn charge_round(ledger: &mut Ledger<'_>, job_costs: &[u64], workers: usize) {
+    let longest = job_costs.iter().copied().max().unwrap_or(0);
+    let total: u64 = job_costs.iter().sum();
+    ledger.compute(longest.max(total.div_ceil(workers as u64)));
+}
+
 /// The run state the coordinator and every worker read: the runner's
 /// inputs plus the published pool.
 #[derive(Debug)]
@@ -302,88 +318,6 @@ struct Shared<A: Walk> {
     opts: EngineOptions,
     budget: Arc<MemoryBudget>,
     pool: SharedPool,
-}
-
-/// What the run reports — modeled clock, counters, trace — and the one
-/// place each kind of coordinator event is accounted.
-struct Ledger<'t> {
-    clock: PipelineClock,
-    metrics: RunMetrics,
-    trace: Trace<'t>,
-}
-
-impl Ledger<'_> {
-    /// Accounts a delivered (or failed, `None`) load at `at_ns`: the read
-    /// (a zero-byte one is no I/O), and for a prefetch whether a bucket
-    /// still wanted it (`Some(true)`) or it was wasted.
-    fn load(&mut self, block: BlockId, edges: Option<&Edges>, prefetch: Option<bool>, at_ns: u64) {
-        match edges {
-            Some(e) if e.bytes() == 0 => {}
-            Some(Edges::Coarse(b)) => {
-                let bytes = b.info().byte_len();
-                self.metrics.record_coarse_load(bytes);
-                self.trace.emit(|| TraceEvent::CoarseLoad {
-                    block,
-                    bytes,
-                    cache_hit: false,
-                    at_ns,
-                });
-            }
-            Some(Edges::Fine(load, verts)) => {
-                record_fine_load(&mut self.metrics, &mut self.trace, verts.len(), load, at_ns);
-            }
-            None => {}
-        }
-        if let Some(hit) = prefetch {
-            if hit {
-                self.metrics.record_prefetch_hit();
-            } else {
-                self.metrics.record_prefetch_wasted();
-            }
-            self.trace
-                .emit(|| TraceEvent::Prefetch { block, hit, at_ns });
-        }
-    }
-
-    /// Accounts one published generation; returns its draw count for the
-    /// round's compute bill.
-    fn publish(&mut self, rep: RefillReport) -> u64 {
-        self.metrics.record_pool_publish(rep.draws);
-        let at = self.clock.now();
-        self.trace.emit(|| TraceEvent::PoolPublish {
-            block: rep.block,
-            slots: rep.slots,
-            draws: rep.draws,
-            at_ns: at,
-        });
-        rep.draws
-    }
-
-    /// Emits the run-end event and folds the clock into the counters.
-    fn close(mut self) -> RunMetrics {
-        let (steps, walkers_finished) = (self.metrics.steps, self.metrics.walkers_finished);
-        let at = self.clock.now();
-        self.trace.emit(|| TraceEvent::RunEnd {
-            steps,
-            walkers_finished,
-            at_ns: at,
-        });
-        // Even an empty run reports a nonzero duration.
-        if at == 0 {
-            self.clock.advance_compute(1);
-        }
-        self.metrics.finalize_clock(&self.clock);
-        self.metrics
-    }
-
-    /// Charges one round of concurrent jobs: bounded below by the longest
-    /// job (critical path) and by total work spread over `workers`.
-    fn charge_round(&mut self, job_costs: &[u64], workers: usize) {
-        let longest = job_costs.iter().copied().max().unwrap_or(0);
-        let total: u64 = job_costs.iter().sum();
-        let spread = total.div_ceil(workers.max(1) as u64);
-        self.clock.advance_compute(longest.max(spread));
-    }
 }
 
 /// A real-thread NosWalker runner for first-order walks.
@@ -443,15 +377,11 @@ impl<A: Walk + 'static> ParallelRunner<A> {
         workers: usize,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<RunMetrics, EngineError> {
-        let audit = RunAudit::begin(self.app.total_walkers(), &self.budget);
-        let wall = WallTimer::start();
-        let mut run = Coordinator::start(self, seed, workers.max(1), Trace::from_option(sink))?;
-        run.run()?;
-        let metrics = run.finish(&wall);
-        if cfg!(debug_assertions) {
-            audit.verify(&metrics, &self.budget).assert_clean();
-        }
-        Ok(metrics)
+        RunAudit::audited(self.app.total_walkers(), Some(&self.budget), || {
+            let mut run = Coordinator::start(self, seed, workers.max(1), Trace::from_option(sink))?;
+            run.run()?;
+            Ok(run.finish())
+        })
     }
 }
 
@@ -503,7 +433,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
 
         // The pre-sample pool's fixed byte budget: whatever the walker
         // hold and the loader's block working set (the resident target
-        // plus `prefetch_depth + 1` loads queued or in flight) leave of
+        // plus `PREFETCH_DEPTH + 1` loads queued or in flight) leave of
         // the limit, scaled by the configured fraction (whose slack
         // covers retired generations briefly kept alive by in-flight
         // reader `Arc`s). Sized once here — where every other
@@ -511,7 +441,8 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         // loader into a budget failure, whose eviction fallback darkens
         // whole blocks.
         let max_block_bytes = graph.max_block_bytes().max(1);
-        let working_set = (opts.prefetch_depth as u64 + 1).saturating_mul(max_block_bytes);
+        let working_set =
+            (EngineOptions::PREFETCH_DEPTH as u64 + 1).saturating_mul(max_block_bytes);
         let headroom = budget
             .limit()
             .saturating_sub(cap * state)
@@ -529,7 +460,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         let loader = BackgroundLoader::spawn(
             Arc::clone(graph),
             Arc::clone(budget),
-            opts.prefetch_depth as usize + 1,
+            EngineOptions::PREFETCH_DEPTH + 1,
         );
         let (job_tx, job_rx) = crossbeam::channel::unbounded();
         let (res_tx, res_rx) = crossbeam::channel::unbounded();
@@ -556,11 +487,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             res_rx,
             refill_rx,
             worker_handles,
-            ledger: Ledger {
-                clock: PipelineClock::new(),
-                metrics: RunMetrics::default(),
-                trace,
-            },
+            ledger: Ledger::new(trace),
             rng: WalkRng::seed_from_u64(seed),
             warm_rng: WalkRng::seed_from_u64(seed ^ 0xD6E8_FEB8_6659_FD93),
             buckets: vec![Vec::new(); graph.num_blocks()],
@@ -612,17 +539,10 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
     /// The load for block `b`: the whole block, or once the fine-mode
     /// switch has fired, a fine batch of its waiting walkers' vertices.
     fn plan_request(&mut self, b: BlockId) -> LoadRequest {
-        let (
-            shared,
-            Ledger {
-                clock,
-                metrics,
-                trace,
-            },
-        ) = (&self.shared, &mut self.ledger);
+        let (shared, metrics) = (&self.shared, &self.ledger.metrics);
         let remaining = self.total - metrics.walkers_finished - metrics.walkers_cancelled;
-        let now = clock.now();
-        if !check_fine_mode(&shared.opts, &shared.graph, remaining, metrics, trace, now) {
+        let (opts, graph) = (&shared.opts, &shared.graph);
+        if !self.ledger.fine_mode(opts, graph, remaining) {
             return LoadRequest::Coarse(b);
         }
         let waiting = self.buckets[b as usize]
@@ -640,7 +560,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         // full in-flight window can fail from a single scarcity episode
         // (the loader computed those results before any eviction), plus
         // slack for a refill racing the retry. Reset on every delivery.
-        let evict_retries = self.shared.opts.prefetch_depth as usize + 3;
+        let evict_retries = EngineOptions::PREFETCH_DEPTH + 3;
         let mut retries_left = evict_retries;
         while self.live > 0 || self.next_id < self.total {
             if self.inflight.is_empty() {
@@ -649,7 +569,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
                 };
                 let req = self.plan_request(b);
                 self.loader.request(req).map_err(loader_err)?;
-                self.inflight.push_back((b, false, self.ledger.clock.now()));
+                self.inflight.push_back((b, false, self.ledger.now()));
             }
             let Some((target, was_prefetch, issued_ns)) = self.inflight.pop_front() else {
                 break;
@@ -667,7 +587,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
                     retries_left -= 1;
                     let req = self.plan_request(target);
                     self.loader.request(req).map_err(loader_err)?;
-                    let now = self.ledger.clock.now();
+                    let now = self.ledger.now();
                     self.inflight.push_back((target, was_prefetch, now));
                 }
                 Err(e) => return Err(loader_err(e)),
@@ -717,25 +637,24 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         issued_ns: u64,
         loaded: Loaded,
     ) -> Result<(), EngineError> {
-        let done_ns = self.ledger.clock.issue_io_at(issued_ns, loaded.service_ns);
+        let done_ns = self.ledger.issue_io_at(issued_ns, loaded.service_ns);
         let edges = Arc::new(loaded.edges);
         debug_assert_eq!(edges.info().id, target);
         if self.buckets[target as usize].is_empty() {
             // Nobody wants this block any more: account the I/O and move
             // on (only prefetches can end up here).
-            let wasted = was_prefetch.then_some(false);
-            self.ledger.load(target, Some(&edges), wasted, done_ns);
+            self.ledger.load(&edges, done_ns);
+            if was_prefetch {
+                self.ledger.prefetch(target, false, done_ns);
+            }
             return Ok(());
         }
-        stall_on(
-            &mut self.ledger.clock,
-            &mut self.ledger.trace,
-            Some(target),
-            done_ns,
-        );
-        let now = self.ledger.clock.now();
-        let hit = was_prefetch.then_some(true);
-        self.ledger.load(target, Some(&edges), hit, now);
+        self.ledger.stall(Some(target), done_ns);
+        let now = self.ledger.now();
+        self.ledger.load(&edges, now);
+        if was_prefetch {
+            self.ledger.prefetch(target, true, now);
+        }
         self.dispatch(&edges)
     }
 
@@ -760,7 +679,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             let warm = refill_block(&self.shared, edges, &mut self.warm_rng);
             pool.end_refill(target);
             if let Some(rep) = warm {
-                job_costs.push(self.ledger.publish(rep) * sample_cost);
+                job_costs.push(rep.book(&mut self.ledger) * sample_cost);
             }
         }
 
@@ -780,7 +699,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         // Top up the prefetch window while the workers chew: the loader
         // reads ahead into the blocks that will most likely be scheduled
         // next. `try_request` never blocks the coordinator.
-        while self.inflight.len() < self.shared.opts.prefetch_depth as usize {
+        while self.inflight.len() < EngineOptions::PREFETCH_DEPTH {
             let Some(nb) = self.hottest_block() else {
                 break;
             };
@@ -788,7 +707,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             if !self.loader.try_request(req).map_err(loader_err)? {
                 break;
             }
-            self.inflight.push_back((nb, true, self.ledger.clock.now()));
+            self.inflight.push_back((nb, true, self.ledger.now()));
         }
         // Proactive refill (④): if the block's buffer is already under
         // its demand watermark, schedule the rebuild while the workers
@@ -809,9 +728,9 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         // Refills that completed since the last round bill their drawing
         // work into this round and surface as publishes.
         while let Ok(rep) = self.refill_rx.try_recv() {
-            job_costs.push(self.ledger.publish(rep) * sample_cost);
+            job_costs.push(rep.book(&mut self.ledger) * sample_cost);
         }
-        self.ledger.charge_round(&job_costs, self.workers);
+        charge_round(&mut self.ledger, &job_costs, self.workers);
 
         self.live -= batch_len - survivors.len() as u64;
         for w in survivors {
@@ -844,27 +763,27 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
     /// I/O is accounted and the loader can shut down cleanly.
     fn drain_inflight(&mut self) -> Result<(), EngineError> {
         while let Some((b, was_prefetch, issued_ns)) = self.inflight.pop_front() {
-            let wasted = was_prefetch.then_some(false);
-            match self.loader.recv() {
+            let at_ns = match self.loader.recv() {
                 Ok(loaded) => {
-                    let done_ns = self.ledger.clock.issue_io_at(issued_ns, loaded.service_ns);
-                    self.ledger.load(b, Some(&loaded.edges), wasted, done_ns);
+                    let done_ns = self.ledger.issue_io_at(issued_ns, loaded.service_ns);
+                    self.ledger.load(&loaded.edges, done_ns);
+                    done_ns
                 }
                 // A prefetch that lost the budget race delivered nothing:
                 // no walker is waiting (the run is over), so it is just a
                 // wasted prefetch, not a run failure.
-                Err(LoaderError::Load(LoadError::Budget(_))) => {
-                    let now = self.ledger.clock.now();
-                    self.ledger.load(b, None, wasted, now);
-                }
+                Err(LoaderError::Load(LoadError::Budget(_))) => self.ledger.now(),
                 Err(e) => return Err(loader_err(e)),
+            };
+            if was_prefetch {
+                self.ledger.prefetch(b, false, at_ns);
             }
         }
         Ok(())
     }
 
     /// Stops the workers and closes the books.
-    fn finish(mut self, wall: &WallTimer) -> RunMetrics {
+    fn finish(mut self) -> RunMetrics {
         drop(self.job_tx);
         for h in self.worker_handles {
             let _ = h.join();
@@ -874,16 +793,16 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         let sample_cost = self.shared.opts.sample_cost();
         let mut tail_costs: Vec<u64> = Vec::new();
         while let Ok(rep) = self.refill_rx.try_recv() {
-            tail_costs.push(self.ledger.publish(rep) * sample_cost);
+            tail_costs.push(rep.book(&mut self.ledger) * sample_cost);
         }
         if !tail_costs.is_empty() {
-            self.ledger.charge_round(&tail_costs, self.workers);
+            charge_round(&mut self.ledger, &tail_costs, self.workers);
         }
-        let mut metrics = self.ledger.close();
-        metrics.finalize_wall(wall);
-        metrics.set_peak_memory(self.shared.budget.peak());
-        metrics.derive_edges_loaded(self.shared.graph.format().record_bytes() as u64);
-        metrics
+        // Even an empty run reports a nonzero duration.
+        if self.ledger.now() == 0 {
+            self.ledger.compute(1);
+        }
+        self.ledger.close(&self.shared.graph, &self.shared.budget)
     }
 }
 
@@ -1281,7 +1200,7 @@ fn drive_batch<A: Walk>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::MemorySink;
+    use crate::audit::{MemorySink, TraceEvent};
     use crate::presample::plan_quotas;
     use noswalker_graph::generators;
     use noswalker_storage::{SimSsd, SsdProfile};
@@ -1657,26 +1576,5 @@ mod tests {
                 assert!(m.coarse_loads > 0);
             }
         }
-    }
-
-    #[test]
-    fn prefetch_can_be_disabled() {
-        let csr = generators::uniform_degree(512, 8, 7);
-        let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
-        let graph = Arc::new(OnDiskGraph::store(&csr, device, 2048).unwrap());
-        let app = Arc::new(Basic {
-            walkers: 3000,
-            length: 9,
-            n: 512,
-            visits: A64::new(0),
-        });
-        let opts = EngineOptions {
-            prefetch_depth: 0,
-            ..EngineOptions::default()
-        };
-        let r = ParallelRunner::new(app, graph, opts, MemoryBudget::new(1 << 20));
-        let m = r.run(13, 2).unwrap();
-        assert_eq!(m.walkers_finished, 3000);
-        assert_eq!(m.prefetch_hits + m.prefetch_wasted, 0);
     }
 }

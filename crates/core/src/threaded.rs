@@ -36,6 +36,7 @@ use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::partition::{BlockId, BlockInfo};
 use noswalker_graph::VertexId;
 use noswalker_storage::MemoryBudget;
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -48,11 +49,12 @@ pub enum LoadRequest {
     Fine(BlockId, Vec<VertexId>),
 }
 
-/// Edge data the loader delivered for one [`LoadRequest`].
+/// Loaded edge data: what the loader delivers for one [`LoadRequest`],
+/// and what every engine walks on and builds pre-samples from.
 #[derive(Debug)]
 pub enum Edges {
-    /// A whole coarse block.
-    Coarse(LoadedBlock),
+    /// A whole coarse block, shared with the block cache that holds it.
+    Coarse(Arc<LoadedBlock>),
     /// A fine page batch and the vertices it was read for.
     Fine(FineLoad, Vec<VertexId>),
 }
@@ -68,10 +70,7 @@ impl Edges {
 
     /// Decodes vertex `v`'s out-edges, or `None` if they were not loaded.
     pub fn vertex_edges<'a>(&'a self, graph: &OnDiskGraph, v: VertexId) -> Option<VertexEdges<'a>> {
-        match self {
-            Edges::Coarse(b) => b.vertex_edges(graph, v),
-            Edges::Fine(f, _) => f.vertex_edges(graph, v),
-        }
+        self.run_edges(graph, v..v + 1)
     }
 
     /// Bytes read from the device.
@@ -79,6 +78,15 @@ impl Edges {
         match self {
             Edges::Coarse(b) => b.info().byte_len(),
             Edges::Fine(f, _) => f.loaded_bytes(),
+        }
+    }
+
+    /// Decodes the out-edges of the consecutive vertices `vs` as one view,
+    /// or `None` if they were not all loaded in one piece.
+    pub fn run_edges(&self, graph: &OnDiskGraph, vs: Range<VertexId>) -> Option<VertexEdges<'_>> {
+        match self {
+            Edges::Coarse(b) => b.run_edges(graph, vs),
+            Edges::Fine(f, _) => f.run_edges(graph, vs),
         }
     }
 }
@@ -144,7 +152,7 @@ impl BackgroundLoader {
                     let out = match req {
                         LoadRequest::Coarse(b) => graph
                             .load_block(b, &budget)
-                            .map(|(block, ns)| (Edges::Coarse(block), ns)),
+                            .map(|(block, ns)| (Edges::Coarse(Arc::new(block)), ns)),
                         LoadRequest::Fine(b, verts) => graph
                             .load_fine(b, &verts, &budget)
                             .map(|(load, ns)| (Edges::Fine(load, verts), ns)),

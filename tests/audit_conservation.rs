@@ -8,10 +8,10 @@ use noswalker::baselines::{
 };
 use noswalker::core::audit::{MemorySink, RunAudit, TraceEvent};
 use noswalker::core::parallel::ParallelRunner;
-use noswalker::core::{EngineOptions, NosWalkerEngine, OnDiskGraph, RunMetrics};
+use noswalker::core::{EngineError, EngineOptions, NosWalkerEngine, OnDiskGraph, RunMetrics};
 use noswalker::graph::generators::{self, RmatParams};
 use noswalker::graph::Csr;
-use noswalker::storage::{MemoryBudget, SimSsd, SsdProfile};
+use noswalker::storage::{Device, MemoryBudget, SimSsd, SsdProfile};
 use std::sync::Arc;
 
 const WALKERS: u64 = 150;
@@ -37,27 +37,52 @@ fn option_sets() -> Vec<(&'static str, EngineOptions)> {
 }
 
 /// Checks the trace agrees with the metrics where the engine's clock is
-/// deterministic (every engine here is single- or coordinator-threaded).
+/// deterministic (every engine here is single- or coordinator-threaded):
+/// the stalls sum to `stall_ns`; the coarse loads that moved bytes and
+/// the fine batches match their counts, and together the bytes read; the
+/// swaps sum to `swap_bytes`; the run ends at `sim_ns`.
 fn check_trace(label: &str, sink: &MemorySink, m: &RunMetrics) {
     let run_end = sink.events.iter().find_map(|ev| match ev {
         TraceEvent::RunEnd {
             steps,
             walkers_finished,
-            ..
-        } => Some((*steps, *walkers_finished)),
+            at_ns,
+        } => Some((*steps, *walkers_finished, *at_ns)),
         _ => None,
     });
-    let (steps, finished) = run_end.unwrap_or_else(|| panic!("{label}: no RunEnd event"));
+    let (steps, finished, end) = run_end.unwrap_or_else(|| panic!("{label}: no RunEnd event"));
     assert_eq!(steps, m.steps, "{label}: RunEnd steps");
     assert_eq!(finished, m.walkers_finished, "{label}: RunEnd walkers");
+    assert_eq!(end, m.sim_ns, "{label}: RunEnd at sim_ns");
+    let (mut stall, mut swap) = (0, 0);
+    let (mut coarse, mut fine, mut bytes_read) = (0, 0, 0);
     for ev in &sink.events {
-        if let TraceEvent::Stall {
-            from_ns, until_ns, ..
-        } = ev
-        {
-            assert!(from_ns <= until_ns, "{label}: stall interval inverted");
+        match ev {
+            TraceEvent::Stall {
+                from_ns, until_ns, ..
+            } => {
+                assert!(from_ns <= until_ns, "{label}: stall interval inverted");
+                stall += until_ns - from_ns;
+            }
+            TraceEvent::CoarseLoad {
+                bytes, cache_hit, ..
+            } if !cache_hit && *bytes > 0 => {
+                coarse += 1;
+                bytes_read += bytes;
+            }
+            TraceEvent::FineLoad { bytes, .. } => {
+                fine += 1;
+                bytes_read += bytes;
+            }
+            TraceEvent::Swap { bytes, .. } => swap += bytes,
+            _ => {}
         }
     }
+    assert_eq!(stall, m.stall_ns, "{label}: Σ Stall vs stall_ns");
+    assert_eq!(coarse, m.coarse_loads, "{label}: CoarseLoad events");
+    assert_eq!(fine, m.fine_loads, "{label}: FineLoad events");
+    assert_eq!(bytes_read, m.edge_bytes_loaded, "{label}: load bytes");
+    assert_eq!(swap, m.swap_bytes, "{label}: Σ Swap vs swap_bytes");
 }
 
 /// One engine run returning its metrics, recorded trace, and budget.
@@ -249,4 +274,48 @@ fn second_order_engines_conserve() {
     let report = audit.verify(&m, &budget);
     assert!(report.is_clean(), "grasorw: {:?}", report.violations);
     check_trace("grasorw", &sink, &m);
+}
+
+/// Every byte a run books as I/O is a byte the device moved, and the
+/// other way round, on the engines that swap walker state: 100 k walkers
+/// at a 1 MiB budget overflow every walker buffer. DrunkardMob pins all
+/// walker states in memory, so it gets 4 MiB.
+#[test]
+fn booked_io_bytes_match_the_device() {
+    let csr = generators::rmat(10, 8, RmatParams::default(), 17);
+    let undirected = csr.to_undirected();
+    let check = |label: &str, csr: &Csr, run: &dyn Fn(Arc<OnDiskGraph>) -> RunMetrics| {
+        let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
+        let graph = Arc::new(OnDiskGraph::store(csr, device.clone(), 2048).unwrap());
+        let before = device.stats();
+        let m = run(graph);
+        let moved = device.stats().since(&before);
+        assert!(m.swap_bytes > 0, "{label}: the cell must swap");
+        let device_bytes = moved.read_bytes + moved.write_bytes;
+        assert_eq!(
+            device_bytes,
+            m.total_io_bytes(),
+            "{label}: device vs booked"
+        );
+    };
+    let n = csr.num_vertices();
+    let basic = || Arc::new(BasicRw::new(100_000, 8, n));
+    let opts = EngineOptions::default();
+    let ok = |r: Result<RunMetrics, EngineError>| r.unwrap();
+    check("noswalker/base", &csr, &|g| {
+        let budget = MemoryBudget::new(1 << 20);
+        ok(NosWalkerEngine::new(basic(), g, EngineOptions::base(), budget).run(5))
+    });
+    check("drunkardmob", &csr, &|g| {
+        ok(DrunkardMob::new(basic(), g, opts.clone(), MemoryBudget::new(4 << 20)).run(5))
+    });
+    check("graphwalker", &csr, &|g| {
+        ok(GraphWalker::new(basic(), g, opts.clone(), MemoryBudget::new(1 << 20)).run(5))
+    });
+    let un = undirected.num_vertices();
+    check("grasorw", &undirected, &|g| {
+        let per_vertex = 100_000u32.div_ceil(un as u32);
+        let app = Arc::new(Node2Vec::new(un, per_vertex, 6, 2.0, 0.5));
+        ok(GraSorw::new(app, g, opts.clone(), MemoryBudget::new(1 << 20)).run(5))
+    });
 }
