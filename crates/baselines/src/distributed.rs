@@ -8,7 +8,9 @@
 //! does too (each node reads its own slice from its own SSD).
 
 use noswalker_core::audit::{RunAudit, Trace, TraceSink};
-use noswalker_core::{retire_walker, EngineOptions, Ledger, RunMetrics, StepSource, Walk, WalkRng};
+use noswalker_core::{
+    retire_walker, walk_resident, EngineOptions, Ledger, RunMetrics, Walk, WalkRng,
+};
 use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::{Csr, VertexId};
 use noswalker_storage::SsdProfile;
@@ -146,28 +148,22 @@ impl<A: Walk> DistributedSim<A> {
         ledger.sync_io(None, self.storage.service_ns(slice.max(1)));
 
         let mut cross_messages = 0u64;
-        let mut compute_ns_serial = 0u64;
+        let mut steps = 0u64;
         for n in 0..self.app.total_walkers() {
             let mut w = self.app.generate(n, &mut rng);
-            loop {
-                if !self.app.is_active(&w) {
-                    break;
-                }
-                let loc = self.app.location(&w);
-                if self.csr.degree(loc) == 0 {
-                    break;
-                }
-                let view = VertexEdges::from_csr(&self.csr, loc);
-                let dst = self.app.sample(&view, &mut rng);
-                if self.node_of(loc) != self.node_of(dst) {
-                    cross_messages += 1;
-                }
-                self.app.action(&mut w, dst, &mut rng);
-                compute_ns_serial += EngineOptions::STEP_NS + EngineOptions::SAMPLE_NS;
-                ledger.metrics.record_step(StepSource::Block);
-            }
+            steps += walk_resident(
+                &*self.app,
+                &mut w,
+                &mut rng,
+                &mut ledger.metrics,
+                |v| self.csr.degree(v),
+                |v| Some(VertexEdges::from_csr(&self.csr, v)),
+                |at, dst| cross_messages += u64::from(self.node_of(at) != self.node_of(dst)),
+            )
+            .0;
             retire_walker(&*self.app, &mut ledger.metrics, &w);
         }
+        let compute_ns_serial = steps * (EngineOptions::STEP_NS + EngineOptions::SAMPLE_NS);
 
         // Compute parallelizes over nodes × threads; network traffic is
         // spread over the per-node links.

@@ -12,7 +12,7 @@
 use crate::common::WalkerSet;
 use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
-    EngineError, EngineOptions, Ledger, OnDiskGraph, RunMetrics, StepSource, Walk, WalkRng,
+    walk_resident, EngineError, EngineOptions, Ledger, OnDiskGraph, RunMetrics, Stop, Walk, WalkRng,
 };
 use noswalker_graph::partition::BlockId;
 use noswalker_storage::MemoryBudget;
@@ -121,27 +121,20 @@ impl<A: Walk> Graphene<A> {
 
             let bucket = std::mem::take(&mut set.buckets[b as usize]);
             for i in bucket {
-                loop {
-                    let Some(w) = set.get(i) else { break };
-                    if !self.app.is_active(w) {
-                        set.retire(&self.app, &mut ledger.metrics, i);
-                        break;
-                    }
-                    let loc = self.app.location(w);
-                    if self.graph.degree(loc) == 0 {
-                        set.retire(&self.app, &mut ledger.metrics, i);
-                        break;
-                    }
-                    let Some(view) = load.vertex_edges(&self.graph, loc) else {
-                        set.rebucket(&self.app, &self.graph, i);
-                        break;
-                    };
-                    let dst = self.app.sample(&view, &mut rng);
-                    ledger.compute(self.opts.sample_cost());
-                    let w = set.get_mut(i).expect("live");
-                    self.app.action(w, dst, &mut rng);
-                    ledger.compute(self.opts.step_cost());
-                    ledger.metrics.record_step(StepSource::Block);
+                let Some(w) = set.get_mut(i) else { continue };
+                let (steps, stop) = walk_resident(
+                    &*self.app,
+                    w,
+                    &mut rng,
+                    &mut ledger.metrics,
+                    |v| self.graph.degree(v),
+                    |v| load.vertex_edges(&self.graph, v),
+                    |_, _| {},
+                );
+                ledger.compute(steps * (self.opts.sample_cost() + self.opts.step_cost()));
+                match stop {
+                    Stop::Done => set.retire(&self.app, &mut ledger.metrics, i),
+                    Stop::Left => set.rebucket(&self.app, &self.graph, i),
                 }
             }
             b = (b + 1) % num_blocks;

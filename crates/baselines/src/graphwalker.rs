@@ -20,11 +20,10 @@
 use crate::common::{read_block, WalkerSet};
 use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
-    BlockCache, EngineError, EngineOptions, Ledger, OnDiskGraph, RunMetrics, StepSource, Walk,
-    WalkRng,
+    walk_resident, BlockCache, EngineError, EngineOptions, Ledger, OnDiskGraph, RunMetrics, Stop,
+    Walk, WalkRng,
 };
 use noswalker_graph::partition::FINE_PAGE_BYTES;
-use noswalker_graph::VertexId;
 use noswalker_storage::MemoryBudget;
 use rand::SeedableRng;
 use std::borrow::Borrow;
@@ -197,28 +196,20 @@ impl<A: Walk> GraphWalker<A> {
 
             let bucket = std::mem::take(&mut set.buckets[b as usize]);
             for i in bucket {
-                loop {
-                    let Some(w) = set.get(i) else { break };
-                    if !self.app.is_active(w) {
-                        set.retire(&self.app, &mut ledger.metrics, i);
-                        break;
-                    }
-                    let loc: VertexId = self.app.location(w);
-                    if self.graph.degree(loc) == 0 {
-                        set.retire(&self.app, &mut ledger.metrics, i);
-                        break;
-                    }
-                    let Some(view) = block.vertex_edges(&self.graph, loc) else {
-                        set.rebucket(&self.app, &self.graph, i);
-                        break;
-                    };
-                    mark(self.graph.vertex_byte_range(loc));
-                    let dst = self.app.sample(&view, &mut rng);
-                    ledger.compute(self.opts.sample_cost());
-                    let w = set.get_mut(i).expect("live");
-                    self.app.action(w, dst, &mut rng);
-                    ledger.compute(self.opts.step_cost());
-                    ledger.metrics.record_step(StepSource::Block);
+                let Some(w) = set.get_mut(i) else { continue };
+                let (steps, stop) = walk_resident(
+                    &*self.app,
+                    w,
+                    &mut rng,
+                    &mut ledger.metrics,
+                    |v| self.graph.degree(v),
+                    |v| block.vertex_edges(&self.graph, v),
+                    |at, _| mark(self.graph.vertex_byte_range(at)),
+                );
+                ledger.compute(steps * (self.opts.sample_cost() + self.opts.step_cost()));
+                match stop {
+                    Stop::Done => set.retire(&self.app, &mut ledger.metrics, i),
+                    Stop::Left => set.rebucket(&self.app, &self.graph, i),
                 }
             }
             let accessed = touched.iter().filter(|&&t| t).count() as f64;

@@ -13,8 +13,8 @@
 use crate::common::read_block;
 use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
-    retire_walker, spawn_walker, BlockCache, EngineError, EngineOptions, Ledger, OnDiskGraph,
-    RunMetrics, SecondOrderWalk, WalkRng,
+    retire_walker, spawn_walker, walk_resident_2nd, BlockCache, EngineError, EngineOptions, Ledger,
+    OnDiskGraph, RunMetrics, SecondOrderWalk, Stop, WalkRng,
 };
 use noswalker_graph::partition::BlockId;
 use noswalker_storage::MemoryBudget;
@@ -158,37 +158,25 @@ impl<A: SecondOrderWalk> GraSorw<A> {
             ledger.swap(&self.graph, Some(bi), swap_bytes)?;
 
             for i in bucket {
-                loop {
-                    let Some(w) = slab[i].as_ref() else { break };
-                    let loc = self.app.location(w);
-                    let dead_end = self.app.candidate(w).is_none() && self.graph.degree(loc) == 0;
-                    if !self.app.is_active(w) || dead_end {
+                let Some(w) = slab[i].as_mut() else { continue };
+                let (ns, stop) = walk_resident_2nd(
+                    &*self.app,
+                    w,
+                    &mut rng,
+                    &mut ledger.metrics,
+                    &self.opts,
+                    |v| self.graph.degree(v),
+                    lookup,
+                );
+                ledger.compute(ns);
+                match stop {
+                    Stop::Done => {
                         let w = slab[i].take().expect("live");
                         retire_walker(&*self.app, &mut ledger.metrics, &w);
                         free.push(i);
                         live -= 1;
-                        break;
                     }
-                    if let Some(c) = self.app.candidate(w) {
-                        let Some(cedges) = lookup(c) else { break };
-                        let before = self.app.location(w);
-                        let wm = slab[i].as_mut().expect("live");
-                        self.app.rejection(wm, &cedges, &mut rng);
-                        ledger.compute(self.opts.step_cost());
-                        let w = slab[i].as_ref().expect("live");
-                        let accepted = self.app.location(w) != before;
-                        ledger.metrics.record_second_order(accepted);
-                        continue;
-                    }
-                    let Some(view) = lookup(loc) else { break };
-                    let dst = self.app.sample(&view, &mut rng);
-                    ledger.compute(self.opts.sample_cost());
-                    let wm = slab[i].as_mut().expect("live");
-                    self.app.action(wm, dst, &mut rng);
-                }
-                if let Some(w) = &slab[i] {
-                    let k2 = pair_key(self, w);
-                    pairs[k2].push(i);
+                    Stop::Left => pairs[pair_key(self, w)].push(i),
                 }
             }
         }

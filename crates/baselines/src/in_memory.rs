@@ -7,7 +7,9 @@
 //! of ThunderRW's time as graph loading).
 
 use noswalker_core::audit::{RunAudit, Trace, TraceSink};
-use noswalker_core::{retire_walker, EngineOptions, Ledger, RunMetrics, StepSource, Walk, WalkRng};
+use noswalker_core::{
+    retire_walker, walk_resident, EngineOptions, Ledger, RunMetrics, Walk, WalkRng,
+};
 use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::Csr;
 use noswalker_storage::SsdProfile;
@@ -92,34 +94,25 @@ impl<A: Walk> InMemory<A> {
         ledger.coarse_load(0, load_bytes, false, 0);
         ledger.sync_io(Some(0), load_ns);
 
-        let mut compute_ns = 0u64;
-        let total = self.app.total_walkers();
-        for n in 0..total {
+        let mut steps = 0u64;
+        for n in 0..self.app.total_walkers() {
             let mut w = self.app.generate(n, &mut rng);
-            loop {
-                if !self.app.is_active(&w) {
-                    break;
-                }
-                let loc = w_loc(&*self.app, &w);
-                if self.csr.degree(loc) == 0 {
-                    break;
-                }
-                let view = VertexEdges::from_csr(&self.csr, loc);
-                let dst = self.app.sample(&view, &mut rng);
-                self.app.action(&mut w, dst, &mut rng);
-                compute_ns += self.opts.step_cost() + self.opts.sample_cost();
-                ledger.metrics.record_step(StepSource::Block);
-            }
+            steps += walk_resident(
+                &*self.app,
+                &mut w,
+                &mut rng,
+                &mut ledger.metrics,
+                |v| self.csr.degree(v),
+                |v| Some(VertexEdges::from_csr(&self.csr, v)),
+                |_, _| {},
+            )
+            .0;
             retire_walker(&*self.app, &mut ledger.metrics, &w);
         }
 
-        ledger.compute(compute_ns);
+        ledger.compute(steps * (self.opts.step_cost() + self.opts.sample_cost()));
         ledger.close_with(0, self.csr.num_edges())
     }
-}
-
-fn w_loc<A: Walk>(app: &A, w: &A::Walker) -> u32 {
-    app.location(w)
 }
 
 #[cfg(test)]

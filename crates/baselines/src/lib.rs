@@ -15,11 +15,6 @@
 //! | [`distributed`] | KnightKing (SOSP '19) | partitioned in-memory cluster with per-hop network messages |
 
 #![warn(unused_crate_dependencies)]
-#![allow(
-    clippy::while_let_loop,
-    reason = "walker-movement loops re-borrow the walker set mutably inside the body, \
-              so clippy's `while let` suggestion does not compile there"
-)]
 
 pub mod common;
 pub mod distributed;

@@ -25,6 +25,7 @@ use crate::options::EngineOptions;
 use crate::presample::{plan_quotas, Peek, PreSampleBuffer};
 use crate::threaded::Edges;
 use crate::walk::{SecondOrderWalk, Walk, WalkRng};
+use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::partition::{BlockId, BlockInfo};
 use noswalker_graph::VertexId;
 use noswalker_storage::{BudgetExceeded, MemoryBudget, Reservation};
@@ -71,7 +72,7 @@ impl From<LoadError> for EngineError {
 }
 
 // ----------------------------------------------------------------------
-// Shared with the real-thread runner (`crate::parallel`)
+// Shared with the real-thread runner (`crate::parallel`) and the baselines
 // ----------------------------------------------------------------------
 
 /// Finalizes a walker whose walk is over, attributing a cancellation to
@@ -100,6 +101,97 @@ pub fn spawn_walker<A: Walk>(
     }
     retire_walker(app, metrics, &w);
     None
+}
+
+/// Why a walker stopped moving over loaded edges ([`walk_resident`],
+/// [`walk_resident_2nd`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// The walk is over (inactive, or at a vertex with no out-edges); the
+    /// caller retires the walker.
+    Done,
+    /// The walker needs edges the lookup does not hold; it is still active.
+    Left,
+}
+
+/// The first-order step every engine takes: moves `w` over loaded edges
+/// until its walk ends or it needs edges `edges` does not hold. Each step
+/// draws with [`Walk::sample_for`], applies [`Walk::action`], calls
+/// `on_step(at, dst)` and books one [`StepSource::Block`] step.
+///
+/// Returns the steps taken and why the walker stopped. The caller prices
+/// the steps and retires a [`Stop::Done`] walker.
+pub fn walk_resident<'g, A: Walk>(
+    app: &A,
+    w: &mut A::Walker,
+    rng: &mut WalkRng,
+    metrics: &mut RunMetrics,
+    degree: impl Fn(VertexId) -> u64,
+    edges: impl Fn(VertexId) -> Option<VertexEdges<'g>>,
+    mut on_step: impl FnMut(VertexId, VertexId),
+) -> (u64, Stop) {
+    let mut steps = 0;
+    loop {
+        if !app.is_active(w) {
+            return (steps, Stop::Done);
+        }
+        let at = app.location(w);
+        if degree(at) == 0 {
+            return (steps, Stop::Done);
+        }
+        let Some(view) = edges(at) else {
+            return (steps, Stop::Left);
+        };
+        let dst = app.sample_for(w, &view, rng);
+        app.action(w, dst, rng);
+        on_step(at, dst);
+        metrics.record_step(StepSource::Block);
+        steps += 1;
+    }
+}
+
+/// The second-order step (Algorithm 3): while the walker holds a
+/// candidate whose edges are loaded, accept or reject it
+/// ([`SecondOrderWalk::rejection`], one step cost each); otherwise draw a
+/// new candidate from the loaded edges of its location (one sample cost).
+///
+/// Returns the modeled nanoseconds spent and why the walker stopped. The
+/// caller charges them and retires a [`Stop::Done`] walker.
+pub fn walk_resident_2nd<'g, A: SecondOrderWalk>(
+    app: &A,
+    w: &mut A::Walker,
+    rng: &mut WalkRng,
+    metrics: &mut RunMetrics,
+    opts: &EngineOptions,
+    degree: impl Fn(VertexId) -> u64,
+    edges: impl Fn(VertexId) -> Option<VertexEdges<'g>>,
+) -> (u64, Stop) {
+    let mut ns = 0;
+    loop {
+        if !app.is_active(w) {
+            return (ns, Stop::Done);
+        }
+        if let Some(c) = app.candidate(w) {
+            let Some(cedges) = edges(c) else {
+                return (ns, Stop::Left);
+            };
+            let before = app.location(w);
+            app.rejection(w, &cedges, rng);
+            ns += opts.step_cost();
+            metrics.record_second_order(app.location(w) != before);
+            continue;
+        }
+        let at = app.location(w);
+        if degree(at) == 0 {
+            return (ns, Stop::Done);
+        }
+        let Some(view) = edges(at) else {
+            return (ns, Stop::Left);
+        };
+        let dst = app.sample_for(w, &view, rng);
+        ns += opts.sample_cost();
+        app.action(w, dst, rng);
+    }
 }
 
 /// Plans one fine batch from the vertices walkers wait on in one block:
@@ -776,34 +868,28 @@ impl<'e, A: Walk> Run<'e, A> {
         {
             self.pickups += 1;
         }
-        let mut steps = 0u64;
-        loop {
-            let Some(w) = self.slab[i].as_ref() else {
-                break;
-            };
-            if !self.app.is_active(w) {
+        let Some(w) = self.slab[i].as_mut() else {
+            return 0;
+        };
+        let graph = self.graph;
+        let (steps, stop) = walk_resident(
+            self.app,
+            w,
+            &mut self.rng,
+            &mut self.ledger.metrics,
+            |v| graph.degree(v),
+            |v| src.vertex_edges(graph, v),
+            |_, _| {},
+        );
+        let step_ns = self.opts.sample_cost() + self.opts.step_cost();
+        self.ledger.compute(steps * step_ns);
+        match stop {
+            Stop::Done => {
                 self.retire(i);
-                break;
+                steps
             }
-            let loc = self.app.location(w);
-            if self.graph.degree(loc) == 0 {
-                self.retire(i);
-                break;
-            }
-            let Some(view) = src.vertex_edges(self.graph, loc) else {
-                steps += self.chase_presamples(i);
-                break;
-            };
-            let dst = self
-                .app
-                .sample_for(live_mut(&mut self.slab, i), &view, &mut self.rng);
-            self.ledger.compute(self.opts.sample_cost());
-            steps += 1;
-            if !self.step_to(i, dst, StepSource::Block).0 {
-                break;
-            }
+            Stop::Left => steps + self.chase_presamples(i),
         }
-        steps
     }
 
     // ------------------------------------------------------------------
@@ -1260,41 +1346,24 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
             if fine {
                 served.push(v);
             }
-            loop {
-                let Some(w) = self.slab[i].as_ref() else {
-                    break;
-                };
-                if !self.app.is_active(w) {
-                    self.retire(i);
-                    break;
-                }
-                if let Some(c) = self.app.candidate(w) {
-                    let Some(cedges) = edges.vertex_edges(self.graph, c) else {
-                        break; // candidate's pages not in this load
-                    };
-                    let before = self.app.location(w);
-                    let wm = live_mut(&mut self.slab, i);
-                    self.app.rejection(wm, &cedges, &mut self.rng);
-                    self.ledger.compute(self.opts.step_cost());
-                    let w = live(&self.slab, i);
-                    let accepted = self.app.location(w) != before;
-                    self.ledger.metrics.record_second_order(accepted);
-                    continue;
-                }
-                let loc = self.app.location(w);
-                if self.graph.degree(loc) == 0 {
-                    self.retire(i);
-                    break;
-                }
-                let Some(view) = edges.vertex_edges(self.graph, loc) else {
-                    break;
-                };
-                let dst = self.app.sample(&view, &mut self.rng);
-                self.ledger.compute(self.opts.sample_cost());
-                let wm = live_mut(&mut self.slab, i);
-                self.app.action(wm, dst, &mut self.rng);
+            let Some(w) = self.slab[i].as_mut() else {
+                continue;
+            };
+            let graph = self.graph;
+            let (ns, stop) = walk_resident_2nd(
+                self.app,
+                w,
+                &mut self.rng,
+                &mut self.ledger.metrics,
+                self.opts,
+                |v| graph.degree(v),
+                |v| edges.vertex_edges(graph, v),
+            );
+            self.ledger.compute(ns);
+            match stop {
+                Stop::Done => self.retire(i),
+                Stop::Left => self.rebucket(i, |run, w| run.needed_vertex(w)),
             }
-            self.rebucket(i, |run, w| run.needed_vertex(w));
         }
         self.refill_from(&edges, served);
     }
@@ -1305,7 +1374,6 @@ mod tests {
     use super::*;
     use crate::walk::uniform_sample;
     use noswalker_graph::generators;
-    use noswalker_graph::layout::VertexEdges;
     use noswalker_storage::{SimSsd, SsdProfile};
     use std::sync::atomic::{AtomicU64, Ordering};
 

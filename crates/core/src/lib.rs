@@ -102,7 +102,10 @@ pub use audit::{
 pub use block::{BlockCache, FineLoad, LoadedBlock};
 pub use clock::{ModelClock, PipelineClock, TickClock, WallTimer};
 pub use disk_graph::{OnDiskGraph, StoreError};
-pub use engine::{retire_walker, spawn_walker, EngineError, NosWalkerEngine};
+pub use engine::{
+    retire_walker, spawn_walker, walk_resident, walk_resident_2nd, EngineError, NosWalkerEngine,
+    Stop,
+};
 pub use kernel::{Backend, ParallelKernel, RoundOutcome, SequentialKernel, StepKernel};
 pub use ledger::Ledger;
 pub use metrics::{LatencyHistogram, RunMetrics, StepSource};

@@ -21,7 +21,8 @@
 //!   [`EngineOptions::PREFETCH_DEPTH`] loads in flight beyond the demand
 //!   load;
 //! * **workers** ③: run the batched step kernel — walking on the resident
-//!   edges, then per-bucket draining of the published pre-sample pool. A
+//!   edges through [`crate::walk_resident`], the step verb every engine
+//!   shares, then per-bucket draining of the published pre-sample pool. A
 //!   walker at a vertex a fine batch did not cover tries the pool and
 //!   otherwise goes back to its bucket for the next load.
 //!
@@ -81,7 +82,9 @@
 
 use crate::audit::{RunAudit, Trace, TraceSink};
 use crate::disk_graph::{LoadError, OnDiskGraph};
-use crate::engine::{plan_fine_batch, retire_walker, spawn_walker, EngineError, Generation};
+use crate::engine::{
+    plan_fine_batch, retire_walker, spawn_walker, walk_resident, EngineError, Generation, Stop,
+};
 use crate::ledger::Ledger;
 use crate::metrics::{RunMetrics, StepSource};
 use crate::options::EngineOptions;
@@ -980,41 +983,6 @@ fn worker_died() -> EngineError {
     ))
 }
 
-/// Why a walker stopped moving on the resident block.
-enum OnBlock {
-    /// The walk ended (length reached or dead end); already finalized.
-    Terminated,
-    /// The walker reached a vertex the resident edges do not hold (still
-    /// active, not at a dead end).
-    Left,
-}
-
-/// Moves one walker as far as the resident edges carry it.
-fn drive_on_block<A: Walk>(
-    shared: &Shared<A>,
-    block: &Edges,
-    local: &mut RunMetrics,
-    rng: &mut WalkRng,
-    w: &mut A::Walker,
-) -> OnBlock {
-    let (app, graph) = (&*shared.app, &*shared.graph);
-    loop {
-        if !app.is_active(w) {
-            return OnBlock::Terminated;
-        }
-        let loc = app.location(w);
-        if graph.degree(loc) == 0 {
-            return OnBlock::Terminated;
-        }
-        let Some(view) = block.vertex_edges(graph, loc) else {
-            return OnBlock::Left;
-        };
-        let dst = app.sample_for(w, &view, rng);
-        app.action(w, dst, rng);
-        local.record_step(StepSource::Block);
-    }
-}
-
 /// A batch of claimed sampled slots being served to one bucket's walkers.
 struct Cached<'a> {
     dsts: &'a [VertexId],
@@ -1047,7 +1015,8 @@ impl Cached<'_> {
 /// The batched step kernel: runs a whole chunk of walkers to quiescence.
 ///
 /// Alternates two phases until no walker can move: (A) every walker on the
-/// resident block runs to exhaustion against the in-memory edges; (B) the
+/// resident block runs to exhaustion against the in-memory edges
+/// ([`walk_resident`]); (B) the
 /// walkers that left are grouped by destination block and each group
 /// drains the published pre-sample pool — *one* buffer acquire per group,
 /// then lock-free batched [`PreSampleBuffer::claim_batch`]es. The first
@@ -1083,12 +1052,14 @@ fn drive_batch<A: Walk>(
     let mut resident = walkers;
     let mut buckets: BTreeMap<BlockId, Vec<A::Walker>> = BTreeMap::new();
     let mut stalled = Vec::new();
+    let degree = |v| graph.degree(v);
+    let edges = |v| block.vertex_edges(graph, v);
     while !resident.is_empty() || !buckets.is_empty() {
         // Phase A: the resident block serves from memory.
         for mut w in std::mem::take(&mut resident) {
-            match drive_on_block(shared, block, local, rng, &mut w) {
-                OnBlock::Terminated => retire_walker(app, local, &w),
-                OnBlock::Left => {
+            match walk_resident(app, &mut w, rng, local, degree, edges, |_, _| {}).1 {
+                Stop::Done => retire_walker(app, local, &w),
+                Stop::Left => {
                     let b = graph.block_of(app.location(&w));
                     buckets.entry(b).or_default().push(w);
                 }
