@@ -172,11 +172,12 @@ impl<A: Walk> GraphWalker<A> {
             let info = *self.graph.partition().block(b);
             let block = read_block(&mut ledger, &mut cache, &self.graph, b, &self.budget)?;
             // Swap in this block's walker states beyond the buffer, and
-            // write back as many resident ones: `2 × swapped` records, each
-            // written to and read back from a swap region on the device.
+            // write back as many resident ones: `Ledger::swap` writes each
+            // of the `swapped` records to a swap region on the device and
+            // reads it back, two records of traffic per swapped walker.
             let in_block = set.buckets[b as usize].len() as u64;
             let swapped = in_block.saturating_sub(buffer_walkers / 2);
-            let swap_bytes = 2 * swapped * EngineOptions::SWAP_RECORD_BYTES;
+            let swap_bytes = swapped * EngineOptions::SWAP_RECORD_BYTES;
             ledger.swap(&self.graph, Some(b), swap_bytes)?;
 
             // Re-entry: move each walker as far as it stays in the block,
@@ -315,6 +316,30 @@ mod tests {
         let m = engine(100_000).run(5).unwrap();
         assert!(m.swap_bytes > 0);
         assert_eq!(m.walkers_finished, 100_000);
+    }
+
+    /// One block holds the whole graph, so every walker is visited once,
+    /// in the first epoch, and all but half the walker buffer swap.
+    #[test]
+    fn swap_moves_two_records_per_swapped_walker_visit() {
+        let csr = generators::uniform_degree(256, 4, 1);
+        let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
+        let graph = Arc::new(OnDiskGraph::store(&csr, device, 1 << 20).unwrap());
+        assert_eq!(graph.num_blocks(), 1);
+        let opts = EngineOptions {
+            walker_pool_size: 64,
+            ..EngineOptions::default()
+        };
+        let app = Arc::new(Basic {
+            walkers: 1000,
+            length: 8,
+            n: 256,
+        });
+        let m = GraphWalker::new(app, graph, opts, MemoryBudget::new(1 << 20))
+            .run(3)
+            .unwrap();
+        let swapped = 1000 - 64 / 2;
+        assert_eq!(m.swap_bytes, swapped * 2 * 24);
     }
 
     #[test]

@@ -151,10 +151,11 @@ impl<A: SecondOrderWalk> GraSorw<A> {
                 })
             };
 
-            // Bucket-based walker management: the pair's bucket is read
-            // from and written back to disk, `2 × bucket` records each way.
+            // Bucket-based walker management: the pair's bucket is written
+            // back to disk and read in again (`Ledger::swap` does both), two
+            // records of traffic per walker.
             let bucket = std::mem::take(&mut pairs[k]);
-            let swap_bytes = 2 * bucket.len() as u64 * EngineOptions::SWAP_RECORD_BYTES;
+            let swap_bytes = bucket.len() as u64 * EngineOptions::SWAP_RECORD_BYTES;
             ledger.swap(&self.graph, Some(bi), swap_bytes)?;
 
             for i in bucket {
@@ -296,6 +297,33 @@ mod tests {
     fn bi_block_loads_pairs() {
         let m = engine(100).run(2).unwrap();
         assert!(m.coarse_loads >= 2, "pair scheduling loads two blocks");
+    }
+
+    /// One block holds the whole graph, so every walker is visited once,
+    /// in the one diagonal pair's first epoch.
+    #[test]
+    fn swap_moves_two_records_per_walker_visit() {
+        let csr = generators::uniform_degree(256, 4, 1);
+        let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
+        let graph = Arc::new(OnDiskGraph::store(&csr, device, 1 << 20).unwrap());
+        assert_eq!(graph.num_blocks(), 1);
+        let app = Arc::new(N2v {
+            walkers: 300,
+            length: 5,
+            n: 256,
+            p: 2.0,
+            q: 0.5,
+        });
+        let m = GraSorw::new(
+            app,
+            graph,
+            EngineOptions::default(),
+            MemoryBudget::new(1 << 20),
+        )
+        .run(3)
+        .unwrap();
+        assert_eq!(m.walkers_finished, 300);
+        assert_eq!(m.swap_bytes, 300 * 2 * 24);
     }
 
     #[test]
