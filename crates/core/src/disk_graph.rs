@@ -319,6 +319,29 @@ mod tests {
         assert!(g.num_blocks() > 1);
     }
 
+    /// The fewest disjoint 4 KiB page runs at which reading a whole 1 MiB
+    /// block costs at most [`EngineOptions::WHOLE_READ_PRICE_CAP`] times
+    /// the page batch on the P4618 profile (3.1 GiB/s, 600 k IOPS): the
+    /// whole read takes 315,020 ns and each run 1,666 ns, so 95 runs.
+    #[test]
+    fn whole_read_undercuts_the_page_batch_from_95_runs() {
+        // 256 vertices of 1,024 four-byte edges: one 4 KiB page each.
+        let csr = generators::uniform_degree(256, 1024, 3);
+        let device = Arc::new(SimSsd::new(SsdProfile::nvme_p4618()));
+        let g = OnDiskGraph::store(&csr, device, 1 << 20).unwrap();
+        assert_eq!(g.num_blocks(), 1);
+        assert_eq!(g.partition().block(0).byte_len(), 1 << 20);
+        // Every other vertex: `k` runs of one page that no merge joins.
+        let cheap = |k: u32| {
+            let verts: Vec<VertexId> = (0..k).map(|i| 2 * i).collect();
+            let (whole, batch) = g.price_loads(0, &verts).unwrap();
+            assert_eq!((whole, batch), (315_020, u64::from(k) * 1_666));
+            whole <= crate::EngineOptions::WHOLE_READ_PRICE_CAP * batch
+        };
+        assert!(!cheap(94));
+        assert!(cheap(95));
+    }
+
     #[test]
     fn coarse_block_roundtrips_edges() {
         let (csr, g) = graph_on_ssd(1024);
