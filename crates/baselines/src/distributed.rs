@@ -9,7 +9,7 @@
 
 use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
-    retire_walker, walk_resident, EngineOptions, Ledger, RunMetrics, Walk, WalkRng,
+    retire_walker, walk_resident, EngineOptions, Ledger, Resident, RunMetrics, Walk, WalkRng,
 };
 use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::{Csr, VertexId};
@@ -148,22 +148,23 @@ impl<A: Walk> DistributedSim<A> {
         ledger.sync_io(None, self.storage.service_ns(slice.max(1)));
 
         let mut cross_messages = 0u64;
-        let mut steps = 0u64;
+        let edges = |v| Some(VertexEdges::from_csr(&self.csr, v));
         for n in 0..self.app.total_walkers() {
             let mut w = self.app.generate(n, &mut rng);
-            steps += walk_resident(
+            walk_resident(
                 &*self.app,
                 &mut w,
                 &mut rng,
                 &mut ledger.metrics,
-                |v| self.csr.degree(v),
-                |v| Some(VertexEdges::from_csr(&self.csr, v)),
+                &self.opts,
+                &mut Resident::new(|v| self.csr.degree(v), edges),
                 |at, dst| cross_messages += u64::from(self.node_of(at) != self.node_of(dst)),
-            )
-            .0;
+            );
             retire_walker(&*self.app, &mut ledger.metrics, &w);
         }
-        let compute_ns_serial = steps * (EngineOptions::STEP_NS + EngineOptions::SAMPLE_NS);
+        // Priced per node thread below, not at the options' thread count.
+        let compute_ns_serial =
+            ledger.metrics.steps * (EngineOptions::STEP_NS + EngineOptions::SAMPLE_NS);
 
         // Compute parallelizes over nodes × threads; network traffic is
         // spread over the per-node links.

@@ -12,7 +12,8 @@
 use crate::common::WalkerSet;
 use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
-    walk_resident, EngineError, EngineOptions, Ledger, OnDiskGraph, RunMetrics, Stop, Walk, WalkRng,
+    walk_resident, EngineError, EngineOptions, Ledger, OnDiskGraph, Resident, RunMetrics, Stop,
+    Walk, WalkRng,
 };
 use noswalker_graph::partition::BlockId;
 use noswalker_storage::MemoryBudget;
@@ -122,16 +123,17 @@ impl<A: Walk> Graphene<A> {
             let bucket = std::mem::take(&mut set.buckets[b as usize]);
             for i in bucket {
                 let Some(w) = set.get_mut(i) else { continue };
-                let (steps, stop) = walk_resident(
+                let edges = |v| load.vertex_edges(&self.graph, v);
+                let (ns, stop) = walk_resident(
                     &*self.app,
                     w,
                     &mut rng,
                     &mut ledger.metrics,
-                    |v| self.graph.degree(v),
-                    |v| load.vertex_edges(&self.graph, v),
+                    &self.opts,
+                    &mut Resident::new(|v| self.graph.degree(v), edges),
                     |_, _| {},
                 );
-                ledger.compute(steps * (self.opts.sample_cost() + self.opts.step_cost()));
+                ledger.compute(ns);
                 match stop {
                     Stop::Done => set.retire(&self.app, &mut ledger.metrics, i),
                     Stop::Left => set.rebucket(&self.app, &self.graph, i),

@@ -20,8 +20,8 @@
 use crate::common::{read_block, WalkerSet};
 use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
-    walk_resident, BlockCache, EngineError, EngineOptions, Ledger, OnDiskGraph, RunMetrics, Stop,
-    Walk, WalkRng,
+    walk_resident, BlockCache, EngineError, EngineOptions, Ledger, OnDiskGraph, Resident,
+    RunMetrics, Stop, Walk, WalkRng,
 };
 use noswalker_graph::partition::FINE_PAGE_BYTES;
 use noswalker_storage::MemoryBudget;
@@ -198,16 +198,17 @@ impl<A: Walk> GraphWalker<A> {
             let bucket = std::mem::take(&mut set.buckets[b as usize]);
             for i in bucket {
                 let Some(w) = set.get_mut(i) else { continue };
-                let (steps, stop) = walk_resident(
+                let edges = |v| block.vertex_edges(&self.graph, v);
+                let (ns, stop) = walk_resident(
                     &*self.app,
                     w,
                     &mut rng,
                     &mut ledger.metrics,
-                    |v| self.graph.degree(v),
-                    |v| block.vertex_edges(&self.graph, v),
+                    &self.opts,
+                    &mut Resident::new(|v| self.graph.degree(v), edges),
                     |at, _| mark(self.graph.vertex_byte_range(at)),
                 );
-                ledger.compute(steps * (self.opts.sample_cost() + self.opts.step_cost()));
+                ledger.compute(ns);
                 match stop {
                     Stop::Done => set.retire(&self.app, &mut ledger.metrics, i),
                     Stop::Left => set.rebucket(&self.app, &self.graph, i),

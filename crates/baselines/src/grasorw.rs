@@ -14,7 +14,7 @@ use crate::common::read_block;
 use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
     retire_walker, spawn_walker, walk_resident_2nd, BlockCache, EngineError, EngineOptions, Ledger,
-    OnDiskGraph, RunMetrics, SecondOrderWalk, Stop, WalkRng,
+    OnDiskGraph, Resident, RunMetrics, SecondOrderWalk, Stop, WalkRng,
 };
 use noswalker_graph::partition::BlockId;
 use noswalker_storage::MemoryBudget;
@@ -166,8 +166,7 @@ impl<A: SecondOrderWalk> GraSorw<A> {
                     &mut rng,
                     &mut ledger.metrics,
                     &self.opts,
-                    |v| self.graph.degree(v),
-                    lookup,
+                    &mut Resident::new(|v| self.graph.degree(v), lookup),
                 );
                 ledger.compute(ns);
                 match stop {

@@ -8,7 +8,7 @@
 
 use noswalker_core::audit::{RunAudit, Trace, TraceSink};
 use noswalker_core::{
-    retire_walker, walk_resident, EngineOptions, Ledger, RunMetrics, Walk, WalkRng,
+    retire_walker, walk_resident, EngineOptions, Ledger, Resident, RunMetrics, Walk, WalkRng,
 };
 use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::Csr;
@@ -94,23 +94,24 @@ impl<A: Walk> InMemory<A> {
         ledger.coarse_load(0, load_bytes, false, 0);
         ledger.sync_io(Some(0), load_ns);
 
-        let mut steps = 0u64;
+        let mut ns = 0u64;
+        let edges = |v| Some(VertexEdges::from_csr(&self.csr, v));
         for n in 0..self.app.total_walkers() {
             let mut w = self.app.generate(n, &mut rng);
-            steps += walk_resident(
+            ns += walk_resident(
                 &*self.app,
                 &mut w,
                 &mut rng,
                 &mut ledger.metrics,
-                |v| self.csr.degree(v),
-                |v| Some(VertexEdges::from_csr(&self.csr, v)),
+                &self.opts,
+                &mut Resident::new(|v| self.csr.degree(v), edges),
                 |_, _| {},
             )
             .0;
             retire_walker(&*self.app, &mut ledger.metrics, &w);
         }
 
-        ledger.compute(steps * (self.opts.step_cost() + self.opts.sample_cost()));
+        ledger.compute(ns);
         ledger.close_with(0, self.csr.num_edges())
     }
 }

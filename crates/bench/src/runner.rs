@@ -296,6 +296,27 @@ mod tests {
     }
 
     #[test]
+    fn fine_batches_fit_a_budget_under_four_pages() {
+        // k30 tiny at a 10 % budget is 13,107 B: a fine batch floored at
+        // four pages (16 KiB) asked for more than the whole budget.
+        let d = datasets::get("k30", Scale::Tiny);
+        let budget = d.edge_bytes() * 10 / 100;
+        for walkers in [500, 1000] {
+            let app = Arc::new(BasicRw::new(walkers, 10, d.csr.num_vertices()));
+            let out = run_system(
+                SystemKind::NosWalker,
+                app,
+                &d,
+                budget,
+                EngineOptions::default(),
+                31,
+            );
+            let m = out.unwrap_or_else(|e| panic!("{walkers} walkers: {e}"));
+            assert_eq!(m.walkers_finished, walkers);
+        }
+    }
+
+    #[test]
     fn traced_run_attributes_stalls_to_blocks() {
         let d = datasets::get("k30", Scale::Tiny);
         let budget = datasets::default_budget(Scale::Tiny);

@@ -30,6 +30,7 @@ use noswalker_graph::partition::{BlockId, BlockInfo};
 use noswalker_graph::VertexId;
 use noswalker_storage::{BudgetExceeded, MemoryBudget, Reservation};
 use rand::SeedableRng;
+use std::marker::PhantomData;
 use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
@@ -103,68 +104,168 @@ pub fn spawn_walker<A: Walk>(
     None
 }
 
-/// Why a walker stopped moving over loaded edges ([`walk_resident`],
-/// [`walk_resident_2nd`]).
+/// Why a walker stopped moving ([`walk_resident`], [`walk_resident_2nd`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stop {
     /// The walk is over (inactive, or at a vertex with no out-edges); the
     /// caller retires the walker.
     Done,
-    /// The walker needs edges the lookup does not hold; it is still active.
+    /// Nothing the source holds serves the walker's next hop, or its pool
+    /// ran dry; it is still active.
     Left,
 }
 
-/// The first-order step every engine takes: moves `w` over loaded edges
-/// until its walk ends or it needs edges `edges` does not hold. Each step
-/// draws with [`Walk::sample_for`], applies [`Walk::action`], calls
-/// `on_step(at, dst)` and books one [`StepSource::Block`] step.
-///
-/// Returns the steps taken and why the walker stopped. The caller prices
-/// the steps and retires a [`Stop::Done`] walker.
-pub fn walk_resident<'g, A: Walk>(
+/// What serves one hop at a walker's vertex: the loaded block's edges
+/// (§3.3.5), a pre-sampled slot (§3.3.2) or a raw-retained edge list
+/// (§3.3.4) — or nothing, because the vertex's pool is dry.
+#[derive(Debug)]
+pub enum Draw<'a> {
+    /// Loaded edges, sampled on line with [`Walk::sample_for`].
+    Edges(VertexEdges<'a>),
+    /// A pre-sampled destination; the source books it in
+    /// [`Source::settle`] once [`Walk::action`] took or declined it.
+    Slot(VertexId),
+    /// Raw-retained edges, sampled on line; they never deplete.
+    Raw(VertexEdges<'a>),
+    /// The vertex's pool has no slot left: one pool stall.
+    Dry,
+}
+
+/// Where a walker's hops come from: one engine's loaded edges and pools,
+/// handed to the step verbs ([`walk_resident`], [`walk_resident_2nd`]).
+pub trait Source {
+    /// The out-degree of `v`; a walker at a vertex without out-edges is
+    /// done.
+    fn degree(&self, v: VertexId) -> u64;
+
+    /// The loaded edges of `v`, if held (second order's rejection test
+    /// reads the candidate's edges here). None by default.
+    fn edges(&self, _v: VertexId) -> Option<VertexEdges<'_>> {
+        None
+    }
+
+    /// What serves a hop at `at`, or `None` when nothing here does and the
+    /// walker leaves. The loaded edges by default.
+    fn draw(&mut self, at: VertexId) -> Option<Draw<'_>> {
+        self.edges(at).map(Draw::Edges)
+    }
+
+    /// Books the [`Draw::Slot`] `dst` drawn at `at`, which
+    /// [`Walk::action`] `taken` or declined.
+    fn settle(&mut self, _at: VertexId, _dst: VertexId, _taken: bool) {}
+}
+
+/// Loaded edges as a [`Source`]: a degree lookup and an edge lookup (an
+/// `Edges`, `FineLoad`, `LoadedBlock` or the CSR) whose views live for
+/// `'g`.
+#[derive(Debug)]
+pub struct Resident<'g, D, E>(D, E, PhantomData<VertexEdges<'g>>);
+
+impl<D, E> Resident<'_, D, E> {
+    /// The source over `edges`, with `degree` telling dead ends apart.
+    pub fn new(degree: D, edges: E) -> Self {
+        Resident(degree, edges, PhantomData)
+    }
+}
+
+impl<'g, D, E> Source for Resident<'g, D, E>
+where
+    D: Fn(VertexId) -> u64,
+    E: Fn(VertexId) -> Option<VertexEdges<'g>>,
+{
+    fn degree(&self, v: VertexId) -> u64 {
+        (self.0)(v)
+    }
+
+    fn edges(&self, v: VertexId) -> Option<VertexEdges<'_>> {
+        (self.1)(v)
+    }
+}
+
+/// One hop of an active walker at its location: draws from `source`,
+/// applies [`Walk::action`] and books what the draw used up — a slot
+/// Action took, or a stall on a dry pool. Returns the vertex left, the
+/// destination and what served it, or why the walker stopped.
+fn hop<A: Walk>(
     app: &A,
     w: &mut A::Walker,
     rng: &mut WalkRng,
     metrics: &mut RunMetrics,
-    degree: impl Fn(VertexId) -> u64,
-    edges: impl Fn(VertexId) -> Option<VertexEdges<'g>>,
+    source: &mut impl Source,
+) -> Result<(VertexId, VertexId, StepSource), Stop> {
+    let at = app.location(w);
+    if !app.is_active(w) || source.degree(at) == 0 {
+        return Err(Stop::Done);
+    }
+    let (dst, from) = match source.draw(at) {
+        None => return Err(Stop::Left),
+        Some(Draw::Dry) => {
+            metrics.record_pool_stall();
+            return Err(Stop::Left);
+        }
+        Some(Draw::Edges(view)) => (app.sample_for(w, &view, rng), StepSource::Block),
+        Some(Draw::Raw(view)) => (app.sample_for(w, &view, rng), StepSource::Raw),
+        Some(Draw::Slot(dst)) => (dst, StepSource::PreSample),
+    };
+    let taken = app.action(w, dst, rng);
+    if from == StepSource::PreSample {
+        // A slot is used up only when Action took it (Algorithm 1, lines
+        // 17-18); a declined one goes back to the source.
+        if taken {
+            metrics.record_presample_consumed();
+        }
+        source.settle(at, dst, taken);
+    }
+    Ok((at, dst, from))
+}
+
+/// The first-order step every engine takes: moves `w` on what `source`
+/// draws until its walk ends or nothing serves its next hop. Each step
+/// applies [`Walk::action`], calls `on_step(at, dst)` and books one step
+/// by what served it; an edge drawn on line costs a sample on top of the
+/// step.
+///
+/// Returns the modeled nanoseconds spent and why the walker stopped. The
+/// caller charges them and retires a [`Stop::Done`] walker.
+pub fn walk_resident<A: Walk>(
+    app: &A,
+    w: &mut A::Walker,
+    rng: &mut WalkRng,
+    metrics: &mut RunMetrics,
+    opts: &EngineOptions,
+    source: &mut impl Source,
     mut on_step: impl FnMut(VertexId, VertexId),
 ) -> (u64, Stop) {
-    let mut steps = 0;
+    let mut ns = 0;
     loop {
-        if !app.is_active(w) {
-            return (steps, Stop::Done);
-        }
-        let at = app.location(w);
-        if degree(at) == 0 {
-            return (steps, Stop::Done);
-        }
-        let Some(view) = edges(at) else {
-            return (steps, Stop::Left);
+        let (at, dst, from) = match hop(app, w, rng, metrics, source) {
+            Ok(moved) => moved,
+            Err(stop) => return (ns, stop),
         };
-        let dst = app.sample_for(w, &view, rng);
-        app.action(w, dst, rng);
         on_step(at, dst);
-        metrics.record_step(StepSource::Block);
-        steps += 1;
+        metrics.record_step(from);
+        ns += opts.step_cost();
+        if from != StepSource::PreSample {
+            ns += opts.sample_cost();
+        }
     }
 }
 
 /// The second-order step (Algorithm 3): while the walker holds a
 /// candidate whose edges are loaded, accept or reject it
 /// ([`SecondOrderWalk::rejection`], one step cost each); otherwise draw a
-/// new candidate from the loaded edges of its location (one sample cost).
+/// new candidate at its location from `source` (one sample cost, or one
+/// step cost for a pre-sampled slot).
 ///
 /// Returns the modeled nanoseconds spent and why the walker stopped. The
 /// caller charges them and retires a [`Stop::Done`] walker.
-pub fn walk_resident_2nd<'g, A: SecondOrderWalk>(
+pub fn walk_resident_2nd<A: SecondOrderWalk>(
     app: &A,
     w: &mut A::Walker,
     rng: &mut WalkRng,
     metrics: &mut RunMetrics,
     opts: &EngineOptions,
-    degree: impl Fn(VertexId) -> u64,
-    edges: impl Fn(VertexId) -> Option<VertexEdges<'g>>,
+    source: &mut impl Source,
 ) -> (u64, Stop) {
     let mut ns = 0;
     loop {
@@ -172,7 +273,7 @@ pub fn walk_resident_2nd<'g, A: SecondOrderWalk>(
             return (ns, Stop::Done);
         }
         if let Some(c) = app.candidate(w) {
-            let Some(cedges) = edges(c) else {
+            let Some(cedges) = source.edges(c) else {
                 return (ns, Stop::Left);
             };
             let before = app.location(w);
@@ -181,33 +282,32 @@ pub fn walk_resident_2nd<'g, A: SecondOrderWalk>(
             metrics.record_second_order(app.location(w) != before);
             continue;
         }
-        let at = app.location(w);
-        if degree(at) == 0 {
-            return (ns, Stop::Done);
-        }
-        let Some(view) = edges(at) else {
-            return (ns, Stop::Left);
+        ns += match hop(app, w, rng, metrics, source) {
+            Ok((_, _, StepSource::PreSample)) => opts.step_cost(),
+            Ok(_) => opts.sample_cost(),
+            Err(stop) => return (ns, stop),
         };
-        let dst = app.sample_for(w, &view, rng);
-        ns += opts.sample_cost();
-        app.action(w, dst, rng);
     }
 }
 
 /// Plans one fine batch from the vertices walkers wait on in one block:
 /// distinct and in id order, cut where their pages would pass a quarter of
-/// the budget so the batch fits comfortably in memory (the first vertex is
-/// always kept; later batches serve the rest). Returns the batch and the
-/// bytes to make room for.
+/// the budget (at least four pages, but never more than the budget leaves
+/// after the walker pool's `hold`) so the batch fits comfortably in memory
+/// (the first vertex is always kept; later batches serve the rest).
+/// Returns the batch and the bytes to make room for.
 pub(crate) fn plan_fine_batch(
     graph: &OnDiskGraph,
     budget: &MemoryBudget,
+    hold: u64,
     waiting: impl Iterator<Item = VertexId>,
 ) -> (Vec<VertexId>, u64) {
     let mut verts: Vec<VertexId> = waiting.collect();
     verts.sort_unstable();
     verts.dedup();
-    let cap = (budget.limit() / 4).max(noswalker_graph::FINE_PAGE_BYTES * 4);
+    let cap = (budget.limit() / 4)
+        .max(noswalker_graph::FINE_PAGE_BYTES * 4)
+        .min(budget.limit().saturating_sub(hold));
     let mut estimate = 0u64;
     let mut keep = verts.len();
     for (i, &v) in verts.iter().enumerate() {
@@ -562,32 +662,44 @@ struct Run<'e, A: Walk> {
     pickups: u64,
 }
 
-/// The live walker in slot `i`. Bucket entries only reference live slots,
-/// so a vacant slot here is engine-state corruption, not a user error.
-fn live<W>(slab: &[Option<W>], i: usize) -> &W {
-    #[expect(clippy::expect_used, reason = "bucket entries reference live slots")]
-    slab[i].as_ref().expect("bucketed walker slot is live")
-}
-
-/// Mutable access to the live walker in slot `i` (see [`live`]).
-fn live_mut<W>(slab: &mut [Option<W>], i: usize) -> &mut W {
-    #[expect(clippy::expect_used, reason = "bucket entries reference live slots")]
-    slab[i].as_mut().expect("bucketed walker slot is live")
-}
-
-/// Takes the live walker out of slot `i` for retirement (see [`live`]).
+/// Takes the live walker out of slot `i` for retirement. Bucket entries
+/// only reference live slots, so a vacant slot here is engine-state
+/// corruption, not a user error.
 fn take_live<W>(slab: &mut [Option<W>], i: usize) -> W {
     #[expect(clippy::expect_used, reason = "bucket entries reference live slots")]
     slab[i].take().expect("retiring a live walker")
 }
 
-/// The pre-sample buffer for block `b`, which the caller has just peeked
-/// (the shared `Peek` borrow ends before this mutable re-borrow starts).
-fn peeked_buf(bufs: &mut [Option<PreSampleBuffer>], b: usize) -> &mut PreSampleBuffer {
-    #[expect(clippy::expect_used, reason = "callers check the buffer is present")]
-    bufs[b]
-        .as_mut()
-        .expect("pre-sample buffer peeked by caller")
+/// The sequential engine's own pre-sample pool as a [`Source`]: each
+/// block's generation serves by [`PreSampleBuffer::peek`], and a slot is
+/// consumed only when Action took it. A raw draw or a stall ticks the
+/// vertex's visit counter, steering the next generation's quotas.
+struct OwnPool<'a> {
+    graph: &'a OnDiskGraph,
+    bufs: &'a mut [Option<PreSampleBuffer>],
+}
+
+impl Source for OwnPool<'_> {
+    fn degree(&self, v: VertexId) -> u64 {
+        self.graph.degree(v)
+    }
+
+    fn draw(&mut self, at: VertexId) -> Option<Draw<'_>> {
+        let buf = self.bufs[self.graph.block_of(at) as usize].as_ref()?;
+        let draw = match buf.peek(at) {
+            Peek::Sampled(dst) => return Some(Draw::Slot(dst)),
+            Peek::Raw(view) => Draw::Raw(view),
+            Peek::Empty => Draw::Dry,
+        };
+        buf.record_visit(at);
+        Some(draw)
+    }
+
+    fn settle(&mut self, at: VertexId, _: VertexId, taken: bool) {
+        if let (true, Some(buf)) = (taken, &mut self.bufs[self.graph.block_of(at) as usize]) {
+            buf.consume(at);
+        }
+    }
 }
 
 impl<'e, A: Walk> Run<'e, A> {
@@ -776,120 +888,82 @@ impl<'e, A: Walk> Run<'e, A> {
     // Moving
     // ------------------------------------------------------------------
 
-    /// Takes one step for walker `i` to `dst`, served from `src`. Returns
-    /// `(alive, consumed)`: whether the walker survived, and whether it
-    /// consumed the supplied destination (the paper's `Action` return
-    /// value, Algorithm 1 line 17 — `false` means e.g. a restart hop that
-    /// ignored the sample). Threading the [`StepSource`] through here means
-    /// every step is attributed to exactly one serving tier.
-    fn step_to(&mut self, i: usize, dst: VertexId, src: StepSource) -> (bool, bool) {
-        let w = live_mut(&mut self.slab, i);
-        let consumed = self.app.action(w, dst, &mut self.rng);
-        self.ledger.compute(self.opts.step_cost());
-        self.ledger.metrics.record_step(src);
-        let alive = self.app.is_active(live(&self.slab, i));
-        if !alive {
-            self.retire(i);
-        }
-        (alive, consumed)
-    }
-
-    /// Moves walker `i` as far as possible on pre-sampled / raw slots
-    /// (the decoupled fast path). Returns steps taken.
+    /// Moves walker `i` as far as possible on its blocks' pre-sampled and
+    /// raw slots (the decoupled fast path). Returns the modeled
+    /// nanoseconds spent, nonzero exactly when it moved.
     fn chase_presamples(&mut self, i: usize) -> u64 {
         #[cfg(test)]
         {
             self.pickups += 1;
         }
-        let mut steps = 0u64;
-        loop {
-            let Some(w) = self.slab[i].as_ref() else {
-                break;
-            };
-            if !self.app.is_active(w) {
-                self.retire(i);
-                break;
-            }
-            let loc = self.app.location(w);
-            if self.graph.degree(loc) == 0 {
-                self.retire(i);
-                break;
-            }
-            let b = self.graph.block_of(loc) as usize;
-            let Some(buf) = &self.presample[b] else {
-                break;
-            };
-            match buf.peek(loc) {
-                Peek::Sampled(dst) => {
-                    steps += 1;
-                    let (alive, consumed) = self.step_to(i, dst, StepSource::PreSample);
-                    if consumed {
-                        // Pop only when Action consumed the sample
-                        // (Algorithm 1, lines 17-18).
-                        peeked_buf(&mut self.presample, b).consume(loc);
-                        self.ledger.metrics.record_presample_consumed();
-                    }
-                    if !alive {
-                        break;
-                    }
-                }
-                Peek::Raw(view) => {
-                    let dst =
-                        self.app
-                            .sample_for(live_mut(&mut self.slab, i), &view, &mut self.rng);
-                    self.ledger.compute(self.opts.sample_cost());
-                    // Unlike the `Sampled` arm, `consume` here is
-                    // unconditional: raw retained slots never deplete
-                    // (`PreSampleBuffer::consume` only bumps the visit
-                    // counter that steers the next generation's quotas),
-                    // so an `Action` that ignores the destination loses
-                    // nothing — there is no reserved sample to waste.
-                    peeked_buf(&mut self.presample, b).consume(loc);
-                    steps += 1;
-                    if !self.step_to(i, dst, StepSource::Raw).0 {
-                        break;
-                    }
-                }
-                Peek::Empty => {
-                    peeked_buf(&mut self.presample, b).record_stall(loc);
-                    self.ledger.metrics.record_pool_stall();
-                    break;
-                }
-            }
+        self.walk_own_pool(i, |app, w, rng, m, opts, pool| {
+            walk_resident(app, w, rng, m, opts, pool, |_, _| {})
+        })
+    }
+
+    /// Moves walker `i` with `verb` over the engine's own pool, charges
+    /// the modeled time and retires the walker once its walk is over.
+    /// Returns the nanoseconds spent, nonzero exactly when it moved.
+    fn walk_own_pool(
+        &mut self,
+        i: usize,
+        verb: impl FnOnce(
+            &A,
+            &mut A::Walker,
+            &mut WalkRng,
+            &mut RunMetrics,
+            &EngineOptions,
+            &mut OwnPool<'_>,
+        ) -> (u64, Stop),
+    ) -> u64 {
+        let Some(w) = self.slab[i].as_mut() else {
+            return 0;
+        };
+        let pool = &mut OwnPool {
+            graph: self.graph,
+            bufs: &mut self.presample,
+        };
+        let (ns, stop) = verb(
+            self.app,
+            w,
+            &mut self.rng,
+            &mut self.ledger.metrics,
+            self.opts,
+            pool,
+        );
+        self.ledger.compute(ns);
+        if stop == Stop::Done {
+            self.retire(i);
         }
-        steps
+        ns
     }
 
     /// Moves walker `i` as far as possible inside the loaded edges `src`
     /// (GraphWalker-style re-entry; "use loaded edges as pre-sampled
-    /// edges", §3.3.5), then keeps going on pre-samples. Returns steps.
-    fn chase_block(&mut self, i: usize, src: &Edges) -> u64 {
+    /// edges", §3.3.5), then keeps going on pre-samples.
+    fn chase_block(&mut self, i: usize, src: &Edges) {
         #[cfg(test)]
         {
             self.pickups += 1;
         }
         let Some(w) = self.slab[i].as_mut() else {
-            return 0;
+            return;
         };
         let graph = self.graph;
-        let (steps, stop) = walk_resident(
+        let (ns, stop) = walk_resident(
             self.app,
             w,
             &mut self.rng,
             &mut self.ledger.metrics,
-            |v| graph.degree(v),
-            |v| src.vertex_edges(graph, v),
+            self.opts,
+            &mut Resident::new(|v| graph.degree(v), |v| src.vertex_edges(graph, v)),
             |_, _| {},
         );
-        let step_ns = self.opts.sample_cost() + self.opts.step_cost();
-        self.ledger.compute(steps * step_ns);
-        match stop {
-            Stop::Done => {
-                self.retire(i);
-                steps
-            }
-            Stop::Left => steps + self.chase_presamples(i),
+        self.ledger.compute(ns);
+        if stop == Stop::Done {
+            return self.retire(i);
         }
+        self.chase_presamples(i);
     }
 
     // ------------------------------------------------------------------
@@ -962,7 +1036,8 @@ impl<'e, A: Walk> Run<'e, A> {
         let remaining = self.remaining();
         if self.ledger.fine_mode(self.opts, self.graph, remaining) {
             let waiting = self.buckets[b as usize].entries.iter().map(|e| e.v);
-            let (verts, room) = plan_fine_batch(self.graph, self.budget, waiting);
+            let hold = self.pool_reservation.as_ref().map_or(0, Reservation::bytes);
+            let (verts, room) = plan_fine_batch(self.graph, self.budget, hold, waiting);
             if !self.reads_whole(b, &verts) {
                 self.make_room(room)?;
                 let at = self.ledger.now();
@@ -1105,13 +1180,13 @@ impl<'e, A: Walk> Run<'e, A> {
 
     /// The pooled scheduling loop both orders share. `needed` names the
     /// vertex a walker waits on, `integrate` consumes a completed load,
-    /// and `pass` moves walkers on reserved pre-samples between loads
-    /// (returning how much progress it made).
+    /// and `attempt` moves one walker on reserved pre-samples in the
+    /// [`Run::pool_pass`] between loads (returning the progress made).
     fn run_pool(
         &mut self,
         needed: impl Fn(&Self, &A::Walker) -> VertexId + Copy,
         integrate: impl Fn(&mut Self, Pending),
-        pass: impl Fn(&mut Self) -> u64,
+        attempt: impl Fn(&mut Self, usize) -> u64,
     ) -> Result<(), EngineError> {
         let cap = self.pool_cap();
         self.generate(cap, needed);
@@ -1129,7 +1204,7 @@ impl<'e, A: Walk> Run<'e, A> {
                 self.generate(cap, needed);
             }
             // Keep walkers moving on reserved pre-samples meanwhile.
-            let moved = pass(self);
+            let moved = self.pool_pass(needed, &attempt);
             self.generate(cap, needed);
             if self.done() {
                 break;
@@ -1154,14 +1229,8 @@ impl<'e, A: Walk> Run<'e, A> {
         self.run_pool(
             |run, w| run.app.location(w),
             Self::integrate_first_order,
-            Self::presample_pass,
+            Self::chase_presamples,
         )
-    }
-
-    /// One pass over the walkers that may move, chasing pre-samples.
-    /// Returns total steps moved.
-    fn presample_pass(&mut self) -> u64 {
-        self.pool_pass(|run, w| run.app.location(w), Self::chase_presamples)
     }
 
     fn integrate_first_order(&mut self, (edges, _): Pending) {
@@ -1271,68 +1340,19 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
             .unwrap_or_else(|| self.app.location(w))
     }
 
+    /// Between loads, candidate-less walkers draw candidates from
+    /// pre-samples (steps 1–2 of the rejection method, Appendix A.2); a
+    /// walker already holding one waits for its rejection test.
     fn run_pooled_2nd(&mut self) -> Result<(), EngineError> {
         self.run_pool(
             |run, w| run.needed_vertex(w),
             Self::integrate_2nd,
-            Self::candidate_pass,
+            |run, i| {
+                run.walk_own_pool(i, |app, w, rng, m, opts, pool| {
+                    walk_resident_2nd(app, w, rng, m, opts, pool)
+                })
+            },
         )
-    }
-
-    /// Hands candidates to candidate-less walkers from pre-samples
-    /// (steps 1–2 of the rejection method, Appendix A.2).
-    fn candidate_pass(&mut self) -> u64 {
-        self.pool_pass(|run, w| run.needed_vertex(w), Self::acquire_candidate)
-    }
-
-    fn acquire_candidate(&mut self, i: usize) -> u64 {
-        let Some(w) = self.slab[i].as_ref() else {
-            return 0;
-        };
-        if !self.app.is_active(w) {
-            self.retire(i);
-            return 0;
-        }
-        if self.app.candidate(w).is_some() {
-            return 0; // waiting for rejection, not for a sample
-        }
-        let loc = self.app.location(w);
-        if self.graph.degree(loc) == 0 {
-            self.retire(i);
-            return 0;
-        }
-        let b = self.graph.block_of(loc) as usize;
-        let Some(buf) = &self.presample[b] else {
-            return 0;
-        };
-        match buf.peek(loc) {
-            Peek::Sampled(dst) => {
-                let w = live_mut(&mut self.slab, i);
-                let consumed = self.app.action(w, dst, &mut self.rng);
-                self.ledger.compute(self.opts.step_cost());
-                if consumed {
-                    peeked_buf(&mut self.presample, b).consume(loc);
-                    self.ledger.metrics.record_presample_consumed();
-                }
-                1
-            }
-            Peek::Raw(view) => {
-                let dst = self.app.sample(&view, &mut self.rng);
-                self.ledger.compute(self.opts.sample_cost());
-                let w = live_mut(&mut self.slab, i);
-                self.app.action(w, dst, &mut self.rng);
-                // Unconditional on purpose: raw slots never deplete, so
-                // `consume` is a visit-popularity tick, not a pop (see
-                // `chase_presamples`).
-                peeked_buf(&mut self.presample, b).consume(loc);
-                1
-            }
-            Peek::Empty => {
-                peeked_buf(&mut self.presample, b).record_stall(loc);
-                self.ledger.metrics.record_pool_stall();
-                0
-            }
-        }
     }
 
     /// Integrates a load for second order: RejectionProcess for walkers
@@ -1356,8 +1376,7 @@ impl<'e, A: SecondOrderWalk> Run<'e, A> {
                 &mut self.rng,
                 &mut self.ledger.metrics,
                 self.opts,
-                |v| graph.degree(v),
-                |v| edges.vertex_edges(graph, v),
+                &mut Resident::new(|v| graph.degree(v), |v| edges.vertex_edges(graph, v)),
             );
             self.ledger.compute(ns);
             match stop {
@@ -1429,6 +1448,194 @@ mod tests {
             w.step += 1;
             true
         }
+    }
+
+    /// A scripted [`Source`]: serves `draws` from the back, holds the
+    /// `loaded` edges of one vertex, and gives every vertex but `dead` one
+    /// out-edge. Records what it was asked to settle.
+    struct Script<'a> {
+        draws: Vec<Draw<'a>>,
+        loaded: Option<(VertexId, VertexEdges<'a>)>,
+        dead: VertexId,
+        settled: Vec<(VertexId, VertexId, bool)>,
+    }
+
+    impl<'a> Script<'a> {
+        fn new(mut draws: Vec<Draw<'a>>) -> Self {
+            draws.reverse();
+            Script {
+                draws,
+                loaded: None,
+                dead: VertexId::MAX,
+                settled: Vec::new(),
+            }
+        }
+    }
+
+    impl Source for Script<'_> {
+        fn degree(&self, v: VertexId) -> u64 {
+            u64::from(v != self.dead)
+        }
+
+        fn edges(&self, v: VertexId) -> Option<VertexEdges<'_>> {
+            self.loaded.filter(|&(u, _)| u == v).map(|(_, view)| view)
+        }
+
+        fn draw(&mut self, _: VertexId) -> Option<Draw<'_>> {
+            self.draws.pop()
+        }
+
+        fn settle(&mut self, at: VertexId, dst: VertexId, taken: bool) {
+            self.settled.push((at, dst, taken));
+        }
+    }
+
+    fn one_edge(target: &[VertexId]) -> VertexEdges<'_> {
+        VertexEdges::Mem {
+            targets: target,
+            weights: None,
+            alias: None,
+        }
+    }
+
+    /// A walk of `length` hops whose Action declines destination 99
+    /// (counting the hop, staying put) and, in second order, accepts
+    /// every candidate.
+    #[derive(Debug)]
+    struct Picky {
+        length: u32,
+    }
+
+    #[derive(Debug, Clone, Default)]
+    struct PickyWalker {
+        at: VertexId,
+        step: u32,
+        candidate: Option<VertexId>,
+    }
+
+    impl Walk for Picky {
+        type Walker = PickyWalker;
+        fn total_walkers(&self) -> u64 {
+            1
+        }
+        fn generate(&self, _: u64, _: &mut WalkRng) -> PickyWalker {
+            PickyWalker::default()
+        }
+        fn location(&self, w: &PickyWalker) -> VertexId {
+            w.at
+        }
+        fn is_active(&self, w: &PickyWalker) -> bool {
+            w.step < self.length
+        }
+        fn sample(&self, v: &VertexEdges<'_>, rng: &mut WalkRng) -> VertexId {
+            uniform_sample(v, rng)
+        }
+        fn action(&self, w: &mut PickyWalker, next: VertexId, _: &mut WalkRng) -> bool {
+            if w.candidate.is_some() || next == 99 {
+                w.step += 1;
+                return false;
+            }
+            w.at = next;
+            w.step += 1;
+            true
+        }
+    }
+
+    /// Candidates are recorded by Action and always accepted.
+    #[derive(Debug)]
+    struct Picky2nd;
+
+    impl Walk for Picky2nd {
+        type Walker = PickyWalker;
+        fn total_walkers(&self) -> u64 {
+            1
+        }
+        fn generate(&self, _: u64, _: &mut WalkRng) -> PickyWalker {
+            PickyWalker::default()
+        }
+        fn location(&self, w: &PickyWalker) -> VertexId {
+            w.at
+        }
+        fn is_active(&self, w: &PickyWalker) -> bool {
+            w.step < 5
+        }
+        fn sample(&self, v: &VertexEdges<'_>, rng: &mut WalkRng) -> VertexId {
+            uniform_sample(v, rng)
+        }
+        fn action(&self, w: &mut PickyWalker, next: VertexId, _: &mut WalkRng) -> bool {
+            w.candidate = Some(next);
+            true
+        }
+    }
+
+    impl SecondOrderWalk for Picky2nd {
+        fn candidate(&self, w: &PickyWalker) -> Option<VertexId> {
+            w.candidate
+        }
+        fn rejection(&self, w: &mut PickyWalker, _: &VertexEdges<'_>, _: &mut WalkRng) {
+            w.at = w.candidate.take().unwrap();
+            w.step += 1;
+        }
+    }
+
+    #[test]
+    fn the_verb_books_each_draw_by_what_served_it() {
+        let opts = EngineOptions::default();
+        let (five, eight) = ([5], [8]);
+        let mut script = Script::new(vec![
+            Draw::Edges(one_edge(&five)),
+            Draw::Slot(99), // declined
+            Draw::Slot(7),  // taken
+            Draw::Raw(one_edge(&eight)),
+            Draw::Dry,
+        ]);
+        let (app, mut w) = (Picky { length: 10 }, PickyWalker::default());
+        let (mut rng, mut m, mut hops) = (WalkRng::seed_from_u64(1), RunMetrics::default(), vec![]);
+        let on_step = |at, dst| hops.push((at, dst));
+        let (ns, stop) = walk_resident(&app, &mut w, &mut rng, &mut m, &opts, &mut script, on_step);
+        assert_eq!(stop, Stop::Left);
+        assert_eq!(hops, [(0, 5), (5, 99), (5, 7), (7, 8)]);
+        assert_eq!((w.at, w.step), (8, 4));
+        let by_source = (m.steps_on_block, m.steps_on_presample, m.steps_on_raw);
+        assert_eq!((m.steps, by_source), (4, (1, 2, 1)));
+        // Only the slot Action took is consumed; the declined one goes
+        // back to the source.
+        assert_eq!(m.presamples_consumed, 1);
+        assert_eq!(script.settled, [(5, 99, false), (5, 7, true)]);
+        // The dry draw is one stall, and a stall is one pool attempt.
+        assert_eq!((m.pool_stalls, m.pool_attempts), (1, 1));
+        // Four steps; the edge and the raw draw were sampled on line.
+        assert_eq!(ns, 4 * opts.step_cost() + 2 * opts.sample_cost());
+
+        // At a dead end the walk is over, with nothing drawn.
+        script.dead = 8;
+        let on_step = |_, _| panic!("no hop at a dead end");
+        let (ns, stop) = walk_resident(&app, &mut w, &mut rng, &mut m, &opts, &mut script, on_step);
+        assert_eq!((ns, stop), (0, Stop::Done));
+    }
+
+    #[test]
+    fn the_second_order_verb_draws_one_candidate_then_tests_it() {
+        let opts = EngineOptions::default();
+        let zero = [0];
+        let mut script = Script::new(vec![Draw::Slot(3)]);
+        let (app, mut w) = (Picky2nd, PickyWalker::default());
+        let (mut rng, mut m) = (WalkRng::seed_from_u64(1), RunMetrics::default());
+        // The candidate's edges are not loaded: the walker leaves holding
+        // it, and a candidate is no step.
+        let (ns, stop) = walk_resident_2nd(&app, &mut w, &mut rng, &mut m, &opts, &mut script);
+        assert_eq!((ns, stop), (opts.step_cost(), Stop::Left));
+        assert_eq!(
+            (w.candidate, m.steps, m.presamples_consumed),
+            (Some(3), 0, 1)
+        );
+        assert_eq!(script.settled, [(0, 3, true)]);
+        // Once they are, the rejection test accepts it; nothing else is
+        // drawn, so the walker leaves again.
+        script.loaded = Some((3, one_edge(&zero)));
+        let (ns, stop) = walk_resident_2nd(&app, &mut w, &mut rng, &mut m, &opts, &mut script);
+        assert_eq!((ns, stop), (opts.step_cost(), Stop::Left));
+        assert_eq!((w.at, w.candidate, m.steps, m.accepts), (3, None, 1, 1));
     }
 
     fn small_setup(opts: EngineOptions, budget_bytes: u64) -> (Arc<Basic>, NosWalkerEngine<Basic>) {

@@ -103,8 +103,8 @@ pub use block::{BlockCache, FineLoad, LoadedBlock};
 pub use clock::{ModelClock, PipelineClock, TickClock, WallTimer};
 pub use disk_graph::{OnDiskGraph, StoreError};
 pub use engine::{
-    retire_walker, spawn_walker, walk_resident, walk_resident_2nd, EngineError, NosWalkerEngine,
-    Stop,
+    retire_walker, spawn_walker, walk_resident, walk_resident_2nd, Draw, EngineError,
+    NosWalkerEngine, Resident, Source, Stop,
 };
 pub use kernel::{Backend, ParallelKernel, RoundOutcome, SequentialKernel, StepKernel};
 pub use ledger::Ledger;

@@ -40,10 +40,10 @@ pub struct EngineOptions {
     /// vertices never deplete their slots. `u32::MAX` disables hub
     /// retention.
     pub alias_degree_threshold: u32,
-    /// Sampled slots a parallel phase-B worker claims per atomic RMW once
-    /// a vertex shows reuse within its walker bucket (batched claim
-    /// amortization). Leftover slots are burned (`claims_burned`) when the
-    /// bucket retires; 1 disables batching.
+    /// Sampled slots claimed per atomic RMW by
+    /// [`crate::presample::PreSampleBuffer::claim_batch`]. No engine reads it: the parallel runner claims one slot per RMW.
+    /// Only the benchmark's claim probe (`benchmark/src/probes.rs`) does,
+    /// and it goes with that probe (ROADMAP item 7).
     pub claim_batch: u32,
     /// Degree of walker-processing parallelism the compute model assumes.
     pub threads: u64,

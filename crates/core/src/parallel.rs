@@ -20,11 +20,12 @@
 //!   sequential engine uses fires (ShrinkBlock, §3.3.1); up to
 //!   [`EngineOptions::PREFETCH_DEPTH`] loads in flight beyond the demand
 //!   load;
-//! * **workers** ③: run the batched step kernel — walking on the resident
-//!   edges through [`crate::walk_resident`], the step verb every engine
-//!   shares, then per-bucket draining of the published pre-sample pool. A
-//!   walker at a vertex a fine batch did not cover tries the pool and
-//!   otherwise goes back to its bucket for the next load.
+//! * **workers** ③: run the step kernel — each walker is walked once
+//!   through [`crate::walk_resident`], the step verb every engine shares,
+//!   over a source that serves the resident edges where they are loaded
+//!   (a fine batch covers only its vertices) and otherwise claims one slot
+//!   from the vertex's published generation. A walker nothing serves goes
+//!   back to its bucket for a later load.
 //!
 //! # The published pre-sample pool
 //!
@@ -32,14 +33,13 @@
 //! single-flight per block through its `refill_pending` flag) and then
 //! *published*: the finished [`PreSampleBuffer`] goes behind an `Arc` and
 //! is never written again except through its per-vertex atomic counters.
-//! Consumption is lock-free: a worker acquires the `Arc` once per walker
-//! bucket and then claims sampled slots in small batches — one `fetch_add`
-//! covers up to [`EngineOptions::claim_batch`] hops once a vertex shows
-//! reuse inside the bucket ([`PreSampleBuffer::claim_batch`]). Slots the
-//! application declines (e.g. restarts) return to the bucket's claim cache
-//! for the next walker; slots still cached when the bucket retires are
-//! surfaced as `claims_burned`, so `pool_attempts` stays conserved against
-//! consumption, burn, and stalls (`DESIGN.md` §10, law 13).
+//! Consumption is lock-free: a walk job takes one snapshot of the
+//! published generations when it starts, then claims one sampled slot per
+//! `fetch_add` ([`PreSampleBuffer::claim`]). A slot the application
+//! declines (e.g. a restart) is re-served to the next walker at its vertex
+//! in the same job; one still held when the job ends is surfaced as
+//! `claims_burned`, so `pool_attempts` stays conserved against
+//! consumption, burn, and stalls (`DESIGN.md` §9, law 13).
 //!
 //! Refills are scheduled by *demand*: each block tallies claims and
 //! stalls against its current generation
@@ -47,9 +47,11 @@
 //! refill as soon as the remaining slots dip under a demand-derived low
 //! watermark — proactively, while workers still chew on the round, not
 //! only after the pool runs dry. The refill's slot budget is split across
-//! blocks proportionally to that same demand signal. No lock ever appears
-//! on the step path — the only locks are the brief pointer swap at
-//! publish time and the pointer clone at bucket-acquire time. See
+//! blocks proportionally to that same demand signal. The coordinator
+//! awaits every refill job before it next reads the pool, so with one
+//! worker each publish is billed in the same round on every run. No lock
+//! ever appears on the step path — the only locks are the brief pointer
+//! swap at publish time and the pointer clones of a job's snapshot. See
 //! `DESIGN.md` §11 for the full protocol and its ordering argument.
 //!
 //! # Counters
@@ -83,21 +85,23 @@
 use crate::audit::{RunAudit, Trace, TraceSink};
 use crate::disk_graph::{LoadError, OnDiskGraph};
 use crate::engine::{
-    plan_fine_batch, retire_walker, spawn_walker, walk_resident, EngineError, Generation, Stop,
+    plan_fine_batch, retire_walker, spawn_walker, walk_resident, Draw, EngineError, Generation,
+    Source, Stop,
 };
 use crate::ledger::Ledger;
-use crate::metrics::{RunMetrics, StepSource};
+use crate::metrics::RunMetrics;
 use crate::options::EngineOptions;
-use crate::presample::{BatchClaim, BlockDemand, PreSampleBuffer};
+use crate::presample::{BlockDemand, Claim, PreSampleBuffer};
 use crate::threaded::{BackgroundLoader, Edges, LoadRequest, Loaded, LoaderError};
 use crate::walk::{Walk, WalkRng};
 use crossbeam::channel::{Receiver, Sender};
+use noswalker_graph::layout::VertexEdges;
 use noswalker_graph::partition::BlockId;
 use noswalker_graph::VertexId;
 use noswalker_storage::{MemoryBudget, Reservation};
 use parking_lot::Mutex;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -159,8 +163,8 @@ impl SharedPool {
         }
     }
 
-    /// Clones the current generation's handle (one brief lock per walker
-    /// bucket; all subsequent claims on the handle are lock-free).
+    /// Clones the current generation's handle (one brief lock per block
+    /// per walk job; all subsequent claims on the handle are lock-free).
     fn acquire(&self, b: BlockId) -> Option<Arc<PreSampleBuffer>> {
         self.slots[b as usize].published.lock().clone()
     }
@@ -210,8 +214,8 @@ impl SharedPool {
         self.slots[b as usize].carried_weights.lock().take()
     }
 
-    /// The demand tally for block `b`, fed by the phase-B kernel and read
-    /// by the refill planner.
+    /// The demand tally for block `b`, fed by the step kernel's claims and
+    /// read by the refill planner.
     fn demand(&self, b: BlockId) -> &BlockDemand {
         &self.slots[b as usize].demand
     }
@@ -397,7 +401,9 @@ struct Coordinator<'t, A: Walk> {
     loader: BackgroundLoader,
     job_tx: Sender<Job<A::Walker>>,
     res_rx: Receiver<WalkOutcome<A::Walker>>,
-    refill_rx: Receiver<RefillReport>,
+    refill_rx: Receiver<Option<RefillReport>>,
+    /// Refill jobs sent and not yet awaited ([`Coordinator::await_refills`]).
+    refills_out: usize,
     worker_handles: Vec<JoinHandle<()>>,
     ledger: Ledger<'t>,
     /// The walker-generation stream.
@@ -416,7 +422,7 @@ struct Coordinator<'t, A: Walk> {
     /// modeled issue time). Results come back in the same order.
     inflight: VecDeque<(BlockId, bool, u64)>,
     /// The walker pool's budget share, held for the whole run.
-    _pool_hold: Reservation,
+    pool_hold: Reservation,
 }
 
 impl<'t, A: Walk + 'static> Coordinator<'t, A> {
@@ -489,6 +495,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             job_tx,
             res_rx,
             refill_rx,
+            refills_out: 0,
             worker_handles,
             ledger: Ledger::new(trace),
             rng: WalkRng::seed_from_u64(seed),
@@ -499,7 +506,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             total,
             cap,
             inflight: VecDeque::new(),
-            _pool_hold: pool_hold,
+            pool_hold,
             shared,
         })
     }
@@ -551,7 +558,8 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         let waiting = self.buckets[b as usize]
             .iter()
             .map(|w| shared.app.location(w));
-        LoadRequest::Fine(b, plan_fine_batch(&shared.graph, &shared.budget, waiting).0)
+        let hold = self.pool_hold.bytes();
+        LoadRequest::Fine(b, plan_fine_batch(graph, &shared.budget, hold, waiting).0)
     }
 
     /// The scheduling loop: demand-load the hottest block whenever nothing
@@ -603,7 +611,7 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
     /// pool is the only memory the coordinator can reclaim (the sequential
     /// engine's block cache evicts in the same spot). Retire the *coldest
     /// half* of the published generations first — readers holding an
-    /// `Arc` finish their bucket first; the rest of the reservations free
+    /// `Arc` finish their job first; the rest of the reservations free
     /// immediately — so the hot blocks keep their buffers and, crucially,
     /// the visit counters the next quota plan feeds on. Only a repeat
     /// failure escalates to retiring everything.
@@ -661,13 +669,14 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
         self.dispatch(&edges)
     }
 
-    /// One round on resident edges: warm their block's pool slot, fan its
-    /// walkers out to the workers, keep the loader and the refills busy
+    /// One round on resident edges: warm or refill their block's pool
+    /// slot, fan its walkers out to the workers, keep the loader busy
     /// meanwhile, then collect, bill and re-bucket.
     fn dispatch(&mut self, edges: &Arc<Edges>) -> Result<(), EngineError> {
         let target = edges.info().id;
-        let pool = &self.shared.pool;
         let mut job_costs: Vec<u64> = Vec::new();
+        self.await_refills(&mut job_costs)?;
+        let pool = &self.shared.pool;
         let sample_cost = self.shared.opts.sample_cost();
         // Warm-up pre-sampling: a block delivered with no published
         // generation would push every walker of its first dispatch
@@ -685,6 +694,10 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
                 job_costs.push(rep.book(&mut self.ledger) * sample_cost);
             }
         }
+        // Proactive refill (④): if the block's buffer is already under
+        // its demand watermark, queue the rebuild ahead of this round's
+        // walkers.
+        self.schedule_refill(edges)?;
 
         // Fan the block's walkers out to the persistent workers. Chunks
         // are kept coarse (at most one per worker) so per-job overhead
@@ -712,10 +725,6 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             }
             self.inflight.push_back((nb, true, self.ledger.now()));
         }
-        // Proactive refill (④): if the block's buffer is already under
-        // its demand watermark, schedule the rebuild while the workers
-        // still chew on this round's walkers.
-        self.schedule_refill(edges)?;
 
         let mut survivors = Vec::new();
         for _ in 0..jobs {
@@ -728,20 +737,17 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
             self.ledger.metrics.merge(&out.metrics);
             survivors.extend(out.survivors);
         }
-        // Refills that completed since the last round bill their drawing
-        // work into this round and surface as publishes.
-        while let Ok(rep) = self.refill_rx.try_recv() {
-            job_costs.push(rep.book(&mut self.ledger) * sample_cost);
-        }
+        self.await_refills(&mut job_costs)?;
         charge_round(&mut self.ledger, &job_costs, self.workers);
 
         self.live -= batch_len - survivors.len() as u64;
         for w in survivors {
             self.bucket(w);
         }
-        // This round's phase-B claims may have pushed the buffer under
-        // its watermark; schedule the rebuild before the block leaves
-        // memory (the Arc keeps the data alive until the refill job runs).
+        // This round's pool claims may have pushed the buffer under its
+        // watermark; schedule the rebuild before the block leaves memory
+        // (the Arc keeps the data alive until the refill job runs). The
+        // next round awaits it.
         self.schedule_refill(edges)?;
         self.generate();
         Ok(())
@@ -754,10 +760,25 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
     /// Queues a refill job for `block` if its pool slot is under the
     /// demand watermark. The pending flag keeps refills single-flight per
     /// block.
-    fn schedule_refill(&self, edges: &Arc<Edges>) -> Result<(), EngineError> {
+    fn schedule_refill(&mut self, edges: &Arc<Edges>) -> Result<(), EngineError> {
         let (pool, b) = (&self.shared.pool, edges.info().id);
         if self.shared.opts.enable_presample && pool.needs_refill(b) && pool.try_begin_refill(b) {
             self.send(Job::Refill(Arc::clone(edges)))?;
+            self.refills_out += 1;
+        }
+        Ok(())
+    }
+
+    /// Waits for every refill job in flight and bills the generations they
+    /// published into `costs`. The coordinator calls it before it reads
+    /// the pool, so no refill races those reads and, with one worker,
+    /// every publish is billed in the same round on every run.
+    fn await_refills(&mut self, costs: &mut Vec<u64>) -> Result<(), EngineError> {
+        let sample_cost = self.shared.opts.sample_cost();
+        for _ in 0..std::mem::take(&mut self.refills_out) {
+            if let Some(rep) = self.refill_rx.recv().map_err(|_| worker_died())? {
+                costs.push(rep.book(&mut self.ledger) * sample_cost);
+            }
         }
         Ok(())
     }
@@ -787,19 +808,16 @@ impl<'t, A: Walk + 'static> Coordinator<'t, A> {
 
     /// Stops the workers and closes the books.
     fn finish(mut self) -> RunMetrics {
+        // Refills queued after the last round still get counted, traced
+        // and billed; a worker that died cannot report any.
+        let mut tail_costs: Vec<u64> = Vec::new();
+        let _ = self.await_refills(&mut tail_costs);
+        if !tail_costs.is_empty() {
+            charge_round(&mut self.ledger, &tail_costs, self.workers);
+        }
         drop(self.job_tx);
         for h in self.worker_handles {
             let _ = h.join();
-        }
-        // Publishes whose reports arrived after the coordinator's last
-        // drain still get counted, traced and billed.
-        let sample_cost = self.shared.opts.sample_cost();
-        let mut tail_costs: Vec<u64> = Vec::new();
-        while let Ok(rep) = self.refill_rx.try_recv() {
-            tail_costs.push(rep.book(&mut self.ledger) * sample_cost);
-        }
-        if !tail_costs.is_empty() {
-            charge_round(&mut self.ledger, &tail_costs, self.workers);
         }
         // Even an empty run reports a nonzero duration.
         if self.ledger.now() == 0 {
@@ -815,7 +833,7 @@ fn worker_loop<A: Walk>(
     mut rng: WalkRng,
     jobs: &Receiver<Job<A::Walker>>,
     outcomes: &Sender<WalkOutcome<A::Walker>>,
-    refills: &Sender<RefillReport>,
+    refills: &Sender<Option<RefillReport>>,
 ) {
     while let Ok(job) = jobs.recv() {
         match job {
@@ -827,12 +845,13 @@ fn worker_loop<A: Walk>(
                 }
             }
             Job::Refill(edges) => {
-                if let Some(rep) = refill_block(shared, &edges, &mut rng) {
-                    let _ = refills.send(rep);
-                }
-                // Re-arm scheduling even when nothing was published (above
-                // the watermark, or out of budget).
+                let rep = refill_block(shared, &edges, &mut rng);
+                // Re-arm scheduling before reporting, even when nothing was
+                // published (above the watermark, or out of budget).
                 shared.pool.end_refill(edges.info().id);
+                if refills.send(rep).is_err() {
+                    break;
+                }
             }
         }
     }
@@ -939,8 +958,8 @@ fn refill_block<A: Walk>(
         available: u64::MAX,
     };
     // No room for the plan: retire the old generation to free its
-    // reservation (readers holding an Arc keep it alive until they finish
-    // their bucket), then try once more.
+    // reservation (readers holding an Arc keep it alive until their walk
+    // job ends), then try once more.
     let reserve = |bytes, _: &mut u64| {
         ControlFlow::Break(budget.try_reserve(bytes).ok().or_else(|| {
             drop(pool.unpublish(b));
@@ -983,63 +1002,80 @@ fn worker_died() -> EngineError {
     ))
 }
 
-/// A batch of claimed sampled slots being served to one bucket's walkers.
-struct Cached<'a> {
-    dsts: &'a [VertexId],
-    next: usize,
+/// One walk job's [`Source`]: the resident edges where they are loaded,
+/// otherwise one slot claimed from the vertex's generation in the job's
+/// snapshot of the published pool. A slot the app declines (e.g. a
+/// restart) is re-served to the next walker at its vertex; one still held
+/// when the job ends is burned.
+struct JobSource<'j, A: Walk> {
+    shared: &'j Shared<A>,
+    resident: &'j Edges,
+    /// The published generations, taken once when the job starts.
+    snapshot: Vec<Option<Arc<PreSampleBuffer>>>,
+    /// Declined slots as `(vertex, destination)`, re-served first.
+    declined: Vec<(VertexId, VertexId)>,
+    /// Sampled slots claimed (pool attempts that did not stall).
+    claimed: u64,
+    /// Visits to blocks with no published generation.
+    deferred: u64,
 }
 
-impl Cached<'_> {
-    /// Serves the next claimed slot, if one is left.
-    fn pop(&mut self) -> Option<VertexId> {
-        let d = self.dsts.get(self.next).copied();
-        if d.is_some() {
-            self.next += 1;
+impl<A: Walk> Source for JobSource<'_, A> {
+    fn degree(&self, v: VertexId) -> u64 {
+        self.shared.graph.degree(v)
+    }
+
+    fn edges(&self, v: VertexId) -> Option<VertexEdges<'_>> {
+        self.resident.vertex_edges(&self.shared.graph, v)
+    }
+
+    /// Both cases that move no walker feed the block's [`BlockDemand`]: a
+    /// claim on a dry generation is a *stall* (a quota-planning miss), and
+    /// a visit to a block with no published generation *defers* to the
+    /// block's next residency (nothing existed to claim from, so it is not
+    /// a pool attempt) — absence of a generation is exactly what the
+    /// refill scheduler must learn about.
+    fn draw(&mut self, at: VertexId) -> Option<Draw<'_>> {
+        let (graph, resident) = (&*self.shared.graph, self.resident);
+        if let Some(view) = resident.vertex_edges(graph, at) {
+            return Some(Draw::Edges(view));
         }
-        d
+        if let Some(k) = self.declined.iter().position(|&(v, _)| v == at) {
+            return Some(Draw::Slot(self.declined.swap_remove(k).1));
+        }
+        let b = graph.block_of(at);
+        let demand = self.shared.pool.demand(b);
+        let Some(buf) = &self.snapshot[b as usize] else {
+            demand.note_stalls(1);
+            self.deferred += 1;
+            return None;
+        };
+        Some(match buf.claim(at) {
+            Claim::Sampled(dst) => {
+                demand.note_claims(1);
+                self.claimed += 1;
+                Draw::Slot(dst)
+            }
+            Claim::Raw(view) => Draw::Raw(view),
+            Claim::Stalled => {
+                demand.note_stalls(1);
+                Draw::Dry
+            }
+        })
     }
 
-    /// Returns the most recently popped slot (the app declined the hop),
-    /// so the next walker at this vertex re-serves it instead of burning
-    /// a fresh claim.
-    fn unpop(&mut self) {
-        self.next = self.next.saturating_sub(1);
-    }
-
-    /// Claimed slots never served — burned when the bucket retires.
-    fn leftover(&self) -> u64 {
-        (self.dsts.len() - self.next) as u64
+    fn settle(&mut self, at: VertexId, dst: VertexId, taken: bool) {
+        if !taken {
+            self.declined.push((at, dst));
+        }
     }
 }
 
-/// The batched step kernel: runs a whole chunk of walkers to quiescence.
-///
-/// Alternates two phases until no walker can move: (A) every walker on the
-/// resident block runs to exhaustion against the in-memory edges
-/// ([`walk_resident`]); (B) the
-/// walkers that left are grouped by destination block and each group
-/// drains the published pre-sample pool — *one* buffer acquire per group,
-/// then lock-free batched [`PreSampleBuffer::claim_batch`]es. The first
-/// claim for a vertex takes a single slot; once a vertex shows reuse
-/// inside the bucket (its cache entry ran dry), claims escalate to
-/// [`EngineOptions::claim_batch`] slots per RMW, amortizing cursor traffic on hot
-/// vertices while bounding tail waste on cold ones. Slots the app
-/// declines (e.g. restarts) are returned to the cache; slots still cached
-/// when the bucket retires are recorded as `claims_burned`, keeping
-/// `pool_attempts == presamples_consumed + claims_burned + pool_stalls`
-/// conserved. Walkers that land back on the resident block return to
-/// phase A; walkers that hop to a third block join that bucket for the
-/// next phase-B sweep.
+/// The step kernel: walks each walker of a chunk once, through the job's
+/// [`JobSource`], until its walk ends or nothing serves its next hop.
 ///
 /// Returns the walkers the pool could not move — the coordinator
-/// re-buckets them for a future block schedule. Two causes are counted
-/// apart: a claim against a live generation whose slots ran dry is a
-/// *stall* ([`RunMetrics::record_pool_stall`], a quota-planning miss),
-/// while a group whose block has no published generation at all *defers*
-/// ([`RunMetrics::record_pool_deferrals`] — nothing existed to claim
-/// from, so it is not a pool attempt). Both are tallied into the block's
-/// [`BlockDemand`], so refill scheduling and quota planning see the full
-/// demand signal either way.
+/// re-buckets them for a future block schedule.
 fn drive_batch<A: Walk>(
     shared: &Shared<A>,
     block: &Edges,
@@ -1047,124 +1083,29 @@ fn drive_batch<A: Walk>(
     rng: &mut WalkRng,
     walkers: Vec<A::Walker>,
 ) -> Vec<A::Walker> {
-    let (app, graph, pool) = (&*shared.app, &*shared.graph, &shared.pool);
-    let resident_id = block.info().id;
-    let mut resident = walkers;
-    let mut buckets: BTreeMap<BlockId, Vec<A::Walker>> = BTreeMap::new();
+    let (app, opts, pool) = (&*shared.app, &shared.opts, &shared.pool);
+    let mut source = JobSource {
+        shared,
+        resident: block,
+        snapshot: (0..pool.slots.len() as BlockId)
+            .map(|b| pool.acquire(b))
+            .collect(),
+        declined: Vec::new(),
+        claimed: 0,
+        deferred: 0,
+    };
     let mut stalled = Vec::new();
-    let degree = |v| graph.degree(v);
-    let edges = |v| block.vertex_edges(graph, v);
-    while !resident.is_empty() || !buckets.is_empty() {
-        // Phase A: the resident block serves from memory.
-        for mut w in std::mem::take(&mut resident) {
-            match walk_resident(app, &mut w, rng, local, degree, edges, |_, _| {}).1 {
-                Stop::Done => retire_walker(app, local, &w),
-                Stop::Left => {
-                    let b = graph.block_of(app.location(&w));
-                    buckets.entry(b).or_default().push(w);
-                }
-            }
-        }
-        // Phase B: each destination bucket drains the published pool.
-        for (b, group) in std::mem::take(&mut buckets) {
-            let demand = pool.demand(b);
-            let Some(buf) = pool.acquire(b) else {
-                // No generation published for this block at all: there is
-                // no pool to claim from, so the group *defers* to the
-                // block's next residency rather than stalling a claim.
-                // The demand tally still sees the visits — absence of a
-                // generation is exactly what the refill scheduler must
-                // learn about.
-                demand.note_stalls(group.len() as u64);
-                local.record_pool_deferrals(group.len() as u64);
-                stalled.extend(group);
-                continue;
-            };
-            // Per-bucket claim cache: batched claims land here and are
-            // served slot by slot across the bucket's walkers.
-            let mut cache: BTreeMap<VertexId, Cached<'_>> = BTreeMap::new();
-            let mut claimed = 0u64;
-            let mut stalls = 0u64;
-            'walkers: for mut w in group {
-                loop {
-                    let loc = app.location(&w);
-                    let mut served = cache.get_mut(&loc).and_then(Cached::pop);
-                    if served.is_none() {
-                        // First claim for a vertex takes one slot; a dry
-                        // cache entry is evidence of reuse and escalates
-                        // to a full batch.
-                        let n = if cache.contains_key(&loc) {
-                            shared.opts.claim_batch
-                        } else {
-                            1
-                        };
-                        match buf.claim_batch(loc, n) {
-                            BatchClaim::Sampled(dsts) => {
-                                local.record_pool_attempts(dsts.len() as u64);
-                                claimed += dsts.len() as u64;
-                                let mut c = Cached { dsts, next: 0 };
-                                served = c.pop();
-                                cache.insert(loc, c);
-                            }
-                            BatchClaim::Raw(view) => {
-                                let dst = app.sample_for(&mut w, &view, rng);
-                                app.action(&mut w, dst, rng);
-                                local.record_step(StepSource::Raw);
-                            }
-                            BatchClaim::Stalled => {
-                                local.record_pool_stall();
-                                stalls += 1;
-                                stalled.push(w);
-                                continue 'walkers;
-                            }
-                        }
-                    }
-                    if let Some(dst) = served {
-                        // A slot only counts as consumed when the app
-                        // really took the step; a declined hop (e.g. a
-                        // restart) returns the slot to the cache for the
-                        // next walker at this vertex.
-                        if app.action(&mut w, dst, rng) {
-                            local.record_presample_consumed();
-                        } else if let Some(c) = cache.get_mut(&loc) {
-                            c.unpop();
-                        }
-                        local.record_step(StepSource::PreSample);
-                    }
-                    if !app.is_active(&w) {
-                        retire_walker(app, local, &w);
-                        continue 'walkers;
-                    }
-                    let nloc = app.location(&w);
-                    if graph.degree(nloc) == 0 {
-                        retire_walker(app, local, &w);
-                        continue 'walkers;
-                    }
-                    let nb = graph.block_of(nloc);
-                    if nb == resident_id {
-                        resident.push(w);
-                        continue 'walkers;
-                    }
-                    if nb != b {
-                        buckets.entry(nb).or_default().push(w);
-                        continue 'walkers;
-                    }
-                    // Still on block `b`: serve again from the cache or
-                    // the buffer we already hold.
-                }
-            }
-            // Bucket retires: burn the claimed-but-unserved slots so the
-            // claim-conservation law stays balanced, and report demand.
-            let leftover: u64 = cache.values().map(Cached::leftover).sum();
-            if leftover > 0 {
-                local.record_claims_burned(leftover);
-            }
-            demand.note_claims(claimed);
-            if stalls > 0 {
-                demand.note_stalls(stalls);
-            }
+    for mut w in walkers {
+        match walk_resident(app, &mut w, rng, local, opts, &mut source, |_, _| {}).1 {
+            Stop::Done => retire_walker(app, local, &w),
+            Stop::Left => stalled.push(w),
         }
     }
+    // Every claimed slot was consumed or is burned here, so
+    // `pool_attempts == presamples_consumed + claims_burned + pool_stalls`.
+    local.record_pool_attempts(source.claimed);
+    local.record_claims_burned(source.declined.len() as u64);
+    local.record_pool_deferrals(source.deferred);
     stalled
 }
 
@@ -1172,9 +1113,10 @@ fn drive_batch<A: Walk>(
 mod tests {
     use super::*;
     use crate::audit::{MemorySink, TraceEvent};
-    use crate::presample::plan_quotas;
+    use crate::presample::{plan_quotas, BatchClaim};
     use noswalker_graph::generators;
     use noswalker_storage::{SimSsd, SsdProfile};
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64 as A64, Ordering};
 
     #[derive(Debug)]
@@ -1355,7 +1297,7 @@ mod tests {
         let buf = pool.acquire(0).unwrap();
         let cap = buf.sampled_capacity();
         assert!(cap > 0);
-        // Drain slots while feeding the demand tally, the way phase B
+        // Drain slots while feeding the demand tally, the way the kernel
         // does: the watermark must trip strictly before the pool is dry.
         let mut drained = 0u64;
         while !pool.needs_refill(0) {

@@ -449,10 +449,12 @@ impl PreSampleBuffer {
         *cnt = cnt.saturating_add(1);
     }
 
-    /// Records a stalled visit at `v` (pre-samples exhausted): bumps `cnt`
-    /// so the next refill allocates this vertex more slots (§3.3.2).
-    pub fn record_stall(&mut self, v: VertexId) {
-        self.consume(v);
+    /// Records a visit at `v` that takes no sampled slot — a stall
+    /// (pre-samples exhausted) or a hop on raw-retained edges, which never
+    /// deplete: bumps `cnt` so the next refill allocates this vertex more
+    /// slots (§3.3.2).
+    pub fn record_visit(&self, v: VertexId) {
+        self.cnt[self.local(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the visit counters, fed to [`plan_quotas`] at refill
@@ -659,7 +661,7 @@ mod tests {
             buf.consume(2);
         }
         assert!(matches!(buf.peek(2), Peek::Empty));
-        buf.record_stall(2);
+        buf.record_visit(2);
         assert_eq!(buf.visit_weights_snapshot()[2], 4);
     }
 
@@ -747,7 +749,7 @@ mod tests {
     fn into_published_carries_consumption_state() {
         let mut buf = build_simple();
         buf.consume(2); // slot 101 gone
-        buf.record_stall(3);
+        buf.record_visit(3);
         let mem = buf.memory_bytes();
         let published = buf.into_published();
         assert_eq!(published.memory_bytes(), mem);

@@ -329,25 +329,28 @@ fn weighted_raw_retention_keeps_edge_weights() {
 
 /// The two ratchets of the former `noswalker-bench throughput` gate, on
 /// its exact tiny cell and at one worker only: that pipeline is
-/// FIFO-deterministic (0.702 and 0.315 on every run), while multi-worker
+/// FIFO-deterministic (0.766 and 0.316 on every run), while multi-worker
 /// interleaving is the OS scheduler's and is measured at scale by
 /// `benchmark/`. Both engines are modeled-I/O-bound here, so the ratio
 /// tracks bytes moved (coarse reloads); `pool_stalls` are attempts that
 /// found a live pre-sample generation already dry, the quota planner's miss
 /// rate. Both engines count a stalled visit once per attempt, so their
-/// per-step stall rates must agree within 1.25× (0.271 sequential, 0.315
+/// per-step stall rates must agree within 1.25× (0.271 sequential, 0.316
 /// 1-worker). Counting one tick per scheduler pass a walker waits read 1.430
 /// for the sequential engine; moving to one tick per attempt cut its modeled
 /// rate on this cell by 5 %, taking the 1-worker/sequential ratio from
 /// 0.660 to 0.696; reading 4 KiB page batches for the last few walkers,
-/// as the sequential engine does, took it to 0.702.
+/// as the sequential engine does, took it to 0.702. It read 0.699 before
+/// the parallel kernel walked each walker once with single-slot claims
+/// (no batch leftover is burned) and billed every refill in a fixed
+/// round, which took it to 0.766 (floor 0.65 → 0.75).
 /// Raise the floor and lower the ceiling when the kernel improves; never
 /// loosen either without a recorded regression analysis.
 #[test]
 fn one_worker_pipeline_overhead_and_stall_rate_stay_ratcheted() {
     use noswalker_bench::datasets::{self, Scale};
     use noswalker_bench::runner::env;
-    const RATIO_FLOOR: f64 = 0.65;
+    const RATIO_FLOOR: f64 = 0.75;
     const STALL_CEILING: f64 = 0.35;
 
     let d = datasets::get("k30", Scale::Tiny);
@@ -390,14 +393,14 @@ fn one_worker_pipeline_overhead_and_stall_rate_stay_ratcheted() {
 /// pre-sample generation at no more than twice the batch's device price,
 /// which the parallel runner does not do yet. At one worker the fine
 /// pipeline is as FIFO-deterministic as the coarse one: the
-/// 1-worker/sequential modeled steps/s ratio reads 0.889 on every run
-/// (0.904 before the sequential engine read whole blocks in fine mode,
+/// 1-worker/sequential modeled steps/s ratio reads 0.890 on every run
+/// (0.889 before the parallel kernel walked each walker once, 0.904 before the sequential engine read whole blocks in fine mode,
 /// 0.237 when the parallel runner reloaded whole blocks). Raise the floor
 /// when the kernel improves; never loosen it without a recorded
 /// regression analysis.
 #[test]
 fn one_worker_fine_mode_ratio_stays_ratcheted() {
-    const RATIO_FLOOR: f64 = 0.85;
+    const RATIO_FLOOR: f64 = 0.87;
 
     let csr = generators::rmat(15, 16, RmatParams::default(), 55);
     let budget = csr.edge_region_bytes() / 4;
