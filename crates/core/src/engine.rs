@@ -21,7 +21,7 @@ use crate::block::BlockCache;
 use crate::disk_graph::{LoadError, OnDiskGraph};
 use crate::ledger::Ledger;
 use crate::metrics::{RunMetrics, StepSource};
-use crate::options::EngineOptions;
+use crate::options::{adjust_split, Adjust, EngineOptions};
 use crate::presample::{plan_quotas, Peek, PreSampleBuffer};
 use crate::threaded::Edges;
 use crate::walk::{SecondOrderWalk, Walk, WalkRng};
@@ -651,7 +651,12 @@ struct Run<'e, A: Walk> {
     next_id: u64,
     total: u64,
     presample: Vec<Option<PreSampleBuffer>>,
-    pool_reservation: Option<Reservation>,
+    pool_reservation: Reservation,
+    /// Live walkers the pool may hold: [`EngineOptions::walker_pool_quota`]
+    /// at the start, then moved at every load by [`Run::adjust`].
+    cap: u64,
+    /// On-block and pool steps booked at the last load boundary.
+    mark: (u64, u64),
     /// Page-cache stand-in for coarse blocks (the cgroups budget covers
     /// the OS page cache for every system, §4.1).
     cache: BlockCache,
@@ -733,7 +738,9 @@ impl<'e, A: Walk> Run<'e, A> {
             next_id: 0,
             total,
             presample: (0..num_blocks).map(|_| None).collect(),
-            pool_reservation: Some(pool_reservation),
+            pool_reservation,
+            cap: charged,
+            mark: (0, 0),
             cache: BlockCache::new(num_blocks),
             max_block_bytes: engine.graph.max_block_bytes(),
             #[cfg(test)]
@@ -755,13 +762,6 @@ impl<'e, A: Walk> Run<'e, A> {
 
     fn remaining(&self) -> u64 {
         self.total - self.ledger.metrics.walkers_finished - self.ledger.metrics.walkers_cancelled
-    }
-
-    /// The effective walker pool capacity (see
-    /// [`EngineOptions::walker_pool_quota`]).
-    fn pool_cap(&self) -> u64 {
-        self.opts
-            .walker_pool_quota(self.budget, self.app.state_bytes(), self.total)
     }
 
     fn done(&self) -> bool {
@@ -857,8 +857,9 @@ impl<'e, A: Walk> Run<'e, A> {
     }
 
     /// Generates walkers up to `cap` live, shrinking the pool reservation
-    /// once generation is exhausted (memory recycling, §3.3.3). `needed`
-    /// computes the bucket vertex for a fresh walker.
+    /// to the live walkers and the pool's cap, or to the live walkers
+    /// alone once generation is exhausted (memory recycling, §3.3.3).
+    /// `needed` computes the bucket vertex for a fresh walker.
     fn generate(&mut self, cap: u64, needed: impl Fn(&Self, &A::Walker) -> VertexId) {
         while self.live < cap && self.next_id < self.total {
             let spawned = spawn_walker(
@@ -873,14 +874,14 @@ impl<'e, A: Walk> Run<'e, A> {
                 self.insert_walker(w, v);
             }
         }
-        if self.next_id >= self.total {
-            let cap = self.pool_cap();
-            if let Some(r) = &mut self.pool_reservation {
-                let want = self.live.min(cap) * self.app.state_bytes() as u64;
-                if want < r.bytes() {
-                    r.shrink_to(want);
-                }
-            }
+        let keep = if self.next_id < self.total {
+            self.live.max(self.cap)
+        } else {
+            self.live
+        };
+        let want = keep * self.app.state_bytes() as u64;
+        if want < self.pool_reservation.bytes() {
+            self.pool_reservation.shrink_to(want);
         }
     }
 
@@ -985,16 +986,7 @@ impl<'e, A: Walk> Run<'e, A> {
                 .filter(|&b| self.presample[b].is_some())
                 .max_by_key(|&b| self.presample[b].as_ref().map_or(0, |p| p.memory_bytes()));
             match victim {
-                Some(b) => {
-                    let at = self.ledger.now();
-                    let freed = self.presample[b].as_ref().map_or(0, |p| p.memory_bytes());
-                    self.ledger.emit(|| TraceEvent::PresampleEvict {
-                        block: b as BlockId,
-                        bytes: freed,
-                        at_ns: at,
-                    });
-                    self.presample[b] = None;
-                }
+                Some(b) => self.evict_generation(b),
                 None => {
                     return Err(BudgetExceeded {
                         requested: bytes,
@@ -1005,6 +997,18 @@ impl<'e, A: Walk> Run<'e, A> {
             }
         }
         Ok(())
+    }
+
+    /// Drops block `b`'s pre-sample generation, booking the eviction.
+    fn evict_generation(&mut self, b: usize) {
+        if let Some(buf) = self.presample[b].take() {
+            let (at, bytes) = (self.ledger.now(), buf.memory_bytes());
+            self.ledger.emit(|| TraceEvent::PresampleEvict {
+                block: b as BlockId,
+                bytes,
+                at_ns: at,
+            });
+        }
     }
 
     /// The block with the most waiting walkers, excluding `skip`.
@@ -1036,7 +1040,7 @@ impl<'e, A: Walk> Run<'e, A> {
         let remaining = self.remaining();
         if self.ledger.fine_mode(self.opts, self.graph, remaining) {
             let waiting = self.buckets[b as usize].entries.iter().map(|e| e.v);
-            let hold = self.pool_reservation.as_ref().map_or(0, Reservation::bytes);
+            let hold = self.pool_reservation.bytes();
             let (verts, room) = plan_fine_batch(self.graph, self.budget, hold, waiting);
             if !self.reads_whole(b, &verts) {
                 self.make_room(room)?;
@@ -1089,11 +1093,11 @@ impl<'e, A: Walk> Run<'e, A> {
     /// walker pool), split evenly across blocks. This is what lets the
     /// reserved samples cover the *entire* graph at a few slots per
     /// vertex — the succinct-representation effect of §2.4.1 — instead
-    /// of a handful of blocks hoarding deep sample queues. It never falls
-    /// within a run: the walker pool's reservation only shrinks.
+    /// of a handful of blocks hoarding deep sample queues. It falls within
+    /// a run only when [`Run::adjust`] grows the walker pool, which then
+    /// evicts every generation the lowered share no longer funds.
     fn fair_share(&self) -> u64 {
-        let fixed =
-            2 * self.max_block_bytes + self.pool_reservation.as_ref().map_or(0, |r| r.bytes());
+        let fixed = 2 * self.max_block_bytes + self.pool_reservation.bytes();
         let pool_budget = (self.budget.limit().saturating_sub(fixed) as f64
             * EngineOptions::PRESAMPLE_BUDGET_FRACTION) as u64;
         pool_budget / self.graph.num_blocks().max(1) as u64
@@ -1114,7 +1118,7 @@ impl<'e, A: Walk> Run<'e, A> {
         // free budget.
         if nv == 0 || !refills_whole_block(self.opts, &info, current, fair, None) {
             // A block refused on its fair share holds no generation to
-            // drop: the fair share never falls within a run.
+            // drop: a grown walker pool evicts the ones it defunds.
             debug_assert!(fair > nv as u64 * 9 + 4 || current.is_none());
             return;
         }
@@ -1174,6 +1178,72 @@ impl<'e, A: Walk> Run<'e, A> {
         self.presample[b as usize] = Some(buf);
     }
 
+    /// The "Adjust" arrow (Fig. 6), at a load boundary while walkers are
+    /// still being generated: moves one fair share of budget toward the
+    /// side that served more steps per byte since the last boundary
+    /// ([`adjust_split`]). Growing the walker pool gives back cached
+    /// blocks first, never evicts a generation to make room, keeps room
+    /// for one more block and stays inside the working set the fair share
+    /// leaves out; the generations the lowered fair share no longer funds
+    /// are then evicted. Shrinking lowers the cap, never below the opening
+    /// quota, and the reservation follows live walkers down in
+    /// [`Run::generate`].
+    fn adjust(&mut self) {
+        let m = &self.ledger.metrics;
+        let steps = (m.steps_on_block, m.steps_on_presample + m.steps_on_raw);
+        let (block, pool) = (steps.0 - self.mark.0, steps.1 - self.mark.1);
+        self.mark = steps;
+        if self.next_id >= self.total || self.cap >= self.total {
+            return;
+        }
+        let pool_bytes = self
+            .presample
+            .iter()
+            .flatten()
+            .map(|p| p.memory_bytes())
+            .sum();
+        let (fair, state) = (self.fair_share(), self.app.state_bytes().max(1) as u64);
+        let held = self.pool_reservation.bytes();
+        match adjust_split(block, pool, held, pool_bytes) {
+            Adjust::Grow => {
+                let most = self.total.min(self.opts.walker_pool_size as u64);
+                let cap = (self.cap + fair / state).min(most);
+                let need = (cap * state).saturating_sub(held);
+                let room = need + self.max_block_bytes;
+                while cap > self.cap && self.budget.available() < room && self.cache.evict_one() {
+                    let at = self.ledger.now();
+                    self.ledger.emit(|| TraceEvent::CacheEvict { at_ns: at });
+                }
+                if cap <= self.cap
+                    || self.budget.available() < room
+                    || self.pool_reservation.try_grow(need).is_err()
+                {
+                    return;
+                }
+                // The fair share leaves out the working set, so the pool
+                // never grows into the two block buffers.
+                let ceiling = self.budget.limit().saturating_sub(2 * self.max_block_bytes);
+                debug_assert!(self.pool_reservation.bytes() <= ceiling);
+                self.cap = cap;
+                let fair = self.fair_share();
+                for b in 0..self.presample.len() {
+                    let info = self.graph.partition().block(b as BlockId);
+                    if fair <= u64::from(info.num_vertices()) * 9 + 4 {
+                        self.evict_generation(b);
+                    }
+                }
+            }
+            Adjust::Shrink => {
+                let state_bytes = self.app.state_bytes();
+                let opening = self
+                    .opts
+                    .walker_pool_quota(self.budget, state_bytes, self.total);
+                self.cap = self.cap.saturating_sub(fair / state).max(opening);
+            }
+            Adjust::Hold => {}
+        }
+    }
+
     // ------------------------------------------------------------------
     // First-order pooled workflow (Algorithm 1)
     // ------------------------------------------------------------------
@@ -1188,8 +1258,7 @@ impl<'e, A: Walk> Run<'e, A> {
         integrate: impl Fn(&mut Self, Pending),
         attempt: impl Fn(&mut Self, usize) -> u64,
     ) -> Result<(), EngineError> {
-        let cap = self.pool_cap();
-        self.generate(cap, needed);
+        self.generate(self.cap, needed);
         let mut pending: Option<Pending> = None;
         loop {
             if self.done() {
@@ -1201,11 +1270,12 @@ impl<'e, A: Walk> Run<'e, A> {
             if let Some(p) = pending.take_if(|p| p.1 <= now) {
                 pending = self.try_prefetch(Some(p.0.info().id))?;
                 integrate(self, p);
-                self.generate(cap, needed);
+                self.adjust();
+                self.generate(self.cap, needed);
             }
             // Keep walkers moving on reserved pre-samples meanwhile.
             let moved = self.pool_pass(needed, &attempt);
-            self.generate(cap, needed);
+            self.generate(self.cap, needed);
             if self.done() {
                 break;
             }
@@ -1242,13 +1312,12 @@ impl<'e, A: Walk> Run<'e, A> {
         // freeing their pool slots for yet more generation. Iterate until
         // the block has no runnable walker left or the pool is pinned by
         // walkers stuck elsewhere.
-        let cap = self.pool_cap();
         loop {
             let progress_mark =
                 self.ledger.metrics.steps + self.ledger.metrics.walkers_finished + self.next_id;
             let bucket = self.take_bucket(b);
             if bucket.is_empty() {
-                self.generate(cap, |run, w| run.app.location(w));
+                self.generate(self.cap, |run, w| run.app.location(w));
                 if self.next_id + self.ledger.metrics.walkers_finished == progress_mark
                     || self.buckets[b as usize].entries.is_empty()
                 {
@@ -1755,7 +1824,7 @@ mod tests {
         // (a)). The polling pass that re-visited every waiting walker on
         // every scheduler pass cost 58,764 pick-ups for the 13,381 steps
         // it simulated (4.39 per step); park-once measured 25,323 (1.89)
-        // there, and 25,001 for the 13,356 steps here (1.87). Wall-free: a
+        // there, and 25,572 for the 13,365 steps here (1.91). Wall-free: a
         // loop that is O(pool x passes) again cannot pass this, whatever
         // the host. A stall is an attempt that came back dry, so the stall
         // count guards too: a pick-up stalls at most once, and a ledger
@@ -1766,7 +1835,7 @@ mod tests {
         run.run_pooled().unwrap();
         let pickups = run.pickups;
         let m = run.finish();
-        assert_eq!((m.steps, m.pool_stalls), (13_356, 3_770));
+        assert_eq!((m.steps, m.pool_stalls), (13_365, 2_649));
         assert!(m.pool_stalls <= pickups, "{} stalls", m.pool_stalls);
         let per_step = pickups as f64 / m.steps as f64;
         assert!(
@@ -1774,6 +1843,34 @@ mod tests {
             "{pickups} pick-ups for {} steps = {per_step:.2} per step",
             m.steps
         );
+    }
+
+    #[test]
+    fn adjust_grows_the_walker_pool_only_where_the_budget_leaves_room() {
+        let finished = |engine: &NosWalkerEngine<Basic>| {
+            let state = engine.app.state_bytes();
+            let opening = engine.opts.walker_pool_quota(&engine.budget, state, 2000);
+            let mut run = Run::new(engine, 3, Trace::from_option(None)).unwrap();
+            run.run_pooled().unwrap();
+            (opening, run.cap)
+        };
+        // Out of core: loaded blocks serve more steps per byte than the
+        // pre-samples, so the pool ends above its opening quota.
+        let (opening, cap) = finished(&ooc_engine(EngineOptions::full()));
+        assert!(cap > opening, "cap {cap}, opening {opening}");
+        // Two block buffers take the whole limit: no fair share funds a
+        // generation, so nothing is weighed and nothing can shrink the cap
+        // back — ending at the opening quota means it never rose.
+        let engine = ooc_engine(EngineOptions::full());
+        let limit = 2 * engine.graph.max_block_bytes();
+        let tight = NosWalkerEngine::new(
+            Arc::clone(&engine.app),
+            Arc::clone(&engine.graph),
+            EngineOptions::full(),
+            MemoryBudget::new(limit),
+        );
+        let (opening, cap) = finished(&tight);
+        assert_eq!(cap, opening);
     }
 
     /// Runs `f` on block 0 of a scale-10 R-MAT graph (2 KiB blocks): its

@@ -10,10 +10,10 @@ use noswalker_storage::MemoryBudget;
 /// by one — walker management, shrink block size, pre-sample edges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOptions {
-    /// Upper bound on live walkers held in the pool. The effective pool is
-    /// additionally capped at a quarter of the memory budget (walker pools
-    /// and pre-sample buffers share memory and are adjusted against each
-    /// other — the "Adjust" arrow of the paper's Fig. 6).
+    /// Upper bound on live walkers held in the pool. The effective pool
+    /// opens at [`EngineOptions::walker_pool_quota`]; the sequential engine
+    /// then moves budget between it and the pre-sample buffers at every
+    /// load ([`adjust_split`], the "Adjust" arrow of the paper's Fig. 6).
     pub walker_pool_size: usize,
     /// Dynamic in-memory walker generation (§2.4.2). When off, all walkers
     /// conceptually exist from the start and moving a block's walkers
@@ -141,16 +141,17 @@ impl EngineOptions {
     /// The number of walkers a pool may hold for an app whose state takes
     /// `state_bytes` per walker, out of `total` walkers overall.
     ///
-    /// Pool auto-sizing (Fig. 6's "Adjust"): walker pools may take at most
-    /// a quarter of the budget, leaving the rest for block buffers and the
-    /// pre-sample pool. A floor of 64 walkers keeps tiny budgets from
-    /// serializing walk execution — but the floor is itself clamped so the
-    /// pool's *bytes* never exceed half the budget, otherwise a large
-    /// per-walker state under a small budget would make the reservation
-    /// overshoot the limit outright.
+    /// The opening split: walker pools take at most a quarter of the
+    /// budget, leaving the rest for block buffers and the pre-sample pool.
+    /// A floor of 64 walkers keeps tiny budgets from serializing walk
+    /// execution — but the floor is itself clamped so the pool's *bytes*
+    /// never exceed half the budget, otherwise a large per-walker state
+    /// under a small budget would make the reservation overshoot the limit
+    /// outright.
     ///
-    /// This is the single sizing rule shared by the sequential engine, its
-    /// pool-capacity check and the parallel runner — it must not be
+    /// The sequential engine opens every run here and then moves the split
+    /// by [`adjust_split`], never below this quota. The parallel runner and
+    /// the serve lanes keep this rule for the whole run; it must not be
     /// re-derived at call sites.
     pub fn walker_pool_quota(&self, budget: &MemoryBudget, state_bytes: usize, total: u64) -> u64 {
         let state = state_bytes.max(1) as u64;
@@ -171,6 +172,39 @@ impl EngineOptions {
     /// for direct on-block sampling).
     pub fn sample_cost(&self) -> u64 {
         (Self::SAMPLE_NS / self.threads.max(1)).max(1)
+    }
+}
+
+/// Where the sequential engine moves one fair share of budget at a load
+/// boundary ([`adjust_split`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Adjust {
+    /// To the walker pool.
+    Grow,
+    /// To the pre-sample pool.
+    Shrink,
+    /// Nowhere.
+    Hold,
+}
+
+/// The "Adjust" arrow of the paper's Fig. 6: compares the steps each side
+/// of the budget served per byte since the last load boundary. The walker
+/// pool earned `block_steps` (steps on loaded edges) with `walker_bytes`;
+/// the pre-sample pool earned `pool_steps` (pre-sampled and raw slots)
+/// with the `pool_bytes` its generations hold. Budget moves toward the
+/// higher rate; a tie, zero steps on both sides included, holds.
+pub fn adjust_split(
+    block_steps: u64,
+    pool_steps: u64,
+    walker_bytes: u64,
+    pool_bytes: u64,
+) -> Adjust {
+    let walkers = u128::from(block_steps) * u128::from(pool_bytes);
+    let pool = u128::from(pool_steps) * u128::from(walker_bytes);
+    match walkers.cmp(&pool) {
+        std::cmp::Ordering::Greater => Adjust::Grow,
+        std::cmp::Ordering::Less => Adjust::Shrink,
+        std::cmp::Ordering::Equal => Adjust::Hold,
     }
 }
 
@@ -221,6 +255,22 @@ mod tests {
         assert!(q >= 64);
         // Never more walkers than the app will ever generate.
         assert_eq!(o.walker_pool_quota(&budget, 16, 5), 5);
+    }
+
+    #[test]
+    fn split_moves_toward_the_side_with_more_steps_per_byte() {
+        // 100 steps on 1,000 walker bytes against 100 on 2,000 pool bytes.
+        assert_eq!(adjust_split(100, 100, 1_000, 2_000), Adjust::Grow);
+        assert_eq!(adjust_split(100, 100, 2_000, 1_000), Adjust::Shrink);
+        assert_eq!(adjust_split(10, 20, 1_000, 2_000), Adjust::Hold);
+        assert_eq!(adjust_split(0, 0, 1_000, 2_000), Adjust::Hold);
+        // No pool and no pool steps (pre-sampling off): nothing to weigh.
+        assert_eq!(adjust_split(500, 0, 1_000, 0), Adjust::Hold);
+        // The cross-products are exact at the extremes.
+        let max = u64::MAX;
+        assert_eq!(adjust_split(max, max - 1, max, max), Adjust::Grow);
+        assert_eq!(adjust_split(max, max, max, max - 1), Adjust::Shrink);
+        assert_eq!(adjust_split(max, max, max, max), Adjust::Hold);
     }
 
     #[test]

@@ -102,6 +102,15 @@ impl MemoryBudget {
     /// [`BudgetExceeded`] if the reservation would push usage past the
     /// limit; usage is unchanged on failure.
     pub fn try_reserve(self: &Arc<Self>, bytes: u64) -> Result<Reservation, BudgetExceeded> {
+        self.take(bytes)?;
+        Ok(Reservation {
+            budget: Arc::clone(self),
+            bytes,
+        })
+    }
+
+    /// Adds `bytes` to `used` unless that passes the limit.
+    fn take(&self, bytes: u64) -> Result<(), BudgetExceeded> {
         let mut cur = self.used.load(Ordering::Relaxed);
         loop {
             let new = cur.saturating_add(bytes);
@@ -118,10 +127,7 @@ impl MemoryBudget {
             {
                 Ok(_) => {
                     self.peak.fetch_max(new, Ordering::Relaxed);
-                    return Ok(Reservation {
-                        budget: Arc::clone(self),
-                        bytes,
-                    });
+                    return Ok(());
                 }
                 Err(actual) => cur = actual,
             }
@@ -142,12 +148,24 @@ impl Reservation {
         self.bytes
     }
 
+    /// Grows the reservation by `extra` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`BudgetExceeded`] as for [`MemoryBudget::try_reserve`]; the
+    /// reservation and the budget are unchanged on failure.
+    pub fn try_grow(&mut self, extra: u64) -> Result<(), BudgetExceeded> {
+        self.budget.take(extra)?;
+        self.bytes += extra;
+        Ok(())
+    }
+
     /// Shrinks the reservation to `new_bytes`, releasing the difference.
     ///
     /// # Panics
     ///
-    /// Panics if `new_bytes > self.bytes()` (growing requires a new
-    /// reservation so failure is explicit).
+    /// Panics if `new_bytes > self.bytes()` (growing is
+    /// [`Reservation::try_grow`], whose failure is explicit).
     pub fn shrink_to(&mut self, new_bytes: u64) {
         assert!(
             new_bytes <= self.bytes,
@@ -198,6 +216,21 @@ mod tests {
         r.shrink_to(40);
         assert_eq!(b.in_use(), 40);
         assert_eq!(r.bytes(), 40);
+        drop(r);
+        assert_eq!(b.in_use(), 0);
+    }
+
+    #[test]
+    fn grow_takes_room_or_fails_without_side_effects() {
+        let b = MemoryBudget::new(100);
+        let mut r = b.try_reserve(40).unwrap();
+        r.try_grow(30).unwrap();
+        assert_eq!((r.bytes(), b.in_use(), b.peak()), (70, 70, 70));
+        let err = r.try_grow(31).unwrap_err();
+        assert_eq!((err.requested, err.in_use), (31, 70));
+        assert_eq!((r.bytes(), b.in_use(), b.peak()), (70, 70, 70));
+        r.try_grow(30).unwrap();
+        assert_eq!(b.in_use(), 100);
         drop(r);
         assert_eq!(b.in_use(), 0);
     }

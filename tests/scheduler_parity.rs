@@ -13,7 +13,15 @@
 //! the page batch's device price: cells a, c, d, f and h each trade some
 //! page batches for whole-block reads (coarse loads +1, +5, +3, +2, +2),
 //! which moves their load order, refills and trace, while b, e and g
-//! never meet such a load. A cell that moves now means the simulation
+//! never meet such a load. They were re-recorded a third time when the
+//! sequential engine began moving budget between its walker pool and its
+//! pre-sample pool at every load (the "Adjust" arrow): in cells a, f and
+//! h loaded edges serve more steps per byte than the pre-samples, so the
+//! walker pool grows past its opening quota and each cell loads less
+//! (coarse loads 309 → 227, 2,953 → 2,218, 334 → 264). In b, c, e and g
+//! the opening quota already holds every walker, and in d (all-raw at
+//! 24 KiB) no generation is held while walkers are still being generated,
+//! so the split holds. A cell that moves now means the simulation
 //! changed — bucket order, stall ticks, quota plans, load order or RNG
 //! consumption — and is a bug in the scheduler, not a number to re-record.
 
@@ -276,14 +284,13 @@ fn h_cancellation_reaches_parked_walkers() {
 }
 
 const CELL_A: &str =
-    "sim_ns=529815 stall_ns=408809 io_busy_ns=529788 steps=13356 steps_on_block=12204 \
-    steps_on_presample=1133 steps_on_raw=19 edge_bytes_loaded=1264644 edges_loaded=316161 \
-    io_ops=318 swap_bytes=0 coarse_loads=309 fine_loads=9 walkers_finished=2000 \
-    walkers_cancelled=0 fine_mode_at_step=13345 presamples_filled=1534 \
-    presamples_consumed=1133 pool_publishes=0 pool_stalls=3770 pool_deferrals=0 \
-    pool_attempts=3770 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
-    walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=24572 \
-    trace=1000:2694fb6cb9abfc5a";
+    "sim_ns=388187 stall_ns=267056 io_busy_ns=388178 steps=13365 steps_on_block=12804 \
+    steps_on_presample=556 steps_on_raw=5 edge_bytes_loaded=926784 edges_loaded=231696 \
+    io_ops=233 swap_bytes=0 coarse_loads=227 fine_loads=6 walkers_finished=2000 \
+    walkers_cancelled=0 fine_mode_at_step=13358 presamples_filled=979 presamples_consumed=556 \
+    pool_publishes=0 pool_stalls=2649 pool_deferrals=0 pool_attempts=2649 claims_burned=0 \
+    prefetch_hits=0 prefetch_wasted=0 walkers_emigrated=0 walkers_immigrated=0 accepts=0 \
+    rejects=0 peak_memory=24568 trace=737:c436e2205e537056";
 const CELL_B: &str =
     "sim_ns=171091 stall_ns=4783 io_busy_ns=59976 steps=13612 steps_on_block=5839 \
     steps_on_presample=4477 steps_on_raw=3296 edge_bytes_loaded=142704 edges_loaded=35676 \
@@ -320,14 +327,13 @@ const CELL_E: &str =
     walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=65533 \
     trace=566:438812d6d1115c3e";
 const CELL_F: &str =
-    "sim_ns=4978854 stall_ns=4820440 io_busy_ns=4978008 steps=12777 steps_on_block=12777 \
-    steps_on_presample=0 steps_on_raw=0 edge_bytes_loaded=8440380 edges_loaded=2110095 \
-    io_ops=2988 swap_bytes=0 coarse_loads=2953 fine_loads=35 walkers_finished=2048 \
-    walkers_cancelled=0 fine_mode_at_step=12774 presamples_filled=412 \
-    presamples_consumed=90 pool_publishes=0 pool_stalls=62 pool_deferrals=0 \
-    pool_attempts=62 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 walkers_emigrated=0 \
-    walkers_immigrated=0 accepts=12777 rejects=4683 peak_memory=12047 \
-    trace=8971:1b21b365930d4fe2";
+    "sim_ns=3745380 stall_ns=3587799 io_busy_ns=3745168 steps=12775 steps_on_block=12775 \
+    steps_on_presample=0 steps_on_raw=0 edge_bytes_loaded=6334852 edges_loaded=1583713 \
+    io_ops=2248 swap_bytes=0 coarse_loads=2218 fine_loads=30 walkers_finished=2048 \
+    walkers_cancelled=0 fine_mode_at_step=12769 presamples_filled=98 presamples_consumed=31 \
+    pool_publishes=0 pool_stalls=18 pool_deferrals=0 pool_attempts=18 claims_burned=0 \
+    prefetch_hits=0 prefetch_wasted=0 walkers_emigrated=0 walkers_immigrated=0 accepts=12775 \
+    rejects=4695 peak_memory=12067 trace=6737:e09021fc80722167";
 const CELL_G: [&str; 4] = [
     "q1 digest=13960382981112310547 latency=Some(35158)",
     "q2 digest=8347337876302802075 latency=Some(72067)",
@@ -342,11 +348,10 @@ const CELL_G: [&str; 4] = [
      trace=5:94139cdbca236540",
 ];
 const CELL_H: &str =
-    "sim_ns=573444 stall_ns=499367 io_busy_ns=573104 steps=8153 steps_on_block=7283 \
-    steps_on_presample=864 steps_on_raw=6 edge_bytes_loaded=1366416 edges_loaded=341604 \
-    io_ops=344 swap_bytes=0 coarse_loads=334 fine_loads=10 walkers_finished=916 \
-    walkers_cancelled=1084 fine_mode_at_step=8140 presamples_filled=1214 \
-    presamples_consumed=864 pool_publishes=0 pool_stalls=2419 pool_deferrals=0 \
-    pool_attempts=2419 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 \
-    walkers_emigrated=0 walkers_immigrated=0 accepts=0 rejects=0 peak_memory=24576 \
-    trace=1078:29f2c82c58ee117b";
+    "sim_ns=450072 stall_ns=376424 io_busy_ns=449820 steps=8130 steps_on_block=7710 \
+    steps_on_presample=418 steps_on_raw=2 edge_bytes_loaded=1073344 edges_loaded=268336 \
+    io_ops=270 swap_bytes=0 coarse_loads=264 fine_loads=6 walkers_finished=877 \
+    walkers_cancelled=1123 fine_mode_at_step=8121 presamples_filled=657 \
+    presamples_consumed=418 pool_publishes=0 pool_stalls=1281 pool_deferrals=0 \
+    pool_attempts=1281 claims_burned=0 prefetch_hits=0 prefetch_wasted=0 walkers_emigrated=0 \
+    walkers_immigrated=0 accepts=0 rejects=0 peak_memory=24560 trace=842:974881682181e75e";
